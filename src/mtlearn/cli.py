@@ -4,7 +4,10 @@ Subcommands: ``oracle`` (estimation-problem report), ``brdyn``
 (best-response dynamics trace), ``train`` (single seeded run),
 ``sweep`` (full learning-rate grid), ``report`` (re-render charts from
 stored CSVs). On failure a single machine-readable JSON error line is
-printed to stderr and the exit code is nonzero.
+printed to stderr and the exit code is 1. A sweep whose every job ran
+but some cells failed writes its outputs, names each failed
+``(lr0, lr1, s, seed)`` with its error on stderr, and exits with
+:data:`EXIT_CELLS_FAILED`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import envs, estimation, games, harness, learners, reports, schedule
+
+# Exit code of a sweep that completed with at least one failed cell.
+EXIT_CELLS_FAILED = 3
 
 
 def _load_json(path: str) -> dict:
@@ -145,7 +151,12 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         pass
     print(f"  files: {json.dumps(files, sort_keys=True)}")
-    return 0
+    failures = [(cell, seed, err) for cell in result.cells
+                for seed, err in zip(result.seeds, cell.errors) if err is not None]
+    for cell, seed, err in failures:
+        print(f"failed cell lr0={cell.lr0} lr1={cell.lr1} s={cell.period} "
+              f"seed={seed}: {err}", file=sys.stderr)
+    return EXIT_CELLS_FAILED if failures else 0
 
 
 def _cmd_report(args) -> int:

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .games import TeamGame, make_game
 
 
@@ -197,6 +199,10 @@ class ForagingEnv:
         self._t = 0
 
     @property
+    def horizon(self) -> int:
+        return self.config.horizon
+
+    @property
     def action_counts(self) -> tuple[int, ...]:
         return (6,) * self.n
 
@@ -341,41 +347,85 @@ class ForagingEnv:
 
 
 def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
-    """Maximum achievable episode return, by exhaustive plan search.
+    """Maximum achievable episode return, by finite-horizon backward induction.
 
-    Works on a deep copy, so the passed environment is untouched. The
-    search memoizes values by full environment state and raises
+    Works on a deep copy, so the passed environment is untouched. Both
+    environments keep the step counter at index 0 of ``get_state()`` and
+    use it only to end the episode at ``horizon``; the rest of the state
+    is time-free. The time-free states reachable within the horizon are
+    enumerated breadth-first from the reset state through the
+    environment's own ``step``: each state first reached at a depth below
+    the horizon has every joint action expanded once, from step counter
+    0. A transition that ends the episode before the horizon leads to a
+    terminal state, which is not expanded. Backward induction over the
+    resulting table then does the arithmetic of a plain search
+    (``reward + value``, then the max over joint actions), so the result
+    is exact and no recursion depth grows with the horizon. Raises
     :class:`SearchBudgetError` once more than ``budget`` joint actions
-    have been expanded.
+    would be expanded.
     """
     sim = copy.deepcopy(env)
     sim.reset(seed)
+    horizon = sim.horizon
     joint_actions = list(itertools.product(*(range(k) for k in sim.action_counts)))
-    memo: dict = {}
-    expansions = 0
+    n_actions = len(joint_actions)
+    set_state, step, get_state = sim.set_state, sim.step, sim.get_state
 
-    def value(state) -> float:
-        nonlocal expansions
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        best = None
-        for ja in joint_actions:
-            expansions += 1
+    # Expansions start at step counter 0, so every successor comes back with
+    # counter 1: states are keyed by that full form, with no per-step slicing.
+    start = (1,) + get_state()[1:]
+    index = {start: 0}
+    frontier = [start]
+    # Flat (state, joint action) tables in index order; a done or last-depth
+    # entry's successor is never read, so it points at state 0.
+    nexts: list[int] = []
+    rewards: list[float] = []
+    dones: list[bool] = []
+    no_next, all_done = [0] * n_actions, [True] * n_actions
+    expansions = 0
+    for depth in range(horizon):
+        # A state first reached at the last depth is one step from the end of
+        # the episode wherever it occurs, so only its rewards are used.
+        last = depth == horizon - 1
+        reached = []
+        for state in frontier:
+            expansions += n_actions
             if expansions > budget:
                 raise SearchBudgetError(
                     f"plan search exceeded {budget} expansions; the environment "
                     f"is too large for exhaustive planning"
                 )
-            sim.set_state(state)
-            res = sim.step(ja)
-            v = res.reward if res.done else res.reward + value(sim.get_state())
-            if best is None or v > best:
-                best = v
-        memo[state] = best
-        return best
+            state = (0,) + state[1:]
+            if last:
+                for ja in joint_actions:
+                    set_state(state)
+                    rewards.append(step(ja).reward)
+                nexts += no_next
+                dones += all_done
+                continue
+            for ja in joint_actions:
+                set_state(state)
+                res = step(ja)
+                rewards.append(res.reward)
+                dones.append(res.done)
+                if res.done:
+                    nexts.append(0)
+                    continue
+                succ = get_state()
+                size = len(index)
+                i = index.setdefault(succ, size)
+                if i == size:
+                    reached.append(succ)
+                nexts.append(i)
+        frontier = reached
 
-    return value(sim.get_state())
+    reward = np.array(rewards).reshape(-1, n_actions)
+    done = np.array(dones).reshape(-1, n_actions)
+    succ_index = np.array(nexts).reshape(-1, n_actions)
+    value = reward.max(axis=1)
+    for _ in range(horizon - 1):
+        value = np.where(done, reward, reward + value[succ_index]).max(axis=1)
+    return float(value[0])
 
 
 def env_from_config(cfg: dict):

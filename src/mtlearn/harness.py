@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .envs import env_from_config
 from .learners import EpsilonSchedule, QLearnerConfig, RunLog, train
-from .schedule import INFINITE, make_schedule
+from .schedule import make_schedule, parse_switch_period
 
 
 class DegenerateRangeError(ValueError):
@@ -142,16 +142,6 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _parse_period(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinite", "infinity"):
-            return INFINITE
-        raise ValueError(f"unrecognized switching period {value!r}")
-    if isinstance(value, (int, float)) and math.isinf(value):
-        return INFINITE
-    return float(int(value))
-
-
 def load_experiment_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a sweep config dict (see README for the schema)."""
     try:
@@ -159,7 +149,7 @@ def load_experiment_config(raw: dict) -> ExperimentConfig:
         grid = raw["grid"]
         lr0 = tuple(float(v) for v in grid["lr0"])
         lr1 = tuple(float(v) for v in grid["lr1"])
-        periods = tuple(_parse_period(v) for v in grid["switch_periods"])
+        periods = tuple(parse_switch_period(v) for v in grid["switch_periods"])
         seeds = tuple(int(s) for s in raw["seeds"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None

@@ -98,13 +98,31 @@ def make_schedule(n: int, levels: Sequence[float],
             f"cluster sizes {cluster_sizes} sum to {sum(cluster_sizes)}, expected {n}"
         )
 
-    if math.isinf(s):
-        period = INFINITE
-    else:
-        if s != int(s) or int(s) < 1:
-            raise ScheduleError(f"switching period must be a positive integer or inf, got {s}")
-        period = float(int(s))
-    return Schedule(n=n, levels=levels, cluster_sizes=cluster_sizes, switch_period=period)
+    return Schedule(n=n, levels=levels, cluster_sizes=cluster_sizes,
+                    switch_period=parse_switch_period(s))
+
+
+def parse_switch_period(value) -> float:
+    """The switching-period rule shared by schedules and sweep configs.
+
+    A period is a positive integer number of update steps (``10`` or
+    ``10.0``, returned as a float) or infinity (``math.inf`` or one of
+    the strings "inf", "infinite", "infinity").
+
+    Raises
+    ------
+    ScheduleError
+        For any other value, such as ``10.5``, ``0`` or ``"soon"``.
+    """
+    if isinstance(value, str):
+        if value.strip().lower() not in ("inf", "infinite", "infinity"):
+            raise ScheduleError(f"unrecognized switching period {value!r}")
+        return INFINITE
+    if math.isinf(value):
+        return INFINITE
+    if math.isnan(value) or value != int(value) or int(value) < 1:
+        raise ScheduleError(f"switching period must be a positive integer or inf, got {value}")
+    return float(int(value))
 
 
 def rotation_at(schedule: Schedule, t: int) -> int:
@@ -183,12 +201,8 @@ def schedule_to_config(schedule: Schedule) -> dict:
 
 def schedule_from_config(n: int, cfg: dict) -> Schedule:
     """Inverse of :func:`schedule_to_config`; accepts "inf" for the period."""
-    period = cfg.get("switch_period", "inf")
-    if isinstance(period, str):
-        if period.strip().lower() not in ("inf", "infinite", "infinity"):
-            raise ScheduleError(f"unrecognized switch_period {period!r}")
-        period = INFINITE
-    return make_schedule(n, cfg["levels"], cfg.get("cluster_sizes"), s=period)
+    return make_schedule(n, cfg["levels"], cfg.get("cluster_sizes"),
+                         s=cfg.get("switch_period", "inf"))
 
 
 def position_levels(schedule: Schedule) -> tuple[int, ...]:

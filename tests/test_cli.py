@@ -2,7 +2,8 @@ import json
 import subprocess
 import sys
 
-from mtlearn.cli import main
+from mtlearn import harness
+from mtlearn.cli import EXIT_CELLS_FAILED, main
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
 
@@ -153,6 +154,34 @@ class TestSweepAndReportCommands:
         assert main(["sweep", "--config", cfg, "--out", str(out), "--no-plots"]) == 0
         capsys.readouterr()
         assert not list(out.glob("*.svg"))
+
+    def test_failed_cell_is_named_and_exit_code_distinct(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3, 0.1], "lr1": [0.3, 0.1], "switch_periods": [10]},
+            "seeds": [0, 1],
+            "total_steps": 100,
+            "eval_every": 50,
+            "eval_episodes": 1,
+        })
+        train = harness.train
+
+        def failing_train(make_env, sched, *args, **kwargs):
+            if sched.levels == (0.3, 0.1) and args[-1] == 1:
+                raise RuntimeError("forced failure")
+            return train(make_env, sched, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        out = tmp_path / "results"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"])
+        assert code == EXIT_CELLS_FAILED
+        assert code not in (0, 1)
+        captured = capsys.readouterr()
+        failed = [line for line in captured.err.splitlines() if line.startswith("failed cell")]
+        assert failed == ["failed cell lr0=0.3 lr1=0.1 s=10.0 seed=1: "
+                          "RuntimeError: forced failure"]
+        assert list(out.glob("sweep_*.json"))
 
     def test_report_without_out_is_error(self, capsys):
         assert main(["report"]) == 1

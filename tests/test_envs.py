@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlearn.envs import (
     DOWN,
@@ -19,7 +21,8 @@ from mtlearn.envs import (
 
 from mtlearn.games import make_game
 
-from conftest import CLIMBING_PAYOFF, MATCH_PAYOFF
+from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
+from planner_reference import reference_optimal_return
 
 
 class TestMatrixGameEnv:
@@ -268,6 +271,79 @@ class TestOptimalReturn:
         env = ForagingEnv(two_agent_config())
         with pytest.raises(SearchBudgetError):
             optimal_return(env, budget=10)
+
+    def test_fractional_optimum(self):
+        # A level-2 agent between a level-1 food (adjacent) and a level-2
+        # food (one move away): one step collects a third, two steps two
+        # thirds (move, then load the heavier food), three steps both.
+        for horizon, expected in ((1, 1 / 3), (2, 2 / 3), (3, 1.0)):
+            env = ForagingEnv(foraging_config_from_ascii(["a2.b"], horizon=horizon))
+            assert optimal_return(env) == expected
+            assert reference_optimal_return(env) == expected
+
+    def test_long_horizon_has_no_recursion_limit(self, match_game):
+        assert optimal_return(MatrixGameEnv(match_game, horizon=1200)) == 1200.0
+
+    def test_budget_counts_time_free_state_expansions(self, match_game):
+        # One time-free state with four joint actions, whatever the horizon.
+        env = MatrixGameEnv(match_game, horizon=50)
+        assert optimal_return(env, budget=4) == 50.0
+        with pytest.raises(SearchBudgetError):
+            optimal_return(env, budget=3)
+
+    def test_fixture_budget_is_its_live_state_table(self):
+        # 552 placements of two agents beside the uncollected food, times 36
+        # joint actions; states after the collection end the episode.
+        env = ForagingEnv(foraging_config_from_ascii(list(FIXTURE_ROWS), horizon=16,
+                                                     cooperative_only=True))
+        assert optimal_return(env, budget=552 * 36) == 1.0
+        with pytest.raises(SearchBudgetError):
+            optimal_return(env, budget=552 * 36 - 1)
+
+
+@st.composite
+def small_foraging_envs(draw):
+    """Small layouts, fixed or seeded, with one or two agents and foods."""
+    width = draw(st.integers(2, 4))
+    height = draw(st.integers(2, 3))
+    agent_levels = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    food_levels = tuple(draw(st.lists(st.integers(1, sum(agent_levels)),
+                                      min_size=1, max_size=2)))
+    agent_positions = food_positions = None
+    if draw(st.booleans()):
+        cells = [(r, c) for r in range(height) for c in range(width)]
+        placed = draw(st.permutations(cells))
+        agent_positions = tuple(placed[:len(agent_levels)])
+        food_positions = tuple(placed[len(agent_levels):len(agent_levels) + len(food_levels)])
+    config = ForagingConfig(
+        width=width, height=height, agent_levels=agent_levels, food_levels=food_levels,
+        agent_positions=agent_positions, food_positions=food_positions,
+        horizon=draw(st.integers(1, 8)), view_radius=draw(st.sampled_from([None, 0, 1])))
+    return ForagingEnv(config)
+
+
+@st.composite
+def small_matrix_game_envs(draw):
+    n = draw(st.integers(1, 3))
+    counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    payoff = draw(st.lists(st.floats(-10.0, 10.0), min_size=int(np.prod(counts)),
+                           max_size=int(np.prod(counts))))
+    game = make_game(np.array(payoff).reshape(counts))
+    return MatrixGameEnv(game, horizon=draw(st.integers(1, 5)))
+
+
+class TestPlannerMatchesReferenceSearch:
+    """Backward induction returns exactly the recursive search's value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=small_foraging_envs(), seed=st.integers(0, 2 ** 16))
+    def test_foraging_layouts(self, env, seed):
+        assert optimal_return(env, seed) == reference_optimal_return(env, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=small_matrix_game_envs())
+    def test_matrix_games(self, env):
+        assert optimal_return(env) == reference_optimal_return(env)
 
 
 class TestEnvFromConfig:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlearn.harness import (
     DegenerateGapError,
@@ -20,6 +22,7 @@ from mtlearn.harness import (
     smooth,
 )
 from mtlearn.reports import emit_reports, render_reports_from_dir
+from mtlearn.schedule import ScheduleError, make_schedule
 
 from conftest import MATCH_PAYOFF
 
@@ -167,6 +170,27 @@ class TestExperimentConfig:
         mutate(raw)
         with pytest.raises(ValueError):
             load_experiment_config(raw)
+
+
+    def test_fractional_period_rejected_at_load(self):
+        with pytest.raises(ScheduleError, match="10.5"):
+            load_experiment_config(sweep_raw_config(periods=(5, 10.5)))
+
+    def test_zero_period_rejected_at_load(self):
+        with pytest.raises(ScheduleError, match="positive integer"):
+            load_experiment_config(sweep_raw_config(periods=(0,)))
+
+    @given(period=st.one_of(st.integers(-5, 10 ** 6), st.floats(allow_nan=True),
+                            st.sampled_from(["inf", " Infinity", "soon", "10"])))
+    def test_load_applies_the_schedule_period_rule(self, period):
+        raw = sweep_raw_config(periods=(period,))
+        try:
+            expected = make_schedule(2, (0.5, 0.1), s=period).switch_period
+        except ScheduleError:
+            with pytest.raises(ScheduleError):
+                load_experiment_config(raw)
+        else:
+            assert load_experiment_config(raw).switch_periods == (expected,)
 
 
 class TestCellRegime:

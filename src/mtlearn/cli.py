@@ -110,14 +110,7 @@ def _cmd_train(args) -> int:
     env_cfg = cfg["env"]
     env = envs.env_from_config(env_cfg)
     sched = schedule.schedule_from_config(env.n, cfg["schedule"])
-    q_raw = cfg.get("q", {})
-    q_config = learners.QLearnerConfig(
-        epsilon=learners.EpsilonSchedule(
-            start=float(q_raw.get("epsilon_start", 1.0)),
-            end=float(q_raw.get("epsilon_end", 0.05)),
-            decay_steps=int(q_raw.get("epsilon_decay_steps",
-                                      max(1, int(cfg["total_steps"]) // 2)))),
-        discount=float(q_raw.get("discount", 0.95)))
+    q_config = learners.parse_q_config(cfg.get("q", {}), int(cfg["total_steps"]))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     digest = harness.config_digest(cfg)
     log = learners.train(lambda: envs.env_from_config(env_cfg), sched, q_config,

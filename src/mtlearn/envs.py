@@ -14,7 +14,7 @@ import copy
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,6 +177,20 @@ def foraging_config_from_ascii(rows: Sequence[str], horizon: int = 50,
     )
 
 
+class _MemoNode(NamedTuple):
+    """One time-free state in a ``ForagingEnv`` transition memo.
+
+    Successors are node indices, not references, so the memo holds no
+    reference cycles and is freed with its env.
+    """
+
+    agent_pos: tuple[tuple[int, int], ...]
+    food_alive: tuple[bool, ...]
+    edges: dict  # joint action -> (successor index, StepResult)
+    results: dict  # reward -> StepResult into this node; done = every food gone
+    observations: tuple[int, ...]
+
+
 class ForagingEnv:
     """Cooperative level-based foraging on a small grid.
 
@@ -187,16 +201,30 @@ class ForagingEnv:
     combined level at least the food's level; the reward is the food
     level divided by the total food level, so clearing everything in
     one episode yields exactly 1.0.
+
+    Each instance memoises the transitions it computes, keyed by the
+    time-free state and the joint action, so a revisited step is a
+    dictionary lookup; ``set_state`` turns the memo off for that instance.
     """
 
     def __init__(self, config: ForagingConfig):
         self.config = config
         self.n = config.n
         self._total_level = float(sum(config.food_levels))
-        self._agent_pos: list[tuple[int, int]] = []
-        self._food_pos: list[tuple[int, int]] = []
-        self._food_alive: list[bool] = []
+        self._fixed_positions = None
+        if config.agent_positions is not None and config.food_positions is not None:
+            self._fixed_positions = (tuple(config.agent_positions),
+                                     tuple(config.food_positions))
+        self._agent_pos: tuple[tuple[int, int], ...] = ()
+        self._food_pos: tuple[tuple[int, int], ...] = ()
+        self._food_alive: tuple[bool, ...] = ()
         self._t = 0
+        # Transition memo: ``_memo`` maps a time-free state to its index in
+        # ``_nodes``, and ``_edges`` is the current node's edges. All three are
+        # None once ``set_state`` has been called.
+        self._memo: dict | None = {}
+        self._nodes: list[_MemoNode] | None = []
+        self._edges: dict | None = None
 
     @property
     def horizon(self) -> int:
@@ -219,6 +247,18 @@ class ForagingEnv:
         return (size,) * self.n
 
     def reset(self, seed: int = 0) -> tuple[int, ...]:
+        if self._fixed_positions is not None:
+            self._agent_pos, self._food_pos = self._fixed_positions
+        else:
+            self._agent_pos, self._food_pos = self._draw_positions(seed)
+        self._food_alive = (True,) * len(self.config.food_levels)
+        self._t = 0
+        if self._memo is not None:
+            return self._nodes[self._enter_node()].observations
+        return self._observations()
+
+    def _draw_positions(self, seed: int):
+        """Positions for a reset; cells left to the seed are distinct free cells."""
         cfg = self.config
         rng = random.Random(seed)
         taken: set[tuple[int, int]] = set()
@@ -233,15 +273,31 @@ class ForagingEnv:
             taken.update(chosen)
             return chosen
 
-        self._agent_pos = (list(cfg.agent_positions) if cfg.agent_positions is not None
-                           else draw(self.n))
-        self._food_pos = (list(cfg.food_positions) if cfg.food_positions is not None
-                          else draw(len(cfg.food_levels)))
-        self._food_alive = [True] * len(cfg.food_levels)
-        self._t = 0
-        return self._observations()
+        agent_pos = (cfg.agent_positions if cfg.agent_positions is not None
+                     else draw(self.n))
+        food_pos = (cfg.food_positions if cfg.food_positions is not None
+                    else draw(len(cfg.food_levels)))
+        return tuple(agent_pos), tuple(food_pos)
 
     def step(self, joint_action: Sequence[int]) -> StepResult:
+        acts = tuple(joint_action)
+        edges = self._edges
+        outcome = edges.get(acts) if edges is not None else None
+        if outcome is None:
+            result = self._transition(acts)
+        else:
+            node, result = outcome
+            self._agent_pos, self._food_alive, self._edges = self._nodes[node][:3]
+        self._t += 1
+        if not result.done and self._t >= self.config.horizon:
+            return StepResult(result.observations, result.reward, True)
+        return result
+
+    def _transition(self, joint_action: tuple) -> StepResult:
+        """Compute one transition from the current time-free state and, while
+        the memo is on, store it under the validated joint action. Only valid
+        actions are ever stored, so invalid ones always reach the checks.
+        Leaves the env in the successor state."""
         cfg = self.config
         acts = tuple(int(a) for a in joint_action)
         if len(acts) != self.n:
@@ -251,14 +307,16 @@ class ForagingEnv:
                 raise ValueError(f"invalid action {a} for agent {i}")
 
         # Movement, lowest agent index first; earlier moves free their cell.
-        occupied = set(self._agent_pos)
-        food_cells = {self._food_pos[k] for k in range(len(self._food_alive))
-                      if self._food_alive[k]}
+        agent_pos = list(self._agent_pos)
+        food_alive = list(self._food_alive)
+        occupied = set(agent_pos)
+        food_cells = {self._food_pos[k] for k in range(len(food_alive))
+                      if food_alive[k]}
         for i, a in enumerate(acts):
             delta = _MOVES.get(a)
             if delta is None:
                 continue
-            r, c = self._agent_pos[i]
+            r, c = agent_pos[i]
             target = (r + delta[0], c + delta[1])
             if not (0 <= target[0] < cfg.height and 0 <= target[1] < cfg.width):
                 continue
@@ -266,40 +324,78 @@ class ForagingEnv:
                 continue
             occupied.discard((r, c))
             occupied.add(target)
-            self._agent_pos[i] = target
+            agent_pos[i] = target
 
         # Joint loading against post-movement positions.
         reward = 0.0
         loaders = [i for i, a in enumerate(acts) if a == LOAD]
-        for k, alive in enumerate(self._food_alive):
+        for k, alive in enumerate(food_alive):
             if not alive:
                 continue
             fr, fc = self._food_pos[k]
             strength = sum(cfg.agent_levels[i] for i in loaders
-                           if abs(self._agent_pos[i][0] - fr)
-                           + abs(self._agent_pos[i][1] - fc) == 1)
+                           if abs(agent_pos[i][0] - fr)
+                           + abs(agent_pos[i][1] - fc) == 1)
             if strength >= cfg.food_levels[k]:
-                self._food_alive[k] = False
+                food_alive[k] = False
                 reward += cfg.food_levels[k] / self._total_level
 
-        self._t += 1
-        done = not any(self._food_alive) or self._t >= cfg.horizon
-        return StepResult(observations=self._observations(), reward=reward, done=done)
+        self._agent_pos, self._food_alive = tuple(agent_pos), tuple(food_alive)
+        edges = self._edges
+        if edges is None:
+            return StepResult(observations=self._observations(), reward=reward,
+                              done=not any(food_alive))
+        node = self._enter_node()
+        # Every transition into a node shares its observations and done flag,
+        # so results are shared per (node, reward).
+        results = self._nodes[node].results
+        result = results.get(reward)
+        if result is None:
+            result = results[reward] = StepResult(
+                observations=self._nodes[node].observations, reward=reward,
+                done=not any(food_alive))
+        edges[acts] = (node, result)
+        return result
+
+    def _enter_node(self) -> int:
+        """Make the current time-free state's memo node current, adding it if
+        new, and return its index."""
+        nodes = self._nodes
+        node = self._memo.setdefault((self._agent_pos, self._food_pos, self._food_alive),
+                                     len(nodes))
+        if node == len(nodes):
+            nodes.append(_MemoNode(self._agent_pos, self._food_alive, {}, {},
+                                   self._observations()))
+        self._agent_pos, self._food_alive, self._edges = nodes[node][:3]
+        return node
+
+    def __getstate__(self):
+        # Copies and pickles start with an empty memo: it is a cache, and
+        # copying it costs more than the planner's whole search on the fixture.
+        state = self.__dict__.copy()
+        if self._memo is not None:
+            state.update(_memo={}, _nodes=[], _edges=None)
+        return state
 
     def remaining_food_fraction(self) -> float:
         alive = sum(l for l, a in zip(self.config.food_levels, self._food_alive) if a)
         return alive / self._total_level
 
     def get_state(self):
-        return (self._t, tuple(self._agent_pos), tuple(self._food_pos),
-                tuple(self._food_alive))
+        return (self._t, self._agent_pos, self._food_pos, self._food_alive)
 
     def set_state(self, state) -> None:
+        """Jump to ``state`` and turn the transition memo off for good.
+
+        Callers that set states, such as the planner, expand each (state,
+        joint action) once, so a memo would only cost time and memory.
+        """
         t, agent_pos, food_pos, alive = state
         self._t = t
-        self._agent_pos = list(agent_pos)
-        self._food_pos = list(food_pos)
-        self._food_alive = list(alive)
+        self._agent_pos = tuple(agent_pos)
+        self._food_pos = tuple(food_pos)
+        self._food_alive = tuple(alive)
+        self._memo = self._nodes = self._edges = None
 
     def _observations(self) -> tuple[int, ...]:
         cfg = self.config

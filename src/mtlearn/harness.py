@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .envs import env_from_config
-from .learners import EpsilonSchedule, QLearnerConfig, RunLog, train
-from .schedule import make_schedule, parse_switch_period
+from .learners import EpsilonSchedule, QLearnerConfig, RunLog, parse_q_config, train
+from .schedule import make_schedule, parse_rate, parse_switch_period
 
 
 class DegenerateRangeError(ValueError):
@@ -147,8 +147,8 @@ def load_experiment_config(raw: dict) -> ExperimentConfig:
     try:
         env = dict(raw["env"])
         grid = raw["grid"]
-        lr0 = tuple(float(v) for v in grid["lr0"])
-        lr1 = tuple(float(v) for v in grid["lr1"])
+        lr0 = tuple(parse_rate(v) for v in grid["lr0"])
+        lr1 = tuple(parse_rate(v) for v in grid["lr1"])
         periods = tuple(parse_switch_period(v) for v in grid["switch_periods"])
         seeds = tuple(int(s) for s in raw["seeds"])
     except KeyError as missing:
@@ -159,15 +159,7 @@ def load_experiment_config(raw: dict) -> ExperimentConfig:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    q_raw = raw.get("q", {})
-    q_config = QLearnerConfig(
-        epsilon=EpsilonSchedule(
-            start=float(q_raw.get("epsilon_start", 1.0)),
-            end=float(q_raw.get("epsilon_end", 0.05)),
-            decay_steps=int(q_raw.get("epsilon_decay_steps", max(1, int(raw["total_steps"]) // 2))),
-        ),
-        discount=float(q_raw.get("discount", 0.95)),
-    )
+    q_config = parse_q_config(raw.get("q", {}), int(raw["total_steps"]))
     return ExperimentConfig(
         env=env, lr0_values=lr0, lr1_values=lr1, switch_periods=periods,
         seeds=seeds, total_steps=int(raw["total_steps"]),

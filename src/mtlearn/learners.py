@@ -23,7 +23,7 @@ import numpy as np
 
 from .envs import StepResult
 from .estimation import TeamEstimationProblem, team_mse
-from .schedule import Schedule, position_levels, rotation_at
+from .schedule import Schedule, rates_at
 
 QTable = dict[int, list[float]]
 
@@ -56,6 +56,23 @@ class QLearnerConfig:
     def __post_init__(self):
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
+
+
+def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
+    """Build a :class:`QLearnerConfig` from a config's ``q`` block.
+
+    Missing keys take their defaults: ``epsilon_start`` 1.0,
+    ``epsilon_end`` 0.05, ``epsilon_decay_steps`` half of
+    ``total_steps`` (at least 1) and ``discount`` 0.95.
+    """
+    return QLearnerConfig(
+        epsilon=EpsilonSchedule(
+            start=float(raw.get("epsilon_start", 1.0)),
+            end=float(raw.get("epsilon_end", 0.05)),
+            decay_steps=int(raw.get("epsilon_decay_steps", max(1, total_steps // 2))),
+        ),
+        discount=float(raw.get("discount", 0.95)),
+    )
 
 
 @dataclass(frozen=True)
@@ -191,8 +208,6 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
 
-    levels = schedule.levels
-    pos_level = position_levels(schedule)
     eps = q_config.epsilon
     discount = q_config.discount
 
@@ -204,11 +219,10 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
         actions = [select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
                    for i in range(n)]
         res = env.step(actions)
-        rot = rotation_at(schedule, t)
+        rates = rates_at(schedule, t)
         for i in range(n):
-            lr = levels[pos_level[(i - rot) % n]]
             q_update(tables[i], obs[i], actions[i], res.reward, res.observations[i],
-                     res.done, lr, discount, action_counts[i])
+                     res.done, rates[i], discount, action_counts[i])
         obs = res.observations
         done_steps = t + 1
         if done_steps % eval_every == 0 or done_steps == total_steps:
@@ -339,8 +353,6 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
     diag = np.diag(problem.gamma)
     precond = (n * n) / (2.0 * diag)
     noise_std = math.sqrt(problem.sigma2)
-    levels = schedule.levels
-    pos_level = position_levels(schedule)
 
     trace = [tuple(gains)] if record_gains else None
     eval_steps: list[int] = []
@@ -352,8 +364,7 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
             x = rng.standard_normal(batch_size)
             y = x[:, None] + noise_std * rng.standard_normal((batch_size, n))
             grad = estimation_gradient(problem, gains, x, y)
-        rot = rotation_at(schedule, t)
-        rates = np.array([levels[pos_level[(i - rot) % n]] for i in range(n)])
+        rates = np.array(rates_at(schedule, t))
         gains = gains - rates * precond * grad
         if record_gains:
             trace.append(tuple(gains))

@@ -13,6 +13,7 @@ two-timescale learning.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,6 +56,12 @@ class Schedule:
     def is_switching(self) -> bool:
         return math.isfinite(self.switch_period)
 
+    @functools.cached_property
+    def _rates_by_rotation(self) -> tuple[tuple[float, ...], ...]:
+        pos_level = position_levels(self)
+        return tuple(tuple(self.levels[pos_level[(i - rot) % self.n]] for i in range(self.n))
+                     for rot in range(self.n))
+
 
 def make_schedule(n: int, levels: Sequence[float],
                   cluster_sizes: Sequence[int] | None = None,
@@ -73,11 +80,9 @@ def make_schedule(n: int, levels: Sequence[float],
     """
     if n < 1:
         raise ScheduleError(f"agent count must be positive, got {n}")
-    levels = tuple(float(v) for v in levels)
+    levels = tuple(parse_rate(v) for v in levels)
     if not levels:
         raise ScheduleError("need at least one rate level")
-    if any(v < 0 or not math.isfinite(v) for v in levels):
-        raise ScheduleError(f"rates must be finite and >= 0, got {levels}")
 
     if cluster_sizes is None:
         if len(levels) == 1:
@@ -100,6 +105,20 @@ def make_schedule(n: int, levels: Sequence[float],
 
     return Schedule(n=n, levels=levels, cluster_sizes=cluster_sizes,
                     switch_period=parse_switch_period(s))
+
+
+def parse_rate(value) -> float:
+    """The learning-rate rule shared by schedules and sweep configs.
+
+    Raises
+    ------
+    ScheduleError
+        If the value is negative or not finite.
+    """
+    rate = float(value)
+    if rate < 0 or not math.isfinite(rate):
+        raise ScheduleError(f"rates must be finite and >= 0, got {rate}")
+    return rate
 
 
 def parse_switch_period(value) -> float:
@@ -162,6 +181,16 @@ def learning_rate(schedule: Schedule, t: int, agent: int) -> float:
         raise IndexError(f"agent {agent} out of range [0, {schedule.n})")
     r = rotation_at(schedule, t)
     return schedule.levels[_level_of_position(schedule, (agent - r) % schedule.n)]
+
+
+def rates_at(schedule: Schedule, t: int) -> tuple[float, ...]:
+    """Rate of every agent at update step ``t``, indexed by agent.
+
+    Equal to ``learning_rate(schedule, t, agent)`` for each agent, from a
+    per-rotation table built once per schedule, so it is cheap enough to
+    call on every update step.
+    """
+    return schedule._rates_by_rotation[rotation_at(schedule, t)]
 
 
 def classify(schedule: Schedule) -> ScheduleKind:

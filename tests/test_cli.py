@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from mtlearn import harness
+import pytest
+
+from mtlearn import harness, learners
 from mtlearn.cli import EXIT_CELLS_FAILED, main
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
@@ -119,6 +121,32 @@ class TestTrainCommand:
         assert len(files) == 1
 
 
+Q_BLOCK = {"discount": 0.9, "epsilon_start": 0.8, "epsilon_end": 0.1,
+           "epsilon_decay_steps": 150}
+
+
+@pytest.mark.parametrize("missing", [None, "all", *Q_BLOCK])
+def test_train_and_sweep_parse_the_same_q_config(tmp_path, capsys, monkeypatch, missing):
+    q = {} if missing == "all" else {k: v for k, v in Q_BLOCK.items() if k != missing}
+    captured = []
+
+    def capturing_train(make_env, sched, q_config, *args, **kwargs):
+        captured.append(q_config)
+        return train(make_env, sched, q_config, *args, **kwargs)
+
+    train = learners.train
+    monkeypatch.setattr(learners, "train", capturing_train)
+    assert main(["train", "--config", train_config(tmp_path, q=q, total_steps=300)]) == 0
+    capsys.readouterr()
+    sweep = harness.load_experiment_config({
+        "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 5},
+        "grid": {"lr0": [0.3], "lr1": [0.1], "switch_periods": [20]},
+        "seeds": [0], "total_steps": 300, "q": q})
+    assert captured == [sweep.q_config]
+    if missing == "epsilon_decay_steps":
+        assert sweep.q_config.epsilon.decay_steps == 150
+
+
 class TestSweepAndReportCommands:
     def test_sweep_then_report(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sweep.json", {
@@ -182,6 +210,20 @@ class TestSweepAndReportCommands:
         assert failed == ["failed cell lr0=0.3 lr1=0.1 s=10.0 seed=1: "
                           "RuntimeError: forced failure"]
         assert list(out.glob("sweep_*.json"))
+
+    @pytest.mark.parametrize("bad", ["-0.1", "NaN", "Infinity"])
+    def test_bad_rate_fails_before_any_output(self, tmp_path, capsys, bad):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3, "BAD"], "lr1": [0.3], "switch_periods": [10]},
+            "seeds": [0], "total_steps": 100, "eval_every": 50, "eval_episodes": 1,
+        }).replace('"BAD"', bad))
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"]["type"] == "ScheduleError"
+        assert not out.exists()
 
     def test_report_without_out_is_error(self, capsys):
         assert main(["report"]) == 1

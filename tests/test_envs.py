@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -344,6 +346,89 @@ class TestPlannerMatchesReferenceSearch:
     @given(env=small_matrix_game_envs())
     def test_matrix_games(self, env):
         assert optimal_return(env) == reference_optimal_return(env)
+
+
+def stored_transitions(env: ForagingEnv) -> int:
+    return sum(len(node.edges) for node in env._nodes)
+
+
+class TestTransitionMemo:
+    """The step memo is invisible: memo-on and memo-off envs agree exactly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=small_foraging_envs(), data=st.data())
+    def test_memo_matches_memo_off(self, env, data):
+        plain = ForagingEnv(env.config)
+        plain.set_state(plain.get_state())
+        assert plain._memo is None
+        n = env.n
+        actions = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n),
+                                     min_size=1, max_size=6))
+        seeds = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+        seeds.append(seeds[0])
+        steps = 0
+        for seed in seeds:
+            assert env.reset(seed) == plain.reset(seed)
+            for k in range(env.horizon + 2):
+                ja = actions[k % len(actions)]
+                assert env.step(ja) == plain.step(ja)
+                assert env.get_state() == plain.get_state()
+                steps += 1
+        assert stored_transitions(env) < steps
+
+    def test_invalid_actions_raise_after_state_is_memoised(self):
+        env = ForagingEnv(two_agent_config())
+        env.reset(0)
+        env.step((STAY, STAY))
+        env.reset(0)
+        assert env._edges
+        for bad in ((6, STAY), (-1, STAY), (STAY,), (STAY, STAY, STAY)):
+            with pytest.raises(ValueError):
+                env.step(bad)
+        assert list(env._edges) == [(STAY, STAY)]
+
+    def test_seeded_reset_positions_are_unchanged(self):
+        # Positions drawn by the reset seed before the memo existed.
+        env = ForagingEnv(ForagingConfig(width=5, height=5, agent_levels=(1, 1),
+                                         food_levels=(1, 2), view_radius=1))
+        expected = {
+            0: (((2, 2), (4, 4)), ((2, 4), (0, 1)), (12999, 24999)),
+            7: (((2, 0), (0, 4)), ((2, 4), (4, 2)), (10999, 4999)),
+            2 ** 32 - 1: (((4, 0), (3, 4)), ((1, 1), (4, 1)), (20995, 19999)),
+        }
+        for seed, (agents, foods, obs) in expected.items():
+            assert env.reset(seed) == obs
+            assert env.get_state() == (0, agents, foods, (True, True))
+        partly_seeded = ForagingEnv(two_agent_config(
+            width=4, height=3, agent_positions=((0, 0), (2, 3)), food_positions=None))
+        partly_seeded.reset(0)
+        assert partly_seeded.get_state()[2] == ((1, 3),)
+        partly_seeded.reset(7)
+        assert partly_seeded.get_state()[2] == ((1, 2),)
+
+    def test_copies_start_with_empty_memo(self):
+        env = ForagingEnv(two_agent_config())
+        env.reset(0)
+        env.step((UP, DOWN))
+        twin = copy.deepcopy(env)
+        assert twin.get_state() == env.get_state()
+        assert stored_transitions(env) == 1 and stored_transitions(twin) == 0
+        for ja in ((DOWN, UP), (LOAD, LOAD)):
+            assert twin.step(ja) == env.step(ja)
+        assert twin.reset(0) == env.reset(0)
+        assert twin.step((UP, DOWN)) == env.step((UP, DOWN))
+        assert stored_transitions(twin) == 1
+
+    def test_planner_leaves_memo_untouched(self):
+        env = ForagingEnv(two_agent_config())
+        env.reset(0)
+        for ja in ((UP, DOWN), (STAY, STAY), (DOWN, UP), (LOAD, LOAD)):
+            env.step(ja)
+        nodes, edges = env._nodes, env._edges
+        before = [(node, dict(node.edges)) for node in nodes]
+        assert optimal_return(env) == 1.0
+        assert env._nodes is nodes and env._edges is edges
+        assert [(node, dict(node.edges)) for node in nodes] == before
 
 
 class TestEnvFromConfig:

@@ -176,6 +176,13 @@ class TestExperimentConfig:
         with pytest.raises(ScheduleError, match="10.5"):
             load_experiment_config(sweep_raw_config(periods=(5, 10.5)))
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_bad_rate_rejected_at_load(self, bad):
+        with pytest.raises(ScheduleError, match="finite and >= 0"):
+            load_experiment_config(sweep_raw_config(lr0=(0.3, bad)))
+        with pytest.raises(ScheduleError, match="finite and >= 0"):
+            load_experiment_config(sweep_raw_config(lr1=(bad,)))
+
     def test_zero_period_rejected_at_load(self):
         with pytest.raises(ScheduleError, match="positive integer"):
             load_experiment_config(sweep_raw_config(periods=(0,)))

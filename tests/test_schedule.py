@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlearn.schedule import (
     INFINITE,
@@ -11,6 +13,8 @@ from mtlearn.schedule import (
     classify,
     learning_rate,
     make_schedule,
+    parse_rate,
+    rates_at,
     schedule_from_config,
     schedule_to_config,
 )
@@ -123,6 +127,27 @@ class TestLearningRate:
         sched = make_schedule(2, (0.1, 0.0), s=3)
         with pytest.raises(IndexError):
             learning_rate(sched, 0, 2)
+
+
+@st.composite
+def schedules(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    levels = draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+                           min_size=len(sizes), max_size=len(sizes)))
+    period = draw(st.one_of(st.integers(1, 20), st.just("inf")))
+    return make_schedule(sum(sizes), levels, cluster_sizes=sizes, s=period)
+
+
+class TestRatesAt:
+    @given(sched=schedules(), t=st.integers(0, 10 ** 6))
+    def test_matches_learning_rate(self, sched, t):
+        rates = rates_at(sched, t)
+        assert rates == tuple(learning_rate(sched, t, i) for i in range(sched.n))
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "-1"])
+    def test_parse_rate_rejects(self, bad):
+        with pytest.raises(ScheduleError, match="finite and >= 0"):
+            parse_rate(bad)
 
 
 class TestClassify:

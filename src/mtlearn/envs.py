@@ -51,6 +51,11 @@ class MatrixGameEnv:
     def observation_space_sizes(self) -> tuple[int, ...]:
         return (1,) * self.n
 
+    @property
+    def fixed_start(self) -> bool:
+        """True: ``reset`` ignores its seed."""
+        return True
+
     def reset(self, seed: int = 0) -> tuple[int, ...]:
         self._t = 0
         return (0,) * self.n
@@ -245,6 +250,11 @@ class ForagingEnv:
         base = (2 * cfg.view_radius + 1) ** 2 + 1
         size = cells * base ** (self.n - 1 + m)
         return (size,) * self.n
+
+    @property
+    def fixed_start(self) -> bool:
+        """True when every position is fixed, so ``reset`` ignores its seed."""
+        return self._fixed_positions is not None
 
     def reset(self, seed: int = 0) -> tuple[int, ...]:
         if self._fixed_positions is not None:

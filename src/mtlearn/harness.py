@@ -12,17 +12,19 @@ executed once and shared across periods.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .envs import env_from_config
-from .learners import EpsilonSchedule, QLearnerConfig, RunLog, parse_q_config, train
-from .schedule import make_schedule, parse_rate, parse_switch_period
+from .learners import QLearnerConfig, RunLog, parse_q_config
+from .schedule import Schedule, make_schedule, parse_rate, parse_switch_period
 
 
 class DegenerateRangeError(ValueError):
@@ -181,23 +183,80 @@ def cell_regime(lr0: float, lr1: float) -> str:
 # Sweep execution
 
 
-def _execute_run(payload: dict):
-    """Single (cell, seed) training job; top level so worker pools can pickle it."""
+class Job(NamedTuple):
+    """One (cell, seed) training run of a sweep."""
+
+    levels: tuple[float, float]
+    period: float
+    seed: int
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _job_schedule(n: int, job: Job) -> Schedule:
+    """Per-job set-up: the rate schedule of ``job`` for an ``n``-agent env."""
+    return make_schedule(n, job.levels, s=job.period)
+
+
+def _run_batch(config: ExperimentConfig,
+               jobs: Sequence[Job]) -> list[tuple[RunLog | None, str | None]]:
+    """Train a batch of jobs in one lockstep loop; top level so worker pools
+    can pickle it. Returns (log, error) per job, in order. A job whose set-up
+    raises fails alone; if the loop raises, every job it ran fails with that
+    error."""
+    from .lockstep import train_lockstep  # loaded by the first sweep, not by the package
+
     try:
-        env_cfg = payload["env"]
-        env = env_from_config(env_cfg)
-        sched = make_schedule(env.n, payload["levels"], s=payload["period"])
-        q_config = QLearnerConfig(
-            epsilon=EpsilonSchedule(*payload["epsilon"]),
-            discount=payload["discount"],
-        )
-        log = train(lambda: env_from_config(env_cfg), sched, q_config,
-                    payload["total_steps"], payload["eval_every"],
-                    payload["eval_episodes"], payload["seed"],
-                    config_digest=payload["digest"])
-        return log, None
-    except Exception as exc:  # noqa: BLE001 - per-cell failures must not kill the sweep
-        return None, f"{type(exc).__name__}: {exc}"
+        n = env_from_config(config.env).n
+    except Exception as exc:  # noqa: BLE001 - failures are reported per job
+        return [(None, _error_text(exc))] * len(jobs)
+    outcomes: list[tuple[RunLog | None, str | None]] = [(None, None)] * len(jobs)
+    schedules: dict[int, Schedule] = {}
+    for k, job in enumerate(jobs):
+        try:
+            schedules[k] = _job_schedule(n, job)
+        except Exception as exc:  # noqa: BLE001 - per-job failures must not kill the sweep
+            outcomes[k] = (None, _error_text(exc))
+    try:
+        logs = train_lockstep(functools.partial(env_from_config, config.env),
+                              list(schedules.values()), [jobs[k].seed for k in schedules],
+                              config.q_config, config.total_steps, config.eval_every,
+                              config.eval_episodes, config_digest=config.digest)
+        results = [(log, None) for log in logs]
+    except Exception as exc:  # noqa: BLE001 - the batch's jobs fail, not the sweep
+        results = [(None, _error_text(exc))] * len(schedules)
+    for k, outcome in zip(schedules, results):
+        outcomes[k] = outcome
+    return outcomes
+
+
+def _run_jobs(config: ExperimentConfig, jobs: Sequence[Job],
+              workers: int) -> list[tuple[RunLog | None, str | None]]:
+    """(log, error) of every job, in order.
+
+    The jobs are split into ``min(workers, len(jobs))`` contiguous batches:
+    one batch runs in this process, more run one per pool task. If a worker
+    dies, every job of each batch left unfinished fails with the pool's
+    error and the other batches keep their results.
+    """
+    count = min(workers, len(jobs))
+    if count <= 1:
+        return _run_batch(config, jobs)
+    from . import lockstep  # noqa: F401 - loaded before forking, so workers inherit it
+
+    bounds = [len(jobs) * b // count for b in range(count + 1)]
+    batches = [jobs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    outcomes: list[tuple[RunLog | None, str | None]] = []
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        futures = [pool.submit(_run_batch, config, batch) for batch in batches]
+        for batch, future in zip(batches, futures):
+            try:
+                outcomes += future.result()
+            except BrokenProcessPool as exc:
+                outcomes += [(None, _error_text(exc))] * len(batch)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -262,27 +321,17 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run the full grid; equal-rate cells are executed once per seed.
 
-    Jobs are independent and may run on a process pool; results are
+    The unique (cell, seed) jobs are trained in lockstep batches
+    (``lockstep.train_lockstep``), one per worker, and the results are
     reassembled in deterministic grid order, so the outcome does not
     depend on the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = config.digest
-    eps = config.q_config.epsilon
-
-    def payload(lr0: float, lr1: float, period: float, seed: int) -> dict:
-        return {
-            "env": config.env, "levels": (lr0, lr1), "period": period,
-            "epsilon": (eps.start, eps.end, eps.decay_steps),
-            "discount": config.q_config.discount,
-            "total_steps": config.total_steps, "eval_every": config.eval_every,
-            "eval_episodes": config.eval_episodes, "seed": seed, "digest": digest,
-        }
 
     # Unique jobs: equal-rate cells do not depend on the switching period.
-    job_keys: list[tuple] = []
-    job_payloads: list[dict] = []
+    jobs: list[Job] = []
     key_index: dict[tuple, int] = {}
     first_period = config.switch_periods[0]
     for lr0 in config.lr0_values:
@@ -293,16 +342,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
                            else (lr0, lr1, period, seed))
                     if key in key_index:
                         continue
-                    key_index[key] = len(job_keys)
-                    job_keys.append(key)
+                    key_index[key] = len(jobs)
                     run_period = first_period if lr0 == lr1 else period
-                    job_payloads.append(payload(lr0, lr1, run_period, seed))
+                    jobs.append(Job((lr0, lr1), run_period, seed))
 
-    if workers == 1:
-        outcomes = [_execute_run(p) for p in job_payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_execute_run, job_payloads))
+    outcomes = _run_jobs(config, jobs, workers)
 
     cells: list[CellResult] = []
     for lr0 in config.lr0_values:

@@ -167,11 +167,11 @@ def _spawn_streams(seed: int, n_agents: int):
     return to_rng(env_ss), to_rng(eval_ss), [to_rng(ss) for ss in explore_ss.spawn(n_agents)]
 
 
-def _evaluate_greedy(env_factory, tables: list[QTable], action_counts,
+def _evaluate_greedy(env, tables: list[QTable], action_counts,
                      episodes: int, eval_rng: random.Random) -> float:
+    """Mean greedy return over ``episodes`` episodes of ``env``, reset for each."""
     total = 0.0
     for _ in range(episodes):
-        env = env_factory()
         obs = env.reset(eval_rng.getrandbits(32))
         ep_return = 0.0
         while True:
@@ -201,6 +201,7 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     """Scheduled decentralized Q-learning; also returns the learned tables."""
     _validate_train_args(total_steps, eval_every, eval_episodes)
     env = env_factory()
+    eval_env = env_factory()
     n = env.n
     if schedule.n != n:
         raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
@@ -228,7 +229,7 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
         if done_steps % eval_every == 0 or done_steps == total_steps:
             if not eval_steps or eval_steps[-1] != done_steps:
                 eval_steps.append(done_steps)
-                eval_returns.append(_evaluate_greedy(env_factory, tables, action_counts,
+                eval_returns.append(_evaluate_greedy(eval_env, tables, action_counts,
                                                      eval_episodes, eval_rng))
         if res.done:
             obs = env.reset(env_rng.getrandbits(32))
@@ -263,6 +264,7 @@ def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     env = env_factory()
+    eval_env = env_factory()
     n = env.n
     action_counts = env.action_counts
     tables: list[QTable] = [{} for _ in range(n)]
@@ -286,7 +288,7 @@ def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
         if done_steps % eval_every == 0 or done_steps == total_steps:
             if not eval_steps or eval_steps[-1] != done_steps:
                 eval_steps.append(done_steps)
-                eval_returns.append(_evaluate_greedy(env_factory, tables, action_counts,
+                eval_returns.append(_evaluate_greedy(eval_env, tables, action_counts,
                                                      eval_episodes, eval_rng))
         if res.done:
             obs = env.reset(env_rng.getrandbits(32))

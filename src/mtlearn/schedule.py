@@ -57,7 +57,8 @@ class Schedule:
         return math.isfinite(self.switch_period)
 
     @functools.cached_property
-    def _rates_by_rotation(self) -> tuple[tuple[float, ...], ...]:
+    def rates_by_rotation(self) -> tuple[tuple[float, ...], ...]:
+        """Rate of every agent, indexed by rotation, then by agent."""
         pos_level = position_levels(self)
         return tuple(tuple(self.levels[pos_level[(i - rot) % self.n]] for i in range(self.n))
                      for rot in range(self.n))
@@ -190,7 +191,7 @@ def rates_at(schedule: Schedule, t: int) -> tuple[float, ...]:
     per-rotation table built once per schedule, so it is cheap enough to
     call on every update step.
     """
-    return schedule._rates_by_rotation[rotation_at(schedule, t)]
+    return schedule.rates_by_rotation[rotation_at(schedule, t)]
 
 
 def classify(schedule: Schedule) -> ScheduleKind:

@@ -1,4 +1,7 @@
+import functools
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -193,14 +196,14 @@ class TestSweepAndReportCommands:
             "eval_every": 50,
             "eval_episodes": 1,
         })
-        train = harness.train
+        job_schedule = harness._job_schedule
 
-        def failing_train(make_env, sched, *args, **kwargs):
-            if sched.levels == (0.3, 0.1) and args[-1] == 1:
+        def failing_job_schedule(n, job):
+            if job.levels == (0.3, 0.1) and job.seed == 1:
                 raise RuntimeError("forced failure")
-            return train(make_env, sched, *args, **kwargs)
+            return job_schedule(n, job)
 
-        monkeypatch.setattr(harness, "train", failing_train)
+        monkeypatch.setattr(harness, "_job_schedule", failing_job_schedule)
         out = tmp_path / "results"
         code = main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"])
         assert code == EXIT_CELLS_FAILED
@@ -210,6 +213,40 @@ class TestSweepAndReportCommands:
         assert failed == ["failed cell lr0=0.3 lr1=0.1 s=10.0 seed=1: "
                           "RuntimeError: forced failure"]
         assert list(out.glob("sweep_*.json"))
+
+    def test_crashed_worker_fails_its_batch_and_keeps_the_outputs(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3, 0.1], "lr1": [0.3, 0.1], "switch_periods": [10]},
+            "seeds": [0, 1],
+            "total_steps": 100,
+            "eval_every": 50,
+            "eval_episodes": 1,
+        })
+        job_schedule = harness._job_schedule
+
+        def dying_job_schedule(n, job):
+            if job.levels == (0.1, 0.1):  # in the second of two batches
+                os._exit(1)
+            return job_schedule(n, job)
+
+        # Forked workers inherit the patched set-up.
+        monkeypatch.setattr(harness, "_job_schedule", dying_job_schedule)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        out = tmp_path / "results"
+        code = main(["sweep", "--config", cfg, "--out", str(out), "--workers", "2"])
+        assert code == EXIT_CELLS_FAILED
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("failed cell")]
+        assert all(": BrokenProcessPool: " in line for line in failed)
+        for seed in (0, 1):
+            assert any(line.startswith(f"failed cell lr0=0.1 lr1=0.3 s=10.0 seed={seed}:")
+                       for line in failed)
+            assert any(line.startswith(f"failed cell lr0=0.1 lr1=0.1 s=10.0 seed={seed}:")
+                       for line in failed)
+        assert list(out.glob("sweep_*.json")) and list(out.glob("heatmap_*.csv"))
 
     @pytest.mark.parametrize("bad", ["-0.1", "NaN", "Infinity"])
     def test_bad_rate_fails_before_any_output(self, tmp_path, capsys, bad):

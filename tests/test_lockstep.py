@@ -1,0 +1,238 @@
+"""The lockstep sweep loop against the scalar reference loop.
+
+``lockstep.train_lockstep`` must return, for every run, the run log that
+``learners.train`` returns for that run alone, byte for byte. Run logs are
+compared through ``runlog_to_csv``, because a diverged run logs NaN and
+NaN breaks ``==``.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mtlearn as mt
+from mtlearn.learners import (
+    EpsilonSchedule,
+    QLearnerConfig,
+    runlog_to_csv,
+    select_action,
+    train,
+    train_with_tables,
+)
+from mtlearn.lockstep import TransitionTable, _exploration, train_lockstep
+
+from conftest import CLIMBING_PAYOFF, fixture_env_factory
+
+RATES = (0.0, 0.05, 0.5, 1.0, 2.5)
+# Payoffs of 1e308 overflow a learner to inf and then NaN within a few
+# updates, which exercises the NaN-aware first-max fold and frozen tables.
+PAYOFFS = (-1e308, -30.0, -1.0, 0.0, 0.5, 1.0, 7.0, 1e308)
+
+
+@st.composite
+def matrix_game_factories(draw):
+    """2-3 agents with unequal action counts, horizon 1-6."""
+    n = draw(st.integers(2, 3))
+    counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    payoff = np.array(draw(st.lists(st.sampled_from(PAYOFFS), min_size=int(np.prod(counts)),
+                                    max_size=int(np.prod(counts))))).reshape(counts)
+    horizon = draw(st.integers(1, 6))
+    return lambda: mt.MatrixGameEnv(mt.make_game(payoff), horizon=horizon)
+
+
+@st.composite
+def ascii_layouts(draw):
+    """ASCII layouts: one or two agents and foods on a grid of at most 4x3."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    agents = draw(st.lists(st.sampled_from("12"), min_size=1, max_size=2))
+    total = sum(int(a) for a in agents)
+    foods = draw(st.lists(st.sampled_from("ab"[:total]), min_size=1, max_size=2))
+    cells = ["."] * (width * height)
+    placed = draw(st.permutations(range(width * height)))
+    for cell, ch in zip(placed, agents + foods):
+        cells[cell] = ch
+    return ["".join(cells[r * width:(r + 1) * width]) for r in range(height)]
+
+
+@st.composite
+def foraging_factories(draw):
+    """ASCII (fixed) or seeded layouts, view_radius None, 0 or 1."""
+    horizon = draw(st.integers(1, 8))
+    view_radius = draw(st.sampled_from([None, 0, 1]))
+    if draw(st.booleans()):
+        config = mt.foraging_config_from_ascii(draw(ascii_layouts()), horizon=horizon,
+                                               view_radius=view_radius)
+    else:
+        config = mt.ForagingConfig(width=3, height=3, agent_levels=(1, 1),
+                                   food_levels=(draw(st.integers(1, 2)),),
+                                   horizon=horizon, view_radius=view_radius)
+    return lambda: mt.ForagingEnv(config)
+
+
+@st.composite
+def run_specs(draw, n: int):
+    """(schedule, seed) of one run: rate levels from ``RATES`` (two, or one
+    for a single agent), and a period of 1, a finite count or infinity."""
+    levels = tuple(draw(st.sampled_from(RATES)) for _ in range(min(n, 2)))
+    period = draw(st.sampled_from([1, 2, 7, 50, math.inf]))
+    return mt.make_schedule(n, levels, s=period), draw(st.integers(0, 2 ** 16))
+
+
+def assert_lockstep_matches_train(factory, runs, q_config, total_steps, eval_every,
+                                  eval_episodes):
+    schedules = [sched for sched, _ in runs]
+    seeds = [seed for _, seed in runs]
+    logs = train_lockstep(factory, schedules, seeds, q_config, total_steps, eval_every,
+                          eval_episodes, config_digest="d")
+    assert len(logs) == len(runs)
+    for (sched, seed), log in zip(runs, logs):
+        reference = train(factory, sched, q_config, total_steps, eval_every, eval_episodes,
+                          seed, config_digest="d")
+        assert runlog_to_csv(log) == runlog_to_csv(reference)
+        assert (log.seed, log.eval_episodes, log.config_digest) == (
+            reference.seed, reference.eval_episodes, reference.config_digest)
+
+
+q_configs = st.builds(
+    lambda start, end, decay, discount: QLearnerConfig(EpsilonSchedule(start, end, decay),
+                                                       discount),
+    st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.05, 0.5]),
+    st.integers(1, 80), st.sampled_from([0.0, 0.9, 1.0]))
+
+
+class TestLockstepMatchesTrain:
+    @settings(max_examples=150, deadline=None)
+    @given(factory=matrix_game_factories(), q_config=q_configs, data=st.data(),
+           total_steps=st.integers(1, 150), eval_every=st.integers(1, 60),
+           eval_episodes=st.integers(1, 3))
+    def test_matrix_games(self, factory, q_config, data, total_steps, eval_every,
+                          eval_episodes):
+        n = factory().n
+        runs = data.draw(st.lists(run_specs(n), min_size=1, max_size=4))
+        assert_lockstep_matches_train(factory, runs, q_config, total_steps, eval_every,
+                                      eval_episodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(factory=foraging_factories(), q_config=q_configs, data=st.data(),
+           total_steps=st.integers(1, 300), eval_every=st.integers(1, 120),
+           eval_episodes=st.integers(1, 3))
+    def test_foraging_layouts(self, factory, q_config, data, total_steps, eval_every,
+                              eval_episodes):
+        n = factory().n
+        runs = data.draw(st.lists(run_specs(n), min_size=1, max_size=4))
+        assert_lockstep_matches_train(factory, runs, q_config, total_steps, eval_every,
+                                      eval_episodes)
+
+    def test_diverging_runs_with_frozen_phases(self):
+        # Rewards of 1e308 overflow the rate-2.5 updates to inf and then NaN
+        # at once; rate-0 phases then freeze such tables, where
+        # lr * (target - current) would be NaN, and the bootstrap maximum
+        # meets rows that hold a NaN.
+        payoff = [[1e308, -1e308, 0.0], [-1e308, 7.0, 6.0]]
+
+        def factory():
+            return mt.MatrixGameEnv(mt.make_game(payoff), horizon=2)
+
+        runs = [(mt.make_schedule(2, levels, s=period), seed)
+                for levels in ((2.5, 0.0), (0.0, 2.5), (2.5, 2.5), (2.5, 0.05))
+                for period in (1, 7) for seed in (0, 1)]
+        q_config = QLearnerConfig(EpsilonSchedule(1.0, 0.0, 40), discount=0.9)
+        diverged = 0
+        for sched, seed in runs:
+            _, tables = train_with_tables(factory, sched, q_config, 200, 30, 2, seed)
+            diverged += any(math.isnan(v) for table in tables for row in table.values()
+                            for v in row)
+        assert diverged >= 4
+        assert_lockstep_matches_train(factory, runs, q_config, 200, 30, 2)
+
+    def test_fixture_runs(self):
+        sched = mt.make_schedule(2, (0.3, 0.05), s=500)
+        runs = [(sched, seed) for seed in (0, 1)] + [(mt.make_schedule(2, (0.3, 0.0), s=100), 2)]
+        q_config = QLearnerConfig(EpsilonSchedule(1.0, 0.01, 3000), discount=0.95)
+        assert_lockstep_matches_train(fixture_env_factory, runs, q_config, 5000, 700, 5)
+
+    def test_climbing_sweep_cells(self):
+        def factory():
+            return mt.MatrixGameEnv(mt.make_game(CLIMBING_PAYOFF), horizon=5)
+
+        runs = [(mt.make_schedule(2, (lr0, lr1), s=period), seed)
+                for lr0, lr1 in ((0.5, 0.5), (0.5, 0.02), (0.02, 0.1))
+                for period in (10, math.inf) for seed in (0, 3)]
+        q_config = QLearnerConfig(EpsilonSchedule(1.0, 0.05, 2000), discount=0.9)
+        assert_lockstep_matches_train(factory, runs, q_config, 3000, 250, 10)
+
+
+class TestLockstepArguments:
+    def test_no_runs(self):
+        assert train_lockstep(fixture_env_factory, [], [], QLearnerConfig(), 10, 5, 1) == []
+
+    def test_mismatched_lengths(self):
+        sched = mt.make_schedule(2, (0.3, 0.1))
+        with pytest.raises(ValueError, match="2 schedules but 1 seeds"):
+            train_lockstep(fixture_env_factory, [sched, sched], [0], QLearnerConfig(), 10, 5, 1)
+
+    def test_agent_count_mismatch(self):
+        sched = mt.make_schedule(3, (0.3, 0.1))
+        with pytest.raises(ValueError, match="schedule is for 3 agents"):
+            train_lockstep(fixture_env_factory, [sched], [0], QLearnerConfig(), 10, 5, 1)
+
+    def test_bad_step_counts(self):
+        sched = mt.make_schedule(2, (0.3, 0.1))
+        with pytest.raises(ValueError, match="total_steps"):
+            train_lockstep(fixture_env_factory, [sched], [0], QLearnerConfig(), 0, 5, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_actions=st.integers(1, 9),
+       eps=st.lists(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), max_size=60))
+def test_exploration_draws_match_select_action(seed, n_actions, eps):
+    """The pre-drawn exploration consumes the stream as select_action does."""
+    draws = _exploration(random.Random(seed), eps, n_actions)
+    # A table whose greedy action is always 0 marks every explored step that
+    # drew a nonzero action; the streams must also end in the same state.
+    reference_rng, lockstep_rng = random.Random(seed), random.Random(seed)
+    _exploration(lockstep_rng, eps, n_actions)
+    marker = {0: [1.0] + [0.0] * (n_actions - 1)}
+    for e, drawn in zip(eps, draws):
+        action = select_action(marker, 0, e, reference_rng, n_actions)
+        if drawn >= 0:
+            assert action == drawn
+        else:
+            assert action == 0
+    assert reference_rng.getstate() == lockstep_rng.getstate()
+
+
+class TestTransitionTable:
+    def test_matrix_game_has_one_state(self):
+        table = TransitionTable(mt.MatrixGameEnv(mt.make_game(CLIMBING_PAYOFF), horizon=4))
+        start = table.reset(123)
+        assert table.reset(456) == start
+        table.fill(np.array([start] * 9), np.arange(9))
+        assert table.missing == 0
+        assert (table.next[:1] == start).all()
+        assert table.reward[start].tolist() == [float(v) for v in np.ravel(CLIMBING_PAYOFF)]
+        assert not table.term[start].any()  # only the horizon ends an episode
+
+    def test_filled_entries_match_env_steps(self):
+        env = fixture_env_factory()
+        table = TransitionTable(fixture_env_factory())
+        rng = random.Random(0)
+        state = table.reset(0)
+        obs = env.reset(0)
+        for _ in range(400):
+            joint = rng.randrange(36)
+            table.fill(np.array([state]), np.array([joint]))
+            res = env.step(table.joint_actions[joint])
+            assert table.reward[state, joint] == res.reward
+            succ = int(table.next[state, joint])
+            if res.done:
+                state, obs = table.reset(0), env.reset(0)
+            else:
+                state, obs = succ, res.observations
+        assert 0 < table.missing < len(table.joint_actions) * len(table._keys)

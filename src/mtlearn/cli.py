@@ -110,14 +110,12 @@ def _cmd_train(args) -> int:
     env_cfg = cfg["env"]
     env = envs.env_from_config(env_cfg)
     sched = schedule.schedule_from_config(env.n, cfg["schedule"])
-    q_config = learners.parse_q_config(cfg.get("q", {}), int(cfg["total_steps"]))
+    total_steps, eval_every, eval_episodes = harness.parse_run_counts(cfg)
+    q_config = learners.parse_q_config(cfg.get("q", {}), total_steps)
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     digest = harness.config_digest(cfg)
     log = learners.train(lambda: envs.env_from_config(env_cfg), sched, q_config,
-                         int(cfg["total_steps"]),
-                         int(cfg.get("eval_every", max(1, int(cfg["total_steps"]) // 20))),
-                         int(cfg.get("eval_episodes", 10)),
-                         seed, config_digest=digest)
+                         total_steps, eval_every, eval_episodes, seed, config_digest=digest)
     _print_or_write(learners.runlog_to_csv(log), args.out,
                     f"runlog_{digest}_seed{seed}.csv")
     return 0

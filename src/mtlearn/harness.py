@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .envs import env_from_config
 from .learners import QLearnerConfig, RunLog, parse_q_config
-from .schedule import Schedule, make_schedule, parse_rate, parse_switch_period
+from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_switch_period
 
 
 class DegenerateRangeError(ValueError):
@@ -121,9 +121,11 @@ def _stderr(values: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep description; ``raw`` keeps the exact input dict."""
+    """Validated sweep description; ``raw`` keeps the exact input dict and
+    ``n_agents`` is the agent count of the env it describes."""
 
     env: dict
+    n_agents: int
     lr0_values: tuple[float, ...]
     lr1_values: tuple[float, ...]
     switch_periods: tuple[float, ...]
@@ -144,8 +146,21 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def parse_run_counts(raw: dict) -> tuple[int, int, int]:
+    """``(total_steps, eval_every, eval_episodes)`` of a train or sweep
+    config, each an integer >= 1. ``eval_every`` defaults to a twentieth of
+    ``total_steps`` (at least 1) and ``eval_episodes`` to 10."""
+    total_steps = parse_count(raw["total_steps"], "total_steps")
+    return (total_steps,
+            parse_count(raw.get("eval_every", max(1, total_steps // 20)), "eval_every"),
+            parse_count(raw.get("eval_episodes", 10), "eval_episodes"))
+
+
 def load_experiment_config(raw: dict) -> ExperimentConfig:
-    """Parse and validate a sweep config dict (see README for the schema)."""
+    """Parse and validate a sweep config dict (see README for the schema).
+
+    The env is built once here, so a bad env fails before any work starts.
+    """
     try:
         env = dict(raw["env"])
         grid = raw["grid"]
@@ -153,6 +168,7 @@ def load_experiment_config(raw: dict) -> ExperimentConfig:
         lr1 = tuple(parse_rate(v) for v in grid["lr1"])
         periods = tuple(parse_switch_period(v) for v in grid["switch_periods"])
         seeds = tuple(int(s) for s in raw["seeds"])
+        total_steps, eval_every, eval_episodes = parse_run_counts(raw)
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
     if not lr0 or not lr1 or not periods:
@@ -161,13 +177,11 @@ def load_experiment_config(raw: dict) -> ExperimentConfig:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    q_config = parse_q_config(raw.get("q", {}), int(raw["total_steps"]))
     return ExperimentConfig(
-        env=env, lr0_values=lr0, lr1_values=lr1, switch_periods=periods,
-        seeds=seeds, total_steps=int(raw["total_steps"]),
-        eval_every=int(raw.get("eval_every", max(1, int(raw["total_steps"]) // 20))),
-        eval_episodes=int(raw.get("eval_episodes", 10)),
-        q_config=q_config, raw=raw,
+        env=env, n_agents=env_from_config(env).n, lr0_values=lr0, lr1_values=lr1,
+        switch_periods=periods, seeds=seeds, total_steps=total_steps,
+        eval_every=eval_every, eval_episodes=eval_episodes,
+        q_config=parse_q_config(raw.get("q", {}), total_steps), raw=raw,
     )
 
 
@@ -200,6 +214,16 @@ def _job_schedule(n: int, job: Job) -> Schedule:
     return make_schedule(n, job.levels, s=job.period)
 
 
+# The least work, in run-steps (jobs x total_steps), that earns a batch of
+# its own. A lockstep step costs nearly as much for a few runs as for a
+# hundred, and every worker fills its own transition table, so only big
+# sweeps gain from a split. On a 2-core host a forced 2-way split lost on
+# configs/sweep_foraging.json (2.25M run-steps), broke even on that grid
+# with 6 seeds (4.5M) and on sweep_matrix with 20 seeds (1.26M), and won
+# on sweep_matrix with 80 seeds (5M).
+SPLIT_RUN_STEPS = 2_500_000
+
+
 def _run_batch(config: ExperimentConfig,
                jobs: Sequence[Job]) -> list[tuple[RunLog | None, str | None]]:
     """Train a batch of jobs in one lockstep loop; top level so worker pools
@@ -208,10 +232,7 @@ def _run_batch(config: ExperimentConfig,
     error."""
     from .lockstep import train_lockstep  # loaded by the first sweep, not by the package
 
-    try:
-        n = env_from_config(config.env).n
-    except Exception as exc:  # noqa: BLE001 - failures are reported per job
-        return [(None, _error_text(exc))] * len(jobs)
+    n = config.n_agents
     outcomes: list[tuple[RunLog | None, str | None]] = [(None, None)] * len(jobs)
     schedules: dict[int, Schedule] = {}
     for k, job in enumerate(jobs):
@@ -236,12 +257,14 @@ def _run_jobs(config: ExperimentConfig, jobs: Sequence[Job],
               workers: int) -> list[tuple[RunLog | None, str | None]]:
     """(log, error) of every job, in order.
 
-    The jobs are split into ``min(workers, len(jobs))`` contiguous batches:
-    one batch runs in this process, more run one per pool task. If a worker
-    dies, every job of each batch left unfinished fails with the pool's
-    error and the other batches keep their results.
+    The jobs are split into contiguous batches, at most one per worker and
+    at most one per :data:`SPLIT_RUN_STEPS` run-steps of work: one batch
+    runs in this process, more run one per pool task. If a worker dies,
+    every job of each batch left unfinished fails with the pool's error and
+    the other batches keep their results.
     """
-    count = min(workers, len(jobs))
+    count = max(1, min(workers, len(jobs),
+                       len(jobs) * config.total_steps // SPLIT_RUN_STEPS))
     if count <= 1:
         return _run_batch(config, jobs)
     from . import lockstep  # noqa: F401 - loaded before forking, so workers inherit it
@@ -322,7 +345,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Run the full grid; equal-rate cells are executed once per seed.
 
     The unique (cell, seed) jobs are trained in lockstep batches
-    (``lockstep.train_lockstep``), one per worker, and the results are
+    (``lockstep.train_lockstep``), one per worker once the sweep is big
+    enough to split (see :data:`SPLIT_RUN_STEPS`), and the results are
     reassembled in deterministic grid order, so the outcome does not
     depend on the worker count.
     """

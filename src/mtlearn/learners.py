@@ -23,7 +23,7 @@ import numpy as np
 
 from .envs import StepResult
 from .estimation import TeamEstimationProblem, team_mse
-from .schedule import Schedule, rates_at
+from .schedule import Schedule, parse_count, rates_at
 
 QTable = dict[int, list[float]]
 
@@ -63,13 +63,15 @@ def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
 
     Missing keys take their defaults: ``epsilon_start`` 1.0,
     ``epsilon_end`` 0.05, ``epsilon_decay_steps`` half of
-    ``total_steps`` (at least 1) and ``discount`` 0.95.
+    ``total_steps`` (at least 1) and ``discount`` 0.95. The decay length
+    follows the count rule, :func:`schedule.parse_count`.
     """
     return QLearnerConfig(
         epsilon=EpsilonSchedule(
             start=float(raw.get("epsilon_start", 1.0)),
             end=float(raw.get("epsilon_end", 0.05)),
-            decay_steps=int(raw.get("epsilon_decay_steps", max(1, total_steps // 2))),
+            decay_steps=parse_count(raw.get("epsilon_decay_steps", max(1, total_steps // 2)),
+                                    "epsilon_decay_steps"),
         ),
         discount=float(raw.get("discount", 0.95)),
     )

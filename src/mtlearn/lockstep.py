@@ -9,6 +9,7 @@ its own, imported on first use, so importing the package does not load it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -40,8 +41,14 @@ class TransitionTable:
     - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
       numbered in the order first seen.
 
-    ``missing`` counts the entries of the states seen so far that are not
-    filled yet; once it is 0, every successor is filled too.
+    Flattened, entry ``s * len(joint_actions) + j`` also has the successor
+    in the two forms a training step needs: ``next_entry`` is the
+    successor's first entry (-1 while missing) and ``next_obs`` holds its
+    observations. ``missing`` counts the entries of the states seen so far
+    that are not filled yet; once it is 0, every successor is filled too.
+    ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
+    a reward is not finite), and ``any_term`` says whether some filled
+    entry ends the episode by itself.
 
     A missing entry is filled through the env's own ``set_state`` and
     ``step`` from step counter 0, as the planner does. The step counter
@@ -66,7 +73,11 @@ class TransitionTable:
         self._start: int | None = None
         self.missing = 0
         shape = (64, len(self.joint_actions))  # rows double as states are seen
+        self.reward_bound = 0.0
+        self.any_term = False
         self.next = np.full(shape, -1, dtype=np.intp)
+        self.next_entry = np.full(shape, -1, dtype=np.intp)
+        self.next_obs = np.zeros(shape + (self.n,), dtype=np.intp)
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
         self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
@@ -89,16 +100,20 @@ class TransitionTable:
     def fill(self, states: np.ndarray, joints: np.ndarray) -> None:
         """Fill the missing entries among the (state, joint action) pairs."""
         env = self.env
-        for s, j in dict.fromkeys(zip(states.tolist(), joints.tolist())):
-            if self.next[s, j] >= 0:
-                continue
+        lacking = self.next[states, joints] < 0
+        for s, j in dict.fromkeys(zip(states[lacking].tolist(), joints[lacking].tolist())):
             env.set_state((0,) + self._keys[s])
             res = env.step(self.joint_actions[j])
             succ = self._intern(env.get_state()[1:], res.observations)
             self.next[s, j] = succ
+            self.next_entry[s, j] = succ * len(self.joint_actions)
+            self.next_obs[s, j] = self.obs[succ]
             self.reward[s, j] = res.reward
             self.term[s, j] = res.done
+            self.any_term = self.any_term or res.done
             self.missing -= 1
+            size = abs(res.reward)
+            self.reward_bound = max(self.reward_bound, size) if math.isfinite(size) else math.inf
 
     def _intern(self, key: tuple, observations: Sequence[int]) -> int:
         state = self._index.setdefault(key, len(self._keys))
@@ -115,6 +130,8 @@ class TransitionTable:
 
     def _grow(self) -> None:
         self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
+        self.next_entry = np.concatenate([self.next_entry, np.full_like(self.next_entry, -1)])
+        self.next_obs = np.concatenate([self.next_obs, np.zeros_like(self.next_obs)])
         self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
         self.term = np.concatenate([self.term, np.zeros_like(self.term)])
         self.obs = np.concatenate([self.obs, np.zeros_like(self.obs)])
@@ -201,10 +218,6 @@ class _LockstepQ:
         """``greedy_action`` of each row; ``finite`` says no entry is NaN or inf."""
         return _first_max(self.rows.take(rows, axis=0), finite)
 
-    def best(self, rows: np.ndarray, finite: bool) -> np.ndarray:
-        """Builtin ``max`` of each row: its value at the greedy action."""
-        return self.flat.take(rows * self.width + self.greedy(rows, finite))
-
 
 def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, eval_rngs: list[random.Random],
                        episodes: int, finite: bool) -> list[float]:
@@ -214,14 +227,18 @@ def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, eval_rngs: list[ra
     them."""
     runs = q.runs
     if table.fixed_start:
-        state = np.full(runs * episodes, table.reset(0), dtype=np.intp)
+        # A greedy episode is deterministic, so from a fixed start every episode
+        # of a run is the same one: play it once and count it ``episodes`` times.
+        played = 1
+        state = np.full(runs, table.reset(0), dtype=np.intp)
     else:
+        played = episodes
         state = np.array([table.reset(rng.getrandbits(32)) for rng in eval_rngs
                           for _ in range(episodes)], dtype=np.intp)
         q.fit(table)
-    live = np.arange(runs * episodes)
-    run_of = np.repeat(np.arange(runs), episodes)
-    returns = np.zeros(runs * episodes)
+    live = np.arange(runs * played)
+    run_of = np.repeat(np.arange(runs), played)
+    returns = np.zeros(runs * played)
     n_joint = len(table.joint_actions)
     steps = 0
     while live.size:
@@ -240,10 +257,42 @@ def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, eval_rngs: list[ra
         going = ~table.term.take(entry)
         live, state = live[going], succ[going]
     total = np.zeros(runs)
-    per_episode = returns.reshape(runs, episodes)
+    per_episode = returns.reshape(runs, played)
     for e in range(episodes):
-        total = total + per_episode[:, e]
+        total = total + per_episode[:, e % played]
     return (total / episodes).tolist()
+
+
+def _seed_streams(seeds: Sequence[int], n: int, eps_values: list[float],
+                  counts: Sequence[int], resets: bool):
+    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``, and its
+    episode and evaluation streams (empty lists unless ``resets``).
+
+    All of it depends only on the run's seed (``_spawn_streams`` depends
+    only on the seed and ``n``), so it is drawn once per distinct seed and
+    shared by every run with that seed. The streams are consumed as the
+    run goes, so each run gets its own copy of them.
+    """
+    distinct = list(dict.fromkeys(seeds))
+    draws = np.empty((len(eps_values), len(distinct), n), dtype=np.min_scalar_type(-max(counts)))
+    streams = []
+    for k, seed in enumerate(distinct):
+        env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
+        for i, rng in enumerate(explore_rngs):
+            draws[:, k, i] = _exploration(rng, eps_values, counts[i])
+        streams.append((env_rng, eval_rng))
+    index = [distinct.index(seed) for seed in seeds]
+    env_rngs = [copy.copy(streams[k][0]) for k in index] if resets else []
+    eval_rngs = [copy.copy(streams[k][1]) for k in index] if resets else []
+    return draws.take(index, axis=1), env_rngs, eval_rngs
+
+
+# With every rate in [0, 1] and a discount of at most 1, an update moves a
+# Q-value to a point between it and its target, so after k updates no value
+# exceeds k times the largest reward seen. While (steps + 1) times that
+# reward stays below this bound, nothing can overflow and every value stays
+# finite without a check.
+_NO_OVERFLOW = 2.0 ** 1000
 
 
 def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
@@ -256,11 +305,11 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     seeds[r], config_digest)`` returns, bit for bit. All runs advance
     together through one :class:`TransitionTable` of the env, so the
     per-step cost is a few numpy calls over every run. Exploration does
-    not depend on the Q-values, so each run's exploration is drawn ahead
-    from its own streams in ``train``'s order. Greedy choices and the
-    bootstrap maximum follow ``greedy_action``'s first-max fold, a zero
-    rate leaves a table untouched, and every update does ``train``'s
-    float operations in its order.
+    not depend on the Q-values, so it is drawn ahead, once per distinct
+    seed, in ``train``'s order. Greedy choices and the bootstrap maximum
+    follow ``greedy_action``'s first-max fold, a zero rate leaves a table
+    untouched, and every update does ``train``'s float operations in its
+    order.
     """
     _validate_train_args(total_steps, eval_every, eval_episodes)
     if len(schedules) != len(seeds):
@@ -273,95 +322,123 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     runs = len(seeds)
     if not runs:
         return []
-    eps_values = [q_config.epsilon.value(t) for t in range(total_steps)]
-    counts = table.action_counts
-    explore = np.empty((total_steps, runs, n), dtype=np.min_scalar_type(-max(counts)))
     # Reset seeds are drawn only when the env uses them; the streams are
     # separate, so skipping their draws changes nothing else.
-    env_rngs, eval_rngs = [], []
-    for r, seed in enumerate(seeds):
-        env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
-        for i, rng in enumerate(explore_rngs):
-            explore[:, r, i] = _exploration(rng, eps_values, counts[i])
-        if not table.fixed_start:
-            env_rngs.append(env_rng)
-            eval_rngs.append(eval_rng)
+    fixed = table.fixed_start
+    explore, env_rngs, eval_rngs = _seed_streams(
+        seeds, n, [q_config.epsilon.value(t) for t in range(total_steps)],
+        table.action_counts, not fixed)
+    greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
-    # A schedule that never switches stays at rotation 0 for every step.
-    periods = np.array([int(s.switch_period) if s.is_switching else total_steps
-                        for s in schedules], dtype=np.int64)
-    rate_change = np.zeros(total_steps, dtype=bool)  # steps where some run rotates
-    for period in set(periods.tolist()):
-        rate_change[::period] = True
-    run_ids = np.arange(runs)
+    unit_rates = float(rates.max()) <= 1.0
+    # A run's rates change at multiples of its period; one that never
+    # switches stays at rotation 0 for every step.
+    periods = [int(s.switch_period) if s.is_switching else total_steps for s in schedules]
+    by_period = []  # (period, its runs, their rates by rotation)
+    rate_change = [False] * total_steps  # steps where some run rotates
+    for period in sorted(set(periods)):
+        members = np.array([r for r, p in enumerate(periods) if p == period])
+        by_period.append((period, members, rates[members]))
+        rate_change[::period] = [True] * len(range(0, total_steps, period))
+    lr = np.empty((runs, n))
     horizon = table.horizon
 
-    q = _LockstepQ(runs, counts)
-    if table.fixed_start:
-        state = np.full(runs, table.reset(0), dtype=np.intp)
+    q = _LockstepQ(runs, table.action_counts)
+    if fixed:
+        start = table.reset(0)
+        state = np.full(runs, start, dtype=np.intp)
     else:
         state = np.array([table.reset(rng.getrandbits(32)) for rng in env_rngs],
                          dtype=np.intp)
     q.fit(table)
     n_joint = len(table.joint_actions)
-    capacity = 0
-    clock = np.zeros(runs, dtype=np.intp)  # per-run step counter within the episode
+    width = q.width
+    strides = table.strides
+    row_starts = np.arange(runs * n, dtype=np.intp).reshape(runs, n) * width
+    state_off = state * n_joint  # each run's state, as the state's first entry
+    ends = np.full(runs, horizon, dtype=np.intp)  # step count that cuts each run's episode
+    next_cut = horizon  # the earliest of them, while only the horizon ends episodes
+
+    def bind(state_off):
+        """What a step reads from the table and the Q-tables, the rows of the
+        runs' states and of the start, and whether updates need the finite
+        check. Arrays move when they grow, so this is read again after
+        anything that can grow them: fills, evaluation and resets."""
+        return (table.next_entry.reshape(-1), table.next_obs.reshape(-1, n),
+                table.reward.reshape(-1, 1), table.term.reshape(-1), q.rows, q.flat, q.base,
+                q.base + table.obs.take(state_off // n_joint, axis=0),
+                q.base + table.obs[start] if fixed else None,
+                not (unit_rates and (total_steps + 1) * table.reward_bound < _NO_OVERFLOW))
+
+    stale = True  # bind() must run before the next step
     finite = True
     eval_steps: list[int] = []
     eval_returns: list[list[float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(total_steps):
-            if q.capacity != capacity:  # the tables grew since the last check: rows moved
-                capacity = q.capacity
-                rows = q.base + table.obs.take(state, axis=0)
-                if table.fixed_start:
-                    start_rows = q.base + table.obs[table.reset(0)]
+        for t, greedy_t, forced_t in zip(range(total_steps), greedy, explore):
+            if stale:
+                (next_entry, next_obs, reward_col, term_flat, q_rows, q_flat, base, rows,
+                 start_rows, check) = bind(state_off)
+                stale = False
             if rate_change[t]:
-                lr = rates[run_ids, (t // periods) % n]
-                learning = lr != 0.0
-                all_learning = learning.all()
-            forced = explore[t]
-            actions = np.where(forced < 0, q.greedy(rows, finite), forced)
-            joint = actions @ table.strides
-            entry = state * n_joint + joint
-            succ = table.next.take(entry)
-            if table.missing and succ.min() < 0:
-                table.fill(state, joint)
+                for period, members, member_rates in by_period:
+                    if t % period == 0:
+                        lr[members] = member_rates[:, (t // period) % n]
+            actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
+                               forced_t)
+            joint = actions @ strides
+            entry = state_off + joint
+            succ_off = next_entry.take(entry)
+            if table.missing and succ_off.min() < 0:
+                table.fill(state_off // n_joint, joint)
                 q.fit(table)
-                succ = table.next.take(entry)
-                rows = q.base + table.obs.take(state, axis=0)  # moved if the tables grew
-            reward = table.reward.take(entry)[:, None]
-            clock += 1
-            done = table.term.take(entry) | (clock >= horizon)
-            succ_rows = q.base + table.obs.take(succ, axis=0)
-            target = np.where(done[:, None], reward,
-                              reward + discount * q.best(succ_rows, finite))
-            cells = rows * q.width + actions
-            current = q.flat.take(cells)
+                (next_entry, next_obs, reward_col, term_flat, q_rows, q_flat, base, rows,
+                 start_rows, check) = bind(state_off)
+                succ_off = next_entry.take(entry)
+            succ_rows = base + next_obs.take(entry, axis=0)
+            succ_q = q_rows.take(succ_rows, axis=0)
+            reward = reward_col.take(entry, axis=0)
+            target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
+            t1 = t + 1
+            if table.any_term:
+                done = term_flat.take(entry) | (ends <= t1)
+                ended = np.count_nonzero(done)
+            else:  # only the horizon ends episodes
+                ended = t1 >= next_cut
+                if ended:
+                    done = ends <= t1
+            if ended:  # an ending step does not bootstrap
+                np.copyto(target, reward, where=done[:, None])
+            cells = rows * width + actions
+            current = q_flat.take(cells)
             new = current + lr * (target - current)
-            if not all_learning:  # a zero rate leaves its entry untouched
-                new, cells = new[learning], cells[learning]
-            if finite and not math.isfinite(new.sum()):  # inf or NaN, or a sum that overflows
+            # inf or NaN, or a sum that overflows
+            if check and finite and not math.isfinite(new.sum()):
                 finite = False
-            q.flat[cells] = new
-            state, rows = succ, succ_rows
+            if not finite:  # a zero rate leaves its entry untouched
+                learning = lr != 0.0
+                new, cells = new[learning], cells[learning]
+            q_flat[cells] = new
+            state_off, rows = succ_off, succ_rows
 
-            done_steps = t + 1
-            if done_steps % eval_every == 0 or done_steps == total_steps:
-                eval_steps.append(done_steps)
+            if t1 % eval_every == 0 or t1 == total_steps:
+                eval_steps.append(t1)
                 eval_returns.append(_evaluate_lockstep(table, q, eval_rngs, eval_episodes,
                                                        finite))
-            if done.any():
-                clock[done] = 0
-                if table.fixed_start:
-                    state[done] = table.reset(0)
+                stale = True
+            if ended:
+                np.copyto(ends, t1 + horizon, where=done)
+                if not table.any_term:
+                    next_cut = int(ends.min())
+                if fixed:
+                    np.copyto(state_off, start * n_joint, where=done)
                     np.copyto(rows, start_rows, where=done[:, None])
                 else:
                     for r in np.flatnonzero(done).tolist():
-                        state[r] = table.reset(env_rngs[r].getrandbits(32))
+                        state_off[r] = table.reset(env_rngs[r].getrandbits(32)) * n_joint
                     q.fit(table)
-                    rows[done] = q.base[done] + table.obs.take(state[done], axis=0)
+                    stale = True
 
     logs = []
     for r, seed in enumerate(seeds):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,6 +144,21 @@ def parse_switch_period(value) -> float:
     if math.isnan(value) or value != int(value) or int(value) < 1:
         raise ScheduleError(f"switching period must be a positive integer or inf, got {value}")
     return float(int(value))
+
+
+def parse_count(value, name: str) -> int:
+    """The rule for a config's step and episode counts: an integer >= 1,
+    given as ``10`` or ``10.0``.
+
+    Raises
+    ------
+    ValueError
+        For any other value, such as ``100.7``, ``0``, ``True`` or ``"10"``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def rotation_at(schedule: Schedule, t: int) -> int:

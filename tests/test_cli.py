@@ -113,6 +113,29 @@ class TestTrainCommand:
                          400, 100, 2, seed=5, config_digest=config_digest(raw))
         assert overridden == runlog_to_csv(expected)
 
+    @pytest.mark.parametrize("key, bad", [("total_steps", 100.7), ("eval_every", 100.7),
+                                          ("eval_episodes", 2.5)])
+    def test_fractional_count_fails(self, tmp_path, capsys, key, bad):
+        assert main(["train", "--config", train_config(tmp_path, **{key: bad})]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        payload = json.loads(captured.err.strip())
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": f"{key} must be an integer >= 1, got {bad}"}
+
+    def test_fractional_decay_steps_fails(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, q={"epsilon_decay_steps": 100.7})
+        assert main(["train", "--config", cfg]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"]["message"] == \
+            "epsilon_decay_steps must be an integer >= 1, got 100.7"
+
+    def test_integral_float_count_runs(self, tmp_path, capsys):
+        assert main(["train", "--config", train_config(tmp_path, total_steps=400.0)]) == 0
+        as_float = capsys.readouterr().out
+        assert main(["train", "--config", train_config(tmp_path)]) == 0
+        assert as_float == capsys.readouterr().out
+
     def test_foraging_env_roundtrip(self, tmp_path, capsys):
         cfg = train_config(
             tmp_path,
@@ -231,8 +254,10 @@ class TestSweepAndReportCommands:
                 os._exit(1)
             return job_schedule(n, job)
 
-        # Forked workers inherit the patched set-up.
+        # Forked workers inherit the patched set-up; the sweep is far below the
+        # batch-split break-even, so the split is forced.
         monkeypatch.setattr(harness, "_job_schedule", dying_job_schedule)
+        monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         out = tmp_path / "results"
@@ -261,6 +286,48 @@ class TestSweepAndReportCommands:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["type"] == "ScheduleError"
         assert not out.exists()
+
+    def test_ragged_payoff_fails_before_any_output(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": [[1, 2], [3]], "horizon": 3},
+            "grid": {"lr0": [0.3], "lr1": [0.1], "switch_periods": [10]},
+            "seeds": [0], "total_steps": 100, "eval_every": 50, "eval_episodes": 1,
+        })
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"]["type"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, bad", [("total_steps", 100.7), ("total_steps", 0),
+                                          ("eval_every", 0), ("eval_episodes", 0)])
+    def test_bad_count_fails_before_any_output(self, tmp_path, capsys, key, bad):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3], "lr1": [0.1], "switch_periods": [10]},
+            "seeds": [0], "total_steps": 100, "eval_every": 50, "eval_episodes": 1,
+            key: bad,
+        })
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": f"{key} must be an integer >= 1, got {bad}"}
+        assert not out.exists()
+
+    def test_sweep_below_break_even_forks_no_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3, 0.1], "lr1": [0.3, 0.1], "switch_periods": [10]},
+            "seeds": [0, 1], "total_steps": 100, "eval_every": 50, "eval_episodes": 1,
+        })
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--workers", "2"]) == 0
+        capsys.readouterr()
 
     def test_report_without_out_is_error(self, capsys):
         assert main(["report"]) == 1

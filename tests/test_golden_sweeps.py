@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from mtlearn import harness
 from mtlearn.harness import load_experiment_config, run_sweep
 from mtlearn.reports import emit_reports
 
@@ -60,10 +61,8 @@ def golden_dir(case: str) -> Path:
     return GOLDEN / f"sweep_{case}"
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_sweep_outputs_match_golden_bytes(case, workers, tmp_path):
-    whole, digests = split(sweep_files(case, workers, tmp_path))
+def assert_golden(case: str, files: dict[str, bytes]) -> None:
+    whole, digests = split(files)
     stored = golden_dir(case)
     expected_svgs = json.loads((stored / "svg_sha256.json").read_text())
     expected = {p.name: p.read_bytes() for p in sorted(stored.iterdir())
@@ -72,6 +71,29 @@ def test_sweep_outputs_match_golden_bytes(case, workers, tmp_path):
     for name, body in expected.items():
         assert whole[name] == body, name
     assert digests == expected_svgs
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_outputs_match_golden_bytes(case, workers, tmp_path):
+    assert_golden(case, sweep_files(case, workers, tmp_path))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_split_batches_match_golden_bytes(case, tmp_path, monkeypatch):
+    """Both golden sweeps are below the batch-split break-even, so the split
+    into two pool tasks is forced."""
+    pools = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    assert_golden(case, sweep_files(case, 2, tmp_path))
+    assert pools == [2]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -254,9 +255,11 @@ class TestRunSweep:
         assert result.best_cell("sequential").ok
 
     def test_failed_cells_are_recorded_not_raised(self):
-        raw = sweep_raw_config(periods=(5,), seeds=(0,), steps=10)
-        raw["eval_every"] = 0  # invalid: every run fails
-        cfg = load_experiment_config(raw)
+        # eval_every 0 is invalid, so every run fails; loading rejects it, so
+        # it is set on the loaded config.
+        cfg = dataclasses.replace(
+            load_experiment_config(sweep_raw_config(periods=(5,), seeds=(0,), steps=10)),
+            eval_every=0)
         result = run_sweep(cfg)
         assert all(not c.ok for c in result.cells)
         assert all(e and "eval_every" in e for c in result.cells for e in c.errors)

@@ -13,6 +13,7 @@ from mtlearn.schedule import (
     classify,
     learning_rate,
     make_schedule,
+    parse_count,
     parse_rate,
     rates_at,
     schedule_from_config,
@@ -200,3 +201,16 @@ class TestConfigRoundTrip:
     def test_unknown_period_string_rejected(self):
         with pytest.raises(ScheduleError):
             schedule_from_config(2, {"levels": [0.1, 0.01], "switch_period": "soon"})
+
+
+class TestParseCount:
+    @pytest.mark.parametrize("value, expected", [(1, 1), (10, 10), (10.0, 10),
+                                                 (np.int64(3), 3)])
+    def test_integers_pass(self, value, expected):
+        count = parse_count(value, "total_steps")
+        assert count == expected and type(count) is int
+
+    @pytest.mark.parametrize("value", [100.7, 0, 0.0, -3, True, "10", None, math.nan, math.inf])
+    def test_others_fail(self, value):
+        with pytest.raises(ValueError, match="eval_every must be an integer >= 1"):
+            parse_count(value, "eval_every")

@@ -58,7 +58,6 @@ from .learners import (
     select_action,
     train,
     train_estimation,
-    train_single_rate,
 )
 from .harness import (
     ExperimentConfig,

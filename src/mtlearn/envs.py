@@ -10,11 +10,11 @@ next to a food item and load it together.
 
 from __future__ import annotations
 
-import copy
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,20 +182,6 @@ def foraging_config_from_ascii(rows: Sequence[str], horizon: int = 50,
     )
 
 
-class _MemoNode(NamedTuple):
-    """One time-free state in a ``ForagingEnv`` transition memo.
-
-    Successors are node indices, not references, so the memo holds no
-    reference cycles and is freed with its env.
-    """
-
-    agent_pos: tuple[tuple[int, int], ...]
-    food_alive: tuple[bool, ...]
-    edges: dict  # joint action -> (successor index, StepResult)
-    results: dict  # reward -> StepResult into this node; done = every food gone
-    observations: tuple[int, ...]
-
-
 class ForagingEnv:
     """Cooperative level-based foraging on a small grid.
 
@@ -206,10 +192,6 @@ class ForagingEnv:
     combined level at least the food's level; the reward is the food
     level divided by the total food level, so clearing everything in
     one episode yields exactly 1.0.
-
-    Each instance memoises the transitions it computes, keyed by the
-    time-free state and the joint action, so a revisited step is a
-    dictionary lookup; ``set_state`` turns the memo off for that instance.
     """
 
     def __init__(self, config: ForagingConfig):
@@ -224,12 +206,6 @@ class ForagingEnv:
         self._food_pos: tuple[tuple[int, int], ...] = ()
         self._food_alive: tuple[bool, ...] = ()
         self._t = 0
-        # Transition memo: ``_memo`` maps a time-free state to its index in
-        # ``_nodes``, and ``_edges`` is the current node's edges. All three are
-        # None once ``set_state`` has been called.
-        self._memo: dict | None = {}
-        self._nodes: list[_MemoNode] | None = []
-        self._edges: dict | None = None
 
     @property
     def horizon(self) -> int:
@@ -263,8 +239,6 @@ class ForagingEnv:
             self._agent_pos, self._food_pos = self._draw_positions(seed)
         self._food_alive = (True,) * len(self.config.food_levels)
         self._t = 0
-        if self._memo is not None:
-            return self._nodes[self._enter_node()].observations
         return self._observations()
 
     def _draw_positions(self, seed: int):
@@ -290,26 +264,11 @@ class ForagingEnv:
         return tuple(agent_pos), tuple(food_pos)
 
     def step(self, joint_action: Sequence[int]) -> StepResult:
-        acts = tuple(joint_action)
-        edges = self._edges
-        outcome = edges.get(acts) if edges is not None else None
-        if outcome is None:
-            result = self._transition(acts)
-        else:
-            node, result = outcome
-            self._agent_pos, self._food_alive, self._edges = self._nodes[node][:3]
-        self._t += 1
-        if not result.done and self._t >= self.config.horizon:
-            return StepResult(result.observations, result.reward, True)
-        return result
-
-    def _transition(self, joint_action: tuple) -> StepResult:
-        """Compute one transition from the current time-free state and, while
-        the memo is on, store it under the validated joint action. Only valid
-        actions are ever stored, so invalid ones always reach the checks.
-        Leaves the env in the successor state."""
+        """Apply one joint action from the current state and advance the step
+        counter. Each call recomputes the transition; callers that revisit
+        steps read them from a :class:`TransitionTable` instead."""
         cfg = self.config
-        acts = tuple(int(a) for a in joint_action)
+        acts = tuple(map(int, joint_action))
         if len(acts) != self.n:
             raise ValueError(f"expected {self.n} actions, got {len(acts)}")
         for i, a in enumerate(acts):
@@ -351,41 +310,9 @@ class ForagingEnv:
                 reward += cfg.food_levels[k] / self._total_level
 
         self._agent_pos, self._food_alive = tuple(agent_pos), tuple(food_alive)
-        edges = self._edges
-        if edges is None:
-            return StepResult(observations=self._observations(), reward=reward,
-                              done=not any(food_alive))
-        node = self._enter_node()
-        # Every transition into a node shares its observations and done flag,
-        # so results are shared per (node, reward).
-        results = self._nodes[node].results
-        result = results.get(reward)
-        if result is None:
-            result = results[reward] = StepResult(
-                observations=self._nodes[node].observations, reward=reward,
-                done=not any(food_alive))
-        edges[acts] = (node, result)
-        return result
-
-    def _enter_node(self) -> int:
-        """Make the current time-free state's memo node current, adding it if
-        new, and return its index."""
-        nodes = self._nodes
-        node = self._memo.setdefault((self._agent_pos, self._food_pos, self._food_alive),
-                                     len(nodes))
-        if node == len(nodes):
-            nodes.append(_MemoNode(self._agent_pos, self._food_alive, {}, {},
-                                   self._observations()))
-        self._agent_pos, self._food_alive, self._edges = nodes[node][:3]
-        return node
-
-    def __getstate__(self):
-        # Copies and pickles start with an empty memo: it is a cache, and
-        # copying it costs more than the planner's whole search on the fixture.
-        state = self.__dict__.copy()
-        if self._memo is not None:
-            state.update(_memo={}, _nodes=[], _edges=None)
-        return state
+        self._t += 1
+        return StepResult(observations=self._observations(), reward=reward,
+                          done=not any(food_alive) or self._t >= cfg.horizon)
 
     def remaining_food_fraction(self) -> float:
         alive = sum(l for l, a in zip(self.config.food_levels, self._food_alive) if a)
@@ -395,17 +322,13 @@ class ForagingEnv:
         return (self._t, self._agent_pos, self._food_pos, self._food_alive)
 
     def set_state(self, state) -> None:
-        """Jump to ``state`` and turn the transition memo off for good.
-
-        Callers that set states, such as the planner, expand each (state,
-        joint action) once, so a memo would only cost time and memory.
-        """
+        """Jump to ``state``, a ``get_state()`` value; with ``step`` this is how
+        a :class:`TransitionTable` fills its entries."""
         t, agent_pos, food_pos, alive = state
         self._t = t
         self._agent_pos = tuple(agent_pos)
         self._food_pos = tuple(food_pos)
         self._food_alive = tuple(alive)
-        self._memo = self._nodes = self._edges = None
 
     def _observations(self) -> tuple[int, ...]:
         cfg = self.config
@@ -452,86 +375,197 @@ class ForagingEnv:
         return (dr + radius) * span + (dc + radius)
 
 
+class TransitionTable:
+    """An environment's transitions as arrays, filled on demand.
+
+    This is the one cache of an env's deterministic transition function:
+    scalar training and evaluation (``learners.train``), lockstep sweeps
+    and the planner all step through it. States get dense ids in the order
+    they are first seen. Joint action ``j`` is the index of the joint action
+    in ``itertools.product`` order, ``sum(a_i * strides[i])``, and
+    ``joint_index`` maps a joint action tuple to it. For state ``s``:
+
+    - ``next[s, j]`` is the successor's id, or -1 while the entry is missing;
+    - ``reward[s, j]`` is the step's reward;
+    - ``term[s, j]`` is the step's ``done`` taken from step counter 0;
+    - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
+      numbered in the order first seen, and ``observations[s]`` is the
+      env's own observation tuple.
+
+    Flattened, ``s * len(joint_actions) + j`` is the entry's offset.
+    ``missing`` counts the entries of the states seen so far that are not
+    filled yet; once it is 0, every successor is filled too.
+    ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
+    a reward is not finite), and ``any_term`` says whether some filled
+    entry ends the episode by itself.
+
+    A missing entry is filled through the env's own ``set_state`` and
+    ``step`` from step counter 0. Every successor then comes back with
+    counter 1, so states are keyed by that form, ``(1,) + get_state()[1:]``,
+    and a fill never slices a state. The step counter only ends an episode
+    at the horizon, so a step taken at counter ``t`` ends the episode when
+    ``term`` is set or ``t + 1 >= horizon``. Transitions are deterministic,
+    so one table serves any number of runs of the same env without coupling
+    them.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        self.n = env.n
+        self.horizon = env.horizon
+        self.action_counts = tuple(env.action_counts)
+        self.fixed_start = env.fixed_start
+        self.joint_actions = list(itertools.product(*(range(k) for k in self.action_counts)))
+        self.joint_index = {ja: j for j, ja in enumerate(self.joint_actions)}
+        self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
+                                 for i in range(self.n)], dtype=np.intp)
+        self._keys: list[tuple] = []  # each state at counter 0, as set_state takes it
+        self._index: dict[tuple, int] = {}  # counter-1 form -> id
+        self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
+        self.observations: list[tuple[int, ...]] = []
+        self._start: int | None = None
+        self.missing = 0
+        shape = (64, len(self.joint_actions))  # rows double as states are seen
+        self.reward_bound = 0.0
+        self.any_term = False
+        self.next = np.full(shape, -1, dtype=np.intp)
+        self.reward = np.zeros(shape)
+        self.term = np.zeros(shape, dtype=bool)
+        self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
+
+    @property
+    def obs_count(self) -> int:
+        """The most distinct observations any one agent has been given."""
+        return max(len(ids) for ids in self._obs_ids)
+
+    def reset(self, seed: int) -> int:
+        """Id of the state ``env.reset(seed)`` starts in."""
+        if self._start is not None:
+            return self._start
+        observations = self.env.reset(seed)
+        state = self._intern((1,) + self.env.get_state()[1:], observations)
+        if self.fixed_start:
+            self._start = state
+        return state
+
+    def step(self, state: int, joint: int) -> tuple[int, float, bool]:
+        """Successor, reward and ``term`` of one entry as Python values,
+        filling the entry first if it is missing."""
+        succ = self.next.item(state, joint)
+        if succ < 0:
+            env = self.env
+            env.set_state(self._keys[state])
+            res = env.step(self.joint_actions[joint])
+            succ = self._intern(env.get_state(), res.observations)
+            # One entry: scalar writes cost far less than the batched path.
+            self.next[state, joint] = succ
+            self.reward[state, joint] = res.reward
+            self.term[state, joint] = res.done
+            self._filled(1, res.done, abs(res.reward))
+        return succ, self.reward.item(state, joint), self.term.item(state, joint)
+
+    def fill(self, states: np.ndarray, joints: np.ndarray) -> None:
+        """Fill the missing entries among the (state, joint action) pairs."""
+        n_joint = len(self.joint_actions)
+        entries = states * n_joint + joints
+        # Deduplicated on flat offsets, in first-seen order.
+        entries = list(dict.fromkeys(entries[self.next.take(entries) < 0].tolist()))
+        if not entries:
+            return
+        keys, joint_actions, intern = self._keys, self.joint_actions, self._intern
+        set_state, step, get_state = self.env.set_state, self.env.step, self.env.get_state
+        succ, reward, term = [], [], []
+        for e in entries:
+            state, joint = divmod(e, n_joint)
+            set_state(keys[state])
+            res = step(joint_actions[joint])
+            succ.append(intern(get_state(), res.observations))
+            reward.append(res.reward)
+            term.append(res.done)
+        # Each array is written once per call.
+        np.put(self.next, entries, succ)
+        np.put(self.reward, entries, reward)
+        np.put(self.term, entries, term)
+        self._filled(len(entries), any(term), float(np.abs(reward).max()))
+
+    def _filled(self, count: int, any_term: bool, size: float) -> None:
+        """Account for ``count`` new entries whose largest ``abs(reward)`` is
+        ``size`` (NaN if some reward is)."""
+        self.missing -= count
+        if any_term:
+            self.any_term = True
+        if not size <= self.reward_bound:  # larger, or NaN
+            self.reward_bound = size if math.isfinite(size) else math.inf
+
+    def _intern(self, key: tuple, observations: Sequence[int]) -> int:
+        state = self._index.get(key)
+        if state is not None:
+            return state
+        state = self._index[key] = len(self._keys)
+        self._keys.append((0,) + key[1:])
+        self.observations.append(tuple(observations))
+        self.missing += len(self.joint_actions)
+        if state == len(self.obs):
+            self._grow()
+        for i, o in enumerate(observations):
+            ids = self._obs_ids[i]
+            self.obs[state, i] = ids.setdefault(o, len(ids))
+        return state
+
+    def _grow(self) -> None:
+        self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
+        self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
+        self.term = np.concatenate([self.term, np.zeros_like(self.term)])
+        self.obs = np.concatenate([self.obs, np.zeros_like(self.obs)])
+
+
 def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
     """Maximum achievable episode return, by finite-horizon backward induction.
 
-    Works on a deep copy, so the passed environment is untouched. Both
-    environments keep the step counter at index 0 of ``get_state()`` and
-    use it only to end the episode at ``horizon``; the rest of the state
-    is time-free. The time-free states reachable within the horizon are
-    enumerated breadth-first from the reset state through the
-    environment's own ``step``: each state first reached at a depth below
-    the horizon has every joint action expanded once, from step counter
-    0. A transition that ends the episode before the horizon leads to a
-    terminal state, which is not expanded. Backward induction over the
-    resulting table then does the arithmetic of a plain search
-    (``reward + value``, then the max over joint actions), so the result
-    is exact and no recursion depth grows with the horizon. Raises
+    The time-free states reachable within the horizon are enumerated
+    breadth-first from ``env.reset(seed)`` by filling a
+    :class:`TransitionTable` of ``env``, one depth at a time: each state
+    first reached at a depth below the horizon has every joint action
+    filled once. A transition that ends the episode before the horizon
+    leads to a terminal state, which is not expanded. Backward induction
+    over the table's ``reward``, ``term`` and ``next`` arrays then does the
+    arithmetic of a plain search (``reward + value``, then the max over
+    joint actions), so the result is exact and no recursion depth grows
+    with the horizon. A state first reached at the last depth is one step
+    from the end wherever it occurs, so only its rewards reach the result.
+    The env is put back in the state it was passed in. Raises
     :class:`SearchBudgetError` once more than ``budget`` joint actions
     would be expanded.
     """
-    sim = copy.deepcopy(env)
-    sim.reset(seed)
-    horizon = sim.horizon
-    joint_actions = list(itertools.product(*(range(k) for k in sim.action_counts)))
-    n_actions = len(joint_actions)
-    set_state, step, get_state = sim.set_state, sim.step, sim.get_state
-
-    # Expansions start at step counter 0, so every successor comes back with
-    # counter 1: states are keyed by that full form, with no per-step slicing.
-    start = (1,) + get_state()[1:]
-    index = {start: 0}
-    frontier = [start]
-    # Flat (state, joint action) tables in index order; a done or last-depth
-    # entry's successor is never read, so it points at state 0.
-    nexts: list[int] = []
-    rewards: list[float] = []
-    dones: list[bool] = []
-    no_next, all_done = [0] * n_actions, [True] * n_actions
-    expansions = 0
-    for depth in range(horizon):
-        # A state first reached at the last depth is one step from the end of
-        # the episode wherever it occurs, so only its rewards are used.
-        last = depth == horizon - 1
-        reached = []
-        for state in frontier:
-            expansions += n_actions
+    saved = env.get_state()
+    try:
+        table = TransitionTable(env)
+        n_joint = len(table.joint_actions)
+        start = table.reset(seed)
+        frontier = [start]
+        expanded = set(frontier)
+        expansions = 0
+        for _ in range(table.horizon):
+            expansions += len(frontier) * n_joint
             if expansions > budget:
                 raise SearchBudgetError(
                     f"plan search exceeded {budget} expansions; the environment "
                     f"is too large for exhaustive planning"
                 )
-            state = (0,) + state[1:]
-            if last:
-                for ja in joint_actions:
-                    set_state(state)
-                    rewards.append(step(ja).reward)
-                nexts += no_next
-                dones += all_done
-                continue
-            for ja in joint_actions:
-                set_state(state)
-                res = step(ja)
-                rewards.append(res.reward)
-                dones.append(res.done)
-                if res.done:
-                    nexts.append(0)
-                    continue
-                succ = get_state()
-                size = len(index)
-                i = index.setdefault(succ, size)
-                if i == size:
-                    reached.append(succ)
-                nexts.append(i)
-        frontier = reached
+            rows = np.array(frontier, dtype=np.intp)
+            table.fill(np.repeat(rows, n_joint), np.tile(np.arange(n_joint), len(rows)))
+            going = table.next[rows][~table.term[rows]].tolist()
+            frontier = [s for s in dict.fromkeys(going) if s not in expanded]
+            expanded.update(frontier)
+    finally:
+        env.set_state(saved)
 
-    reward = np.array(rewards).reshape(-1, n_actions)
-    done = np.array(dones).reshape(-1, n_actions)
-    succ_index = np.array(nexts).reshape(-1, n_actions)
+    size = len(table._keys)
+    reward, term, succ = table.reward[:size], table.term[:size], table.next[:size]
     value = reward.max(axis=1)
-    for _ in range(horizon - 1):
-        value = np.where(done, reward, reward + value[succ_index]).max(axis=1)
-    return float(value[0])
+    for _ in range(table.horizon - 1):
+        value = np.where(term, reward, reward + value[succ]).max(axis=1)
+    return float(value[start])
 
 
 def env_from_config(cfg: dict):

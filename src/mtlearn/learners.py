@@ -3,9 +3,9 @@
 Each agent owns a Q-table over its private observation ids and updates
 it online with whatever learning rate the schedule assigns at that
 update step, so independent, sequential, two-timescale, and rotating
-multi-timescale training are all the same loop. A plain single-rate
-learner with an identical structure serves as the reduction reference,
-and a stochastic-gradient learner covers the linear estimation problem.
+multi-timescale training are all the same loop. Training and evaluation
+step through one :class:`envs.TransitionTable` of the env. A
+stochastic-gradient learner covers the linear estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
 (episode seeds, per-agent exploration, evaluation), so evaluation never
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import StepResult
+from .envs import TransitionTable
 from .estimation import TeamEstimationProblem, team_mse
 from .schedule import Schedule, parse_count, rates_at
 
@@ -169,20 +169,23 @@ def _spawn_streams(seed: int, n_agents: int):
     return to_rng(env_ss), to_rng(eval_ss), [to_rng(ss) for ss in explore_ss.spawn(n_agents)]
 
 
-def _evaluate_greedy(env, tables: list[QTable], action_counts,
-                     episodes: int, eval_rng: random.Random) -> float:
-    """Mean greedy return over ``episodes`` episodes of ``env``, reset for each."""
+def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int,
+                     eval_rng: random.Random) -> float:
+    """Mean greedy return over ``episodes`` episodes, each from a reset
+    seeded by ``eval_rng``."""
+    counts, joint_index = table.action_counts, table.joint_index
+    observations = table.observations
     total = 0.0
     for _ in range(episodes):
-        obs = env.reset(eval_rng.getrandbits(32))
+        state = table.reset(eval_rng.getrandbits(32))
         ep_return = 0.0
-        while True:
-            actions = [greedy_action(tables[i], obs[i], action_counts[i])
-                       for i in range(len(tables))]
-            res: StepResult = env.step(actions)
-            ep_return += res.reward
-            obs = res.observations
-            if res.done:
+        for _ in range(table.horizon):
+            obs = observations[state]
+            actions = tuple([greedy_action(tables[i], obs[i], counts[i])
+                             for i in range(len(tables))])
+            state, reward, term = table.step(state, joint_index[actions])
+            ep_return += reward
+            if term:
                 break
         total += ep_return
     return total / episodes
@@ -200,14 +203,19 @@ def _validate_train_args(total_steps: int, eval_every: int, eval_episodes: int) 
 def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                       total_steps: int, eval_every: int, eval_episodes: int,
                       seed: int, config_digest: str = "") -> tuple[RunLog, list[QTable]]:
-    """Scheduled decentralized Q-learning; also returns the learned tables."""
+    """Scheduled decentralized Q-learning; also returns the learned tables.
+
+    The env comes from one ``env_factory()`` call, and training and greedy
+    evaluation both step through one :class:`TransitionTable` of it.
+    """
     _validate_train_args(total_steps, eval_every, eval_episodes)
-    env = env_factory()
-    eval_env = env_factory()
-    n = env.n
+    table = TransitionTable(env_factory())
+    n = table.n
     if schedule.n != n:
         raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
-    action_counts = env.action_counts
+    action_counts, joint_index = table.action_counts, table.joint_index
+    observations = table.observations
+    horizon = table.horizon
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
 
@@ -216,25 +224,29 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
 
     eval_steps: list[int] = []
     eval_returns: list[float] = []
-    obs = env.reset(env_rng.getrandbits(32))
+    state = table.reset(env_rng.getrandbits(32))
+    episode_steps = 0
     for t in range(total_steps):
         eps_t = eps.value(t)
-        actions = [select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
-                   for i in range(n)]
-        res = env.step(actions)
+        obs = observations[state]
+        actions = tuple([select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
+                         for i in range(n)])
+        state, reward, term = table.step(state, joint_index[actions])
+        episode_steps += 1
+        done = term or episode_steps >= horizon
+        next_obs = observations[state]
         rates = rates_at(schedule, t)
         for i in range(n):
-            q_update(tables[i], obs[i], actions[i], res.reward, res.observations[i],
-                     res.done, rates[i], discount, action_counts[i])
-        obs = res.observations
+            q_update(tables[i], obs[i], actions[i], reward, next_obs[i], done, rates[i],
+                     discount, action_counts[i])
         done_steps = t + 1
         if done_steps % eval_every == 0 or done_steps == total_steps:
             if not eval_steps or eval_steps[-1] != done_steps:
                 eval_steps.append(done_steps)
-                eval_returns.append(_evaluate_greedy(eval_env, tables, action_counts,
-                                                     eval_episodes, eval_rng))
-        if res.done:
-            obs = env.reset(env_rng.getrandbits(32))
+                eval_returns.append(_evaluate_greedy(table, tables, eval_episodes, eval_rng))
+        if done:
+            state = table.reset(env_rng.getrandbits(32))
+            episode_steps = 0
 
     log = RunLog(seed=seed,
                  eval_points=tuple(zip(eval_steps, eval_returns)),
@@ -251,55 +263,6 @@ def train(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     log, _ = train_with_tables(env_factory, schedule, q_config, total_steps,
                                eval_every, eval_episodes, seed, config_digest)
     return log
-
-
-def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
-                      total_steps: int, eval_every: int, eval_episodes: int,
-                      seed: int, config_digest: str = "") -> RunLog:
-    """Reference learner: every agent always updates with the same rate.
-
-    Deliberately implemented as its own plain loop (no scheduler) so it
-    can serve as an independent reduction target for equal-rate
-    schedules.
-    """
-    _validate_train_args(total_steps, eval_every, eval_episodes)
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
-    env = env_factory()
-    eval_env = env_factory()
-    n = env.n
-    action_counts = env.action_counts
-    tables: list[QTable] = [{} for _ in range(n)]
-    env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
-    eps = q_config.epsilon
-    discount = q_config.discount
-
-    eval_steps: list[int] = []
-    eval_returns: list[float] = []
-    obs = env.reset(env_rng.getrandbits(32))
-    for t in range(total_steps):
-        eps_t = eps.value(t)
-        actions = [select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
-                   for i in range(n)]
-        res = env.step(actions)
-        for i in range(n):
-            q_update(tables[i], obs[i], actions[i], res.reward, res.observations[i],
-                     res.done, lr, discount, action_counts[i])
-        obs = res.observations
-        done_steps = t + 1
-        if done_steps % eval_every == 0 or done_steps == total_steps:
-            if not eval_steps or eval_steps[-1] != done_steps:
-                eval_steps.append(done_steps)
-                eval_returns.append(_evaluate_greedy(eval_env, tables, action_counts,
-                                                     eval_episodes, eval_rng))
-        if res.done:
-            obs = env.reset(env_rng.getrandbits(32))
-
-    return RunLog(seed=seed,
-                  eval_points=tuple(zip(eval_steps, eval_returns)),
-                  final_return=_final_window_mean(eval_returns),
-                  eval_episodes=eval_episodes,
-                  config_digest=config_digest)
 
 
 def _safe_mse(problem: TeamEstimationProblem, gains: np.ndarray) -> float:

@@ -10,13 +10,13 @@ its own, imported on first use, so importing the package does not load it.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import random
 from typing import Sequence
 
 import numpy as np
 
+from .envs import TransitionTable
 from .learners import (
     QLearnerConfig,
     RunLog,
@@ -25,116 +25,6 @@ from .learners import (
     _validate_train_args,
 )
 from .schedule import Schedule
-
-
-class TransitionTable:
-    """An environment's transitions as arrays, filled on demand.
-
-    States get dense ids in the order they are first seen, keyed by the
-    time-free state ``get_state()[1:]``. Joint action ``j`` is the index of
-    the joint action in ``itertools.product`` order, ``sum(a_i * strides[i])``.
-    For state ``s``:
-
-    - ``next[s, j]`` is the successor's id, or -1 while the entry is missing;
-    - ``reward[s, j]`` is the step's reward;
-    - ``term[s, j]`` is the step's ``done`` taken from step counter 0;
-    - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
-      numbered in the order first seen.
-
-    Flattened, entry ``s * len(joint_actions) + j`` also has the successor
-    in the two forms a training step needs: ``next_entry`` is the
-    successor's first entry (-1 while missing) and ``next_obs`` holds its
-    observations. ``missing`` counts the entries of the states seen so far
-    that are not filled yet; once it is 0, every successor is filled too.
-    ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
-    a reward is not finite), and ``any_term`` says whether some filled
-    entry ends the episode by itself.
-
-    A missing entry is filled through the env's own ``set_state`` and
-    ``step`` from step counter 0, as the planner does. The step counter
-    only ends an episode at the horizon, so a step taken at counter ``t``
-    ends the episode when ``term`` is set or ``t + 1 >= horizon``.
-    Transitions are deterministic, so one table serves any number of runs
-    of the same env without coupling them.
-    """
-
-    def __init__(self, env):
-        self.env = env
-        self.n = env.n
-        self.horizon = env.horizon
-        self.action_counts = tuple(env.action_counts)
-        self.fixed_start = env.fixed_start
-        self.joint_actions = list(itertools.product(*(range(k) for k in self.action_counts)))
-        self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
-                                 for i in range(self.n)], dtype=np.intp)
-        self._keys: list[tuple] = []
-        self._index: dict[tuple, int] = {}
-        self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
-        self._start: int | None = None
-        self.missing = 0
-        shape = (64, len(self.joint_actions))  # rows double as states are seen
-        self.reward_bound = 0.0
-        self.any_term = False
-        self.next = np.full(shape, -1, dtype=np.intp)
-        self.next_entry = np.full(shape, -1, dtype=np.intp)
-        self.next_obs = np.zeros(shape + (self.n,), dtype=np.intp)
-        self.reward = np.zeros(shape)
-        self.term = np.zeros(shape, dtype=bool)
-        self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
-
-    @property
-    def obs_count(self) -> int:
-        """The most distinct observations any one agent has been given."""
-        return max(len(ids) for ids in self._obs_ids)
-
-    def reset(self, seed: int) -> int:
-        """Id of the state ``env.reset(seed)`` starts in."""
-        if self._start is not None:
-            return self._start
-        observations = self.env.reset(seed)
-        state = self._intern(self.env.get_state()[1:], observations)
-        if self.fixed_start:
-            self._start = state
-        return state
-
-    def fill(self, states: np.ndarray, joints: np.ndarray) -> None:
-        """Fill the missing entries among the (state, joint action) pairs."""
-        env = self.env
-        lacking = self.next[states, joints] < 0
-        for s, j in dict.fromkeys(zip(states[lacking].tolist(), joints[lacking].tolist())):
-            env.set_state((0,) + self._keys[s])
-            res = env.step(self.joint_actions[j])
-            succ = self._intern(env.get_state()[1:], res.observations)
-            self.next[s, j] = succ
-            self.next_entry[s, j] = succ * len(self.joint_actions)
-            self.next_obs[s, j] = self.obs[succ]
-            self.reward[s, j] = res.reward
-            self.term[s, j] = res.done
-            self.any_term = self.any_term or res.done
-            self.missing -= 1
-            size = abs(res.reward)
-            self.reward_bound = max(self.reward_bound, size) if math.isfinite(size) else math.inf
-
-    def _intern(self, key: tuple, observations: Sequence[int]) -> int:
-        state = self._index.setdefault(key, len(self._keys))
-        if state < len(self._keys):
-            return state
-        self._keys.append(key)
-        self.missing += len(self.joint_actions)
-        if state == len(self.obs):
-            self._grow()
-        for i, o in enumerate(observations):
-            ids = self._obs_ids[i]
-            self.obs[state, i] = ids.setdefault(o, len(ids))
-        return state
-
-    def _grow(self) -> None:
-        self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
-        self.next_entry = np.concatenate([self.next_entry, np.full_like(self.next_entry, -1)])
-        self.next_obs = np.concatenate([self.next_obs, np.zeros_like(self.next_obs)])
-        self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
-        self.term = np.concatenate([self.term, np.zeros_like(self.term)])
-        self.obs = np.concatenate([self.obs, np.zeros_like(self.obs)])
 
 
 def _exploration(rng: random.Random, eps_values: list[float], n_actions: int) -> list[int]:
@@ -365,7 +255,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
         runs' states and of the start, and whether updates need the finite
         check. Arrays move when they grow, so this is read again after
         anything that can grow them: fills, evaluation and resets."""
-        return (table.next_entry.reshape(-1), table.next_obs.reshape(-1, n),
+        return (table.next.reshape(-1), table.obs,
                 table.reward.reshape(-1, 1), table.term.reshape(-1), q.rows, q.flat, q.base,
                 q.base + table.obs.take(state_off // n_joint, axis=0),
                 q.base + table.obs[start] if fixed else None,
@@ -378,7 +268,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     with np.errstate(over="ignore", invalid="ignore"):
         for t, greedy_t, forced_t in zip(range(total_steps), greedy, explore):
             if stale:
-                (next_entry, next_obs, reward_col, term_flat, q_rows, q_flat, base, rows,
+                (next_flat, obs, reward_col, term_flat, q_rows, q_flat, base, rows,
                  start_rows, check) = bind(state_off)
                 stale = False
             if rate_change[t]:
@@ -389,14 +279,14 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
                                forced_t)
             joint = actions @ strides
             entry = state_off + joint
-            succ_off = next_entry.take(entry)
-            if table.missing and succ_off.min() < 0:
+            succ = next_flat.take(entry)
+            if table.missing and succ.min() < 0:
                 table.fill(state_off // n_joint, joint)
                 q.fit(table)
-                (next_entry, next_obs, reward_col, term_flat, q_rows, q_flat, base, rows,
+                (next_flat, obs, reward_col, term_flat, q_rows, q_flat, base, rows,
                  start_rows, check) = bind(state_off)
-                succ_off = next_entry.take(entry)
-            succ_rows = base + next_obs.take(entry, axis=0)
+                succ = next_flat.take(entry)
+            succ_rows = base + obs.take(succ, axis=0)
             succ_q = q_rows.take(succ_rows, axis=0)
             reward = reward_col.take(entry, axis=0)
             target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
@@ -420,7 +310,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
                 learning = lr != 0.0
                 new, cells = new[learning], cells[learning]
             q_flat[cells] = new
-            state_off, rows = succ_off, succ_rows
+            state_off, rows = succ * n_joint, succ_rows
 
             if t1 % eval_every == 0 or t1 == total_steps:
                 eval_steps.append(t1)

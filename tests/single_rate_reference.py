@@ -1,0 +1,86 @@
+"""Independent single-rate learner for criterion 6's reduction check.
+
+``learners.train`` steps through a ``TransitionTable`` of the env. This
+learner is deliberately kept as its own plain loop: one fixed rate for
+every agent, no scheduler, and no table. It steps and evaluates on live
+env instances, so an equal-rate schedule run through ``train`` must
+reproduce its logs exactly.
+"""
+
+from __future__ import annotations
+
+import random
+
+from mtlearn.learners import (
+    QLearnerConfig,
+    RunLog,
+    _final_window_mean,
+    _spawn_streams,
+    _validate_train_args,
+    greedy_action,
+    q_update,
+    select_action,
+)
+
+
+def evaluate_greedy_on_env(env, tables, action_counts, episodes: int,
+                           eval_rng: random.Random) -> float:
+    """Mean greedy return over ``episodes`` episodes of ``env``, reset for each."""
+    total = 0.0
+    for _ in range(episodes):
+        obs = env.reset(eval_rng.getrandbits(32))
+        ep_return = 0.0
+        while True:
+            actions = [greedy_action(tables[i], obs[i], action_counts[i])
+                       for i in range(len(tables))]
+            res = env.step(actions)
+            ep_return += res.reward
+            obs = res.observations
+            if res.done:
+                break
+        total += ep_return
+    return total / episodes
+
+
+def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
+                      total_steps: int, eval_every: int, eval_episodes: int,
+                      seed: int, config_digest: str = "") -> RunLog:
+    """Reference learner: every agent always updates with the same rate."""
+    _validate_train_args(total_steps, eval_every, eval_episodes)
+    if lr < 0:
+        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    env = env_factory()
+    eval_env = env_factory()
+    n = env.n
+    action_counts = env.action_counts
+    tables = [{} for _ in range(n)]
+    env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
+    eps = q_config.epsilon
+    discount = q_config.discount
+
+    eval_steps: list[int] = []
+    eval_returns: list[float] = []
+    obs = env.reset(env_rng.getrandbits(32))
+    for t in range(total_steps):
+        eps_t = eps.value(t)
+        actions = [select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
+                   for i in range(n)]
+        res = env.step(actions)
+        for i in range(n):
+            q_update(tables[i], obs[i], actions[i], res.reward, res.observations[i],
+                     res.done, lr, discount, action_counts[i])
+        obs = res.observations
+        done_steps = t + 1
+        if done_steps % eval_every == 0 or done_steps == total_steps:
+            if not eval_steps or eval_steps[-1] != done_steps:
+                eval_steps.append(done_steps)
+                eval_returns.append(evaluate_greedy_on_env(eval_env, tables, action_counts,
+                                                           eval_episodes, eval_rng))
+        if res.done:
+            obs = env.reset(env_rng.getrandbits(32))
+
+    return RunLog(seed=seed,
+                  eval_points=tuple(zip(eval_steps, eval_returns)),
+                  final_return=_final_window_mean(eval_returns),
+                  eval_episodes=eval_episodes,
+                  config_digest=config_digest)

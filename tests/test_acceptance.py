@@ -27,7 +27,6 @@ from mtlearn.learners import (
     QLearnerConfig,
     train,
     train_estimation,
-    train_single_rate,
     train_with_tables,
 )
 from mtlearn.linalg import eigvals
@@ -45,6 +44,7 @@ from conftest import (
     fixture_env_factory,
     random_team_game,
 )
+from single_rate_reference import train_single_rate
 
 RHO_SIBR = 6.0 * math.sqrt(6.0) / 27.0
 RHO_IIBR = 4.0 / 3.0

@@ -16,6 +16,7 @@ from mtlearn.envs import (
     ForagingEnv,
     MatrixGameEnv,
     SearchBudgetError,
+    TransitionTable,
     env_from_config,
     foraging_config_from_ascii,
     optimal_return,
@@ -293,12 +294,17 @@ class TestOptimalReturn:
         with pytest.raises(SearchBudgetError):
             optimal_return(env, budget=3)
 
-    def test_fixture_budget_is_its_live_state_table(self):
+    def test_fixture_budget_is_its_live_state_table(self, monkeypatch):
         # 552 placements of two agents beside the uncollected food, times 36
         # joint actions; states after the collection end the episode.
         env = ForagingEnv(foraging_config_from_ascii(list(FIXTURE_ROWS), horizon=16,
                                                      cooperative_only=True))
+        steps = []
+        step = ForagingEnv.step
+        monkeypatch.setattr(ForagingEnv, "step",
+                            lambda self, ja: steps.append(ja) or step(self, ja))
         assert optimal_return(env, budget=552 * 36) == 1.0
+        assert len(steps) == 552 * 36  # every expansion is one step, none repeated
         with pytest.raises(SearchBudgetError):
             optimal_return(env, budget=552 * 36 - 1)
 
@@ -348,47 +354,53 @@ class TestPlannerMatchesReferenceSearch:
         assert optimal_return(env) == reference_optimal_return(env)
 
 
-def stored_transitions(env: ForagingEnv) -> int:
-    return sum(len(node.edges) for node in env._nodes)
-
-
 class TestTransitionMemo:
-    """The step memo is invisible: memo-on and memo-off envs agree exactly."""
+    """The transition table is the one memo of env transitions: stepping it
+    matches stepping a live env exactly."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(env=small_foraging_envs(), data=st.data())
-    def test_memo_matches_memo_off(self, env, data):
-        plain = ForagingEnv(env.config)
-        plain.set_state(plain.get_state())
-        assert plain._memo is None
-        n = env.n
-        actions = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n),
+    @settings(max_examples=150, deadline=None)
+    @given(env=st.one_of(small_foraging_envs(), small_matrix_game_envs()), data=st.data())
+    def test_table_matches_live_env(self, env, data):
+        table = TransitionTable(env)
+        live = copy.deepcopy(env)
+        actions = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)
+                                                 for k in env.action_counts]),
                                      min_size=1, max_size=6))
         seeds = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
         seeds.append(seeds[0])
-        steps = 0
+        dense = [{} for _ in range(env.n)]  # each agent's env observation -> dense id
+
+        def check_observations(state, observations):
+            assert table.observations[state] == observations
+            for i, o in enumerate(observations):
+                assert dense[i].setdefault(o, table.obs[state, i]) == table.obs[state, i]
+
         for seed in seeds:
-            assert env.reset(seed) == plain.reset(seed)
-            for k in range(env.horizon + 2):
+            state = table.reset(seed)
+            check_observations(state, live.reset(seed))
+            for k in range(env.horizon):
                 ja = actions[k % len(actions)]
-                assert env.step(ja) == plain.step(ja)
-                assert env.get_state() == plain.get_state()
-                steps += 1
-        assert stored_transitions(env) < steps
+                res = live.step(ja)
+                state, reward, term = table.step(state, int(np.dot(ja, table.strides)))
+                assert reward == res.reward
+                assert (term or k + 1 >= env.horizon) == res.done
+                check_observations(state, res.observations)
+                if res.done:
+                    break
+        for i in range(env.n):  # dense ids are one-to-one
+            assert len(set(dense[i].values())) == len(dense[i])
 
     def test_invalid_actions_raise_after_state_is_memoised(self):
         env = ForagingEnv(two_agent_config())
         env.reset(0)
         env.step((STAY, STAY))
         env.reset(0)
-        assert env._edges
         for bad in ((6, STAY), (-1, STAY), (STAY,), (STAY, STAY, STAY)):
             with pytest.raises(ValueError):
                 env.step(bad)
-        assert list(env._edges) == [(STAY, STAY)]
 
     def test_seeded_reset_positions_are_unchanged(self):
-        # Positions drawn by the reset seed before the memo existed.
+        # Positions the reset seed has always drawn.
         env = ForagingEnv(ForagingConfig(width=5, height=5, agent_levels=(1, 1),
                                          food_levels=(1, 2), view_radius=1))
         expected = {
@@ -406,29 +418,14 @@ class TestTransitionMemo:
         partly_seeded.reset(7)
         assert partly_seeded.get_state()[2] == ((1, 2),)
 
-    def test_copies_start_with_empty_memo(self):
-        env = ForagingEnv(two_agent_config())
-        env.reset(0)
-        env.step((UP, DOWN))
-        twin = copy.deepcopy(env)
-        assert twin.get_state() == env.get_state()
-        assert stored_transitions(env) == 1 and stored_transitions(twin) == 0
-        for ja in ((DOWN, UP), (LOAD, LOAD)):
-            assert twin.step(ja) == env.step(ja)
-        assert twin.reset(0) == env.reset(0)
-        assert twin.step((UP, DOWN)) == env.step((UP, DOWN))
-        assert stored_transitions(twin) == 1
-
-    def test_planner_leaves_memo_untouched(self):
+    def test_planner_leaves_env_state_untouched(self):
         env = ForagingEnv(two_agent_config())
         env.reset(0)
         for ja in ((UP, DOWN), (STAY, STAY), (DOWN, UP), (LOAD, LOAD)):
             env.step(ja)
-        nodes, edges = env._nodes, env._edges
-        before = [(node, dict(node.edges)) for node in nodes]
+        state = env.get_state()
         assert optimal_return(env) == 1.0
-        assert env._nodes is nodes and env._edges is edges
-        assert [(node, dict(node.edges)) for node in nodes] == before
+        assert env.get_state() == state
 
 
 class TestEnvFromConfig:

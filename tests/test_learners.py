@@ -16,11 +16,11 @@ from mtlearn.learners import (
     select_action,
     train,
     train_estimation,
-    train_single_rate,
     train_with_tables,
 )
 
 from conftest import MATCH_PAYOFF, fixture_env_factory
+from single_rate_reference import train_single_rate
 
 
 def match_env_factory():

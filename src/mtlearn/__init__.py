@@ -59,12 +59,11 @@ from .learners import (
     train,
     train_estimation,
 )
+from .config import ExperimentConfig, load_experiment_config
 from .harness import (
-    ExperimentConfig,
     SweepResult,
     aggregate,
     gap_recovered,
-    load_experiment_config,
     normalize_returns,
     run_sweep,
     smooth,

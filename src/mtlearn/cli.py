@@ -3,23 +3,23 @@
 Subcommands: ``oracle`` (estimation-problem report), ``brdyn``
 (best-response dynamics trace), ``train`` (single seeded run),
 ``sweep`` (full learning-rate grid), ``report`` (re-render charts from
-stored CSVs). On failure a single machine-readable JSON error line is
-printed to stderr and the exit code is 1. A sweep whose every job ran
-but some cells failed writes its outputs, names each failed
-``(lr0, lr1, s, seed)`` with its error on stderr, and exits with
-:data:`EXIT_CELLS_FAILED`.
+stored CSVs). Each subcommand takes only the flags it reads, and its
+config is parsed by :mod:`mtlearn.config` before any work starts. On
+failure a single machine-readable JSON error line is printed to stderr
+and the exit code is 1. A sweep whose every job ran but some cells
+failed writes its outputs, names each failed ``(lr0, lr1, s, seed)``
+with its error on stderr, and exits with :data:`EXIT_CELLS_FAILED`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import envs, estimation, games, harness, learners, reports, schedule
+from . import config, envs, estimation, games, harness, learners, reports
 
 # Exit code of a sweep that completed with at least one failed cell.
 EXIT_CELLS_FAILED = 3
@@ -41,15 +41,8 @@ def _print_or_write(text: str, out: str | None, name: str) -> None:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    prob_cfg = cfg.get("problem", {"p": 1.0, "q": 1.0, "sigma2": 0.5, "n": 3})
-    problem = estimation.build_problem(
-        float(prob_cfg.get("p", 1.0)), float(prob_cfg.get("q", 1.0)),
-        float(prob_cfg.get("sigma2", 0.5)), int(prob_cfg.get("n", 3)))
-    k0 = np.asarray(cfg.get("k0", [0.0] * problem.n), dtype=float)
-    max_sweeps = int(cfg.get("max_sweeps", 200))
-    tol = float(cfg.get("tol", 1e-10))
-
+    cfg = config.load_oracle_config(_load_json(args.config) if args.config else {})
+    problem = cfg.problem
     lines = []
     lines.append(f"problem: p={problem.p} q={problem.q} sigma2={problem.sigma2} n={problem.n}")
     lines.append("gamma:")
@@ -64,31 +57,19 @@ def _cmd_oracle(args) -> int:
     lines.append("")
     lines.append("sweep,mode,error")
     for mode in (estimation.Mode.IIBR, estimation.Mode.SIBR):
-        trace = estimation.run_br_iteration(problem, mode, k0, max_sweeps=max_sweeps, tol=tol)
+        trace = estimation.run_br_iteration(problem, mode, cfg.k0,
+                                            max_sweeps=cfg.max_sweeps, tol=cfg.tol)
         for sweep_idx, err in enumerate(trace.errors):
             lines.append(f"{sweep_idx},{mode.name.lower()},{err!r}")
     text = "\n".join(lines) + "\n"
-    digest = harness.config_digest(cfg)
-    _print_or_write(text, args.out, f"oracle_{digest}.txt")
+    _print_or_write(text, args.out, f"oracle_{cfg.digest}.txt")
     return 0
 
 
-def _parse_mode(name: str) -> estimation.Mode:
-    try:
-        return estimation.Mode[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown mode {name!r}; expected iibr or sibr") from None
-
-
 def _cmd_brdyn(args) -> int:
-    cfg = _load_json(args.config)
-    game = games.make_game(cfg["payoff"])
-    mode = _parse_mode(cfg.get("mode", "sibr"))
-    initial = cfg.get("initial", [0] * game.n)
-    tie_break = games.TieBreak[cfg.get("tie_break", "keep_current").upper()]
-    trace = games.run_dynamics(game, mode, initial,
-                               max_rounds=int(cfg.get("max_rounds", 1000)),
-                               tie_break=tie_break)
+    cfg = config.load_brdyn_config(_load_json(args.config))
+    trace = games.run_dynamics(cfg.game, cfg.mode, cfg.initial, max_rounds=cfg.max_rounds,
+                               tie_break=cfg.tie_break)
     if trace.status == "converged":
         status = f"converged(round={trace.round_})"
     elif trace.status == "cycle":
@@ -101,31 +82,24 @@ def _cmd_brdyn(args) -> int:
         tag = status if r == last else ""
         lines.append(f"{r},{'|'.join(str(a) for a in prof)},{pay!r},{tag}")
     text = "\n".join(lines) + "\n"
-    _print_or_write(text, args.out, f"brdyn_{harness.config_digest(cfg)}.csv")
+    _print_or_write(text, args.out, f"brdyn_{cfg.digest}.csv")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_json(args.config)
-    env_cfg = cfg["env"]
-    env = envs.env_from_config(env_cfg)
-    sched = schedule.schedule_from_config(env.n, cfg["schedule"])
-    total_steps, eval_every, eval_episodes = harness.parse_run_counts(cfg)
-    q_config = learners.parse_q_config(cfg.get("q", {}), total_steps)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    digest = harness.config_digest(cfg)
-    log = learners.train(lambda: envs.env_from_config(env_cfg), sched, q_config,
-                         total_steps, eval_every, eval_episodes, seed, config_digest=digest)
+    cfg = config.load_train_config(_load_json(args.config), seed=args.seed)
+    log = learners.train(functools.partial(envs.env_from_config, cfg.env), cfg.schedule,
+                         cfg.q_config, cfg.total_steps, cfg.eval_every, cfg.eval_episodes,
+                         cfg.seed, config_digest=cfg.digest)
     _print_or_write(learners.runlog_to_csv(log), args.out,
-                    f"runlog_{digest}_seed{seed}.csv")
+                    f"runlog_{cfg.digest}_seed{cfg.seed}.csv")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    raw = _load_json(args.config)
-    config = harness.load_experiment_config(raw)
-    result = harness.run_sweep(config, workers=args.workers)
-    out_dir = args.out or raw.get("out_dir", "sweep_out")
+    cfg = config.load_experiment_config(_load_json(args.config))
+    result = harness.run_sweep(cfg, workers=args.workers)
+    out_dir = args.out or "sweep_out"
     files = reports.emit_reports(result, out_dir, plots=not args.no_plots)
     print(f"sweep {result.digest}: {len(result.cells)} cells, "
           f"{len(result.seeds)} seeds, outputs in {out_dir}")
@@ -155,7 +129,7 @@ def _cmd_report(args) -> int:
         raise ValueError("report requires --out pointing at a sweep output directory")
     digest = None
     if args.config:
-        digest = harness.config_digest(_load_json(args.config))
+        digest = config.load_experiment_config(_load_json(args.config)).digest
     rendered = reports.render_reports_from_dir(args.out, digest)
     for name in rendered:
         print(f"rendered {Path(args.out) / name}")
@@ -171,17 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker pool size")
-        p.add_argument("--no-plots", action="store_true", help="skip SVG rendering")
         p.set_defaults(func=func)
         return p
 
     add("oracle", _cmd_oracle, "exact estimation-problem report and sweep errors")
     add("brdyn", _cmd_brdyn, "best-response dynamics trace for a team game")
-    add("train", _cmd_train, "one scheduled training run, logged as CSV")
-    add("sweep", _cmd_sweep, "full learning-rate grid sweep with reports")
+    train = add("train", _cmd_train, "one scheduled training run, logged as CSV")
+    train.add_argument("--seed", type=int, default=None, help="replaces the config's seed")
+    sweep = add("sweep", _cmd_sweep, "full learning-rate grid sweep with reports")
+    sweep.add_argument("--workers", type=int, default=1, help="worker pool size")
+    sweep.add_argument("--no-plots", action="store_true", help="skip SVG rendering")
     add("report", _cmd_report, "re-render charts from stored sweep CSVs")
     return parser
 
@@ -190,10 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("brdyn", "train") and not args.config:
+        if args.command in ("brdyn", "train", "sweep") and not args.config:
             raise ValueError(f"{args.command} requires --config")
-        if args.command == "sweep" and not args.config:
-            raise ValueError("sweep requires --config")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single structured error line
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),

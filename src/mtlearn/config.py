@@ -1,0 +1,270 @@
+"""The config layer: the one place a subcommand's JSON config is read.
+
+Each loader turns one subcommand's config into a frozen dataclass before any
+work starts: :func:`load_oracle_config`, :func:`load_brdyn_config`,
+:func:`load_train_config` and :func:`load_experiment_config` (``sweep``).
+A key a config object does not have fails at any nesting level, with its
+path (``grid.lr00``) in the message; the ``env`` block is parsed, just as
+strictly, by :func:`envs.env_from_config`. Integer fields follow one rule,
+:func:`schedule.parse_count`: a count is an integer >= 1 and a seed an
+integer >= 0, given as ``10`` or ``10.0``. Real-valued fields must be JSON
+numbers. A loaded config keeps its input dict as ``raw``, and its
+``digest`` is taken from that dict.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import numbers
+from dataclasses import dataclass
+
+from .envs import env_from_config
+from .estimation import Mode, TeamEstimationProblem, build_problem
+from .games import TeamGame, TieBreak, make_game
+from .learners import EpsilonSchedule, QLearnerConfig
+from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_switch_period
+
+
+def config_digest(raw: dict) -> str:
+    payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(payload).hexdigest()[:12]
+
+
+class _Digest:
+    """Base of the loaded configs. They compare by identity (``eq=False``, which
+    also keeps their creation cheap at import); ``digest`` names the input."""
+
+    raw: dict
+
+    @property
+    def digest(self) -> str:
+        """12-hex-char digest of the input dict, as output file names carry it."""
+        return config_digest(self.raw)
+
+
+# ---------------------------------------------------------------------------
+# Field rules
+
+
+def _object(value, path: str, keys: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """``value`` as the config object at ``path`` ("" for the top level): a
+    dict with every key in ``required`` and none outside ``keys``."""
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        names = ", ".join(repr(prefix + key) for key in unknown)
+        raise ValueError(f"unknown key {names} in {where}; valid keys: {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"config is missing required key {prefix + key!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    return list(value)
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _choice(enum_type, value, name: str):
+    """The member of ``enum_type`` named ``value``, in any letter case."""
+    names = [member.name.lower() for member in enum_type]
+    if not isinstance(value, str) or value.lower() not in names:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(names)}")
+    return enum_type[value.upper()]
+
+
+# ---------------------------------------------------------------------------
+# Blocks shared by train and sweep configs
+
+
+def parse_run_counts(raw: dict) -> tuple[int, int, int]:
+    """``(total_steps, eval_every, eval_episodes)`` of a train or sweep
+    config, each an integer >= 1. ``eval_every`` defaults to a twentieth of
+    ``total_steps`` (at least 1) and ``eval_episodes`` to 10."""
+    total_steps = parse_count(raw["total_steps"], "total_steps")
+    return (total_steps,
+            parse_count(raw.get("eval_every", max(1, total_steps // 20)), "eval_every"),
+            parse_count(raw.get("eval_episodes", 10), "eval_episodes"))
+
+
+def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
+    """Build a :class:`QLearnerConfig` from a config's ``q`` block.
+
+    Missing keys take their defaults: ``epsilon_start`` 1.0,
+    ``epsilon_end`` 0.05, ``epsilon_decay_steps`` half of
+    ``total_steps`` (at least 1) and ``discount`` 0.95. The decay length
+    follows the count rule.
+    """
+    q = _object(raw, "q", ("epsilon_start", "epsilon_end", "epsilon_decay_steps", "discount"))
+    return QLearnerConfig(
+        epsilon=EpsilonSchedule(
+            start=_number(q.get("epsilon_start", 1.0), "epsilon_start"),
+            end=_number(q.get("epsilon_end", 0.05), "epsilon_end"),
+            decay_steps=parse_count(q.get("epsilon_decay_steps", max(1, total_steps // 2)),
+                                    "epsilon_decay_steps"),
+        ),
+        discount=_number(q.get("discount", 0.95), "discount"),
+    )
+
+
+def schedule_from_config(n: int, cfg: dict) -> Schedule:
+    """Inverse of :func:`schedule.schedule_to_config` for an ``n``-agent env.
+
+    ``levels`` is required; ``cluster_sizes`` takes :func:`make_schedule`'s
+    default and ``switch_period`` defaults to "inf".
+    """
+    block = _object(cfg, "schedule", ("levels", "cluster_sizes", "switch_period"),
+                    required=("levels",))
+    levels = [_number(v, "levels") for v in _list(block["levels"], "levels")]
+    sizes = block.get("cluster_sizes")
+    if sizes is not None:
+        sizes = [parse_count(c, "cluster_sizes") for c in _list(sizes, "cluster_sizes")]
+    return make_schedule(n, levels, sizes, s=block.get("switch_period", "inf"))
+
+
+# ---------------------------------------------------------------------------
+# Loaders, one per subcommand
+
+
+@dataclass(frozen=True, eq=False)
+class OracleConfig(_Digest):
+    """An ``oracle`` config: the estimation problem and the sweep settings."""
+
+    problem: TeamEstimationProblem
+    k0: tuple[float, ...]
+    max_sweeps: int
+    tol: float
+    raw: dict
+
+
+def load_oracle_config(raw: dict) -> OracleConfig:
+    """Parse an ``oracle`` config; every key is optional, and ``{}`` is the
+    bundled instance p=1, q=1, sigma2=0.5, n=3 from zero gains."""
+    _object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
+    prob = _object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
+    problem = build_problem(_number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
+                            _number(prob.get("sigma2", 0.5), "sigma2"),
+                            parse_count(prob.get("n", 3), "n"))
+    k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
+    return OracleConfig(problem=problem, k0=k0,
+                        max_sweeps=parse_count(raw.get("max_sweeps", 200), "max_sweeps"),
+                        tol=_number(raw.get("tol", 1e-10), "tol"), raw=raw)
+
+
+@dataclass(frozen=True, eq=False)
+class BrdynConfig(_Digest):
+    """A ``brdyn`` config: the team game and how to run its dynamics."""
+
+    game: TeamGame
+    mode: Mode
+    initial: tuple[int, ...]
+    tie_break: TieBreak
+    max_rounds: int
+    raw: dict
+
+
+def load_brdyn_config(raw: dict) -> BrdynConfig:
+    """Parse a ``brdyn`` config. ``payoff`` is required; ``mode`` defaults to
+    sibr, ``initial`` to every agent on action 0, ``tie_break`` to
+    keep_current and ``max_rounds`` to 1000."""
+    _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
+            required=("payoff",))
+    game = make_game(raw["payoff"])
+    initial = _list(raw.get("initial", [0] * game.n), "initial")
+    return BrdynConfig(
+        game=game, mode=_choice(Mode, raw.get("mode", "sibr"), "mode"),
+        initial=tuple(parse_count(a, "initial", minimum=0) for a in initial),
+        tie_break=_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
+        max_rounds=parse_count(raw.get("max_rounds", 1000), "max_rounds"), raw=raw)
+
+
+@dataclass(frozen=True, eq=False)
+class TrainConfig(_Digest):
+    """A ``train`` config: one scheduled run. ``env`` is the env block."""
+
+    env: dict
+    schedule: Schedule
+    q_config: QLearnerConfig
+    total_steps: int
+    eval_every: int
+    eval_episodes: int
+    seed: int
+    raw: dict
+
+
+def load_train_config(raw: dict, seed: int | None = None) -> TrainConfig:
+    """Parse a ``train`` config; ``seed``, when given, replaces the config's
+    ``seed`` (default 0) and follows the same rule."""
+    _object(raw, "", ("env", "schedule", "q", "total_steps", "eval_every", "eval_episodes",
+                      "seed"), required=("env", "schedule", "total_steps"))
+    sched = schedule_from_config(env_from_config(raw["env"]).n, raw["schedule"])
+    total_steps, eval_every, eval_episodes = parse_run_counts(raw)
+    return TrainConfig(
+        env=dict(raw["env"]), schedule=sched,
+        q_config=parse_q_config(raw.get("q", {}), total_steps),
+        total_steps=total_steps, eval_every=eval_every, eval_episodes=eval_episodes,
+        seed=parse_count(raw.get("seed", 0) if seed is None else seed, "seed", minimum=0),
+        raw=raw)
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentConfig(_Digest):
+    """A ``sweep`` config; ``n_agents`` is the agent count of its env."""
+
+    env: dict
+    n_agents: int
+    lr0_values: tuple[float, ...]
+    lr1_values: tuple[float, ...]
+    switch_periods: tuple[float, ...]
+    seeds: tuple[int, ...]
+    total_steps: int
+    eval_every: int
+    eval_episodes: int
+    q_config: QLearnerConfig
+    raw: dict
+
+
+def load_experiment_config(raw: dict) -> ExperimentConfig:
+    """Parse a ``sweep`` config (see README for the schema).
+
+    The env is built and every cell's schedule made here, so a bad env, or
+    one no cell's schedule fits, fails before any job starts.
+    """
+    _object(raw, "", ("env", "grid", "seeds", "total_steps", "eval_every", "eval_episodes",
+                      "q"), required=("env", "grid", "seeds", "total_steps"))
+    grid = _object(raw["grid"], "grid", ("lr0", "lr1", "switch_periods"),
+                   required=("lr0", "lr1", "switch_periods"))
+    lr0 = tuple(parse_rate(_number(v, "lr0")) for v in _list(grid["lr0"], "lr0"))
+    lr1 = tuple(parse_rate(_number(v, "lr1")) for v in _list(grid["lr1"], "lr1"))
+    periods = tuple(parse_switch_period(v)
+                    for v in _list(grid["switch_periods"], "switch_periods"))
+    seeds = tuple(parse_count(s, "seeds", minimum=0) for s in _list(raw["seeds"], "seeds"))
+    total_steps, eval_every, eval_episodes = parse_run_counts(raw)
+    if not lr0 or not lr1 or not periods:
+        raise ValueError("lr0, lr1, and switch_periods must all be non-empty")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
+    n = env_from_config(raw["env"]).n
+    for a in lr0:
+        for b in lr1:
+            for period in periods:
+                make_schedule(n, (a, b), s=period)
+    return ExperimentConfig(
+        env=dict(raw["env"]), n_agents=n, lr0_values=lr0, lr1_values=lr1,
+        switch_periods=periods, seeds=seeds, total_steps=total_steps,
+        eval_every=eval_every, eval_episodes=eval_episodes,
+        q_config=parse_q_config(raw.get("q", {}), total_steps), raw=raw,
+    )

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import TeamGame, make_game
+from .schedule import parse_count
 
 
 class SearchBudgetError(RuntimeError):
@@ -568,23 +569,43 @@ def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
     return float(value[start])
 
 
+# Keys of the env block per kind; the second is required.
+_ENV_KEYS = {"matrix_game": ("kind", "payoff", "horizon"),
+             "foraging": ("kind", "grid", "horizon", "cooperative_only", "view_radius")}
+
+
 def env_from_config(cfg: dict):
-    """Build an environment from its JSON description.
+    """Build an environment from its JSON description, a config's ``env`` block.
 
     ``{"kind": "matrix_game", "payoff": [...], "horizon": 1}`` or
     ``{"kind": "foraging", "grid": ["..."], "horizon": 50,
-    "cooperative_only": false, "view_radius": null}``.
+    "cooperative_only": false, "view_radius": null}``; ``payoff`` and ``grid``
+    are required. A key the kind does not have, a ``horizon`` that is not an
+    integer >= 1, a ``cooperative_only`` that is not a bool and a
+    ``view_radius`` that is neither null nor an integer >= 0 are rejected.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"env must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
+    keys = _ENV_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ValueError(f"unknown environment kind {kind!r}")
+    unknown = [key for key in cfg if key not in keys]
+    if unknown:
+        names = ", ".join(repr(f"env.{key}") for key in unknown)
+        raise ValueError(f"unknown key {names} in env of kind {kind!r}; "
+                         f"valid keys: {', '.join(keys)}")
+    if keys[1] not in cfg:
+        raise ValueError(f"config is missing required key 'env.{keys[1]}'")
     if kind == "matrix_game":
-        game = make_game(cfg["payoff"])
-        return MatrixGameEnv(game, horizon=int(cfg.get("horizon", 1)))
-    if kind == "foraging":
-        config = foraging_config_from_ascii(
-            cfg["grid"],
-            horizon=int(cfg.get("horizon", 50)),
-            cooperative_only=bool(cfg.get("cooperative_only", False)),
-            view_radius=cfg.get("view_radius"),
-        )
-        return ForagingEnv(config)
-    raise ValueError(f"unknown environment kind {kind!r}")
+        return MatrixGameEnv(make_game(cfg["payoff"]),
+                             horizon=parse_count(cfg.get("horizon", 1), "horizon"))
+    cooperative_only = cfg.get("cooperative_only", False)
+    if not isinstance(cooperative_only, bool):
+        raise ValueError(f"cooperative_only must be true or false, got {cooperative_only!r}")
+    view_radius = cfg.get("view_radius")
+    if view_radius is not None:
+        view_radius = parse_count(view_radius, "view_radius", minimum=0)
+    return ForagingEnv(foraging_config_from_ascii(
+        cfg["grid"], horizon=parse_count(cfg.get("horizon", 50), "horizon"),
+        cooperative_only=cooperative_only, view_radius=view_radius))

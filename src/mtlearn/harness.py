@@ -13,8 +13,6 @@ executed once and shared across periods.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -22,9 +20,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
+# Re-exported: harness.load_experiment_config and harness.run_sweep are the sweep API.
+from .config import ExperimentConfig, load_experiment_config  # noqa: F401
 from .envs import env_from_config
-from .learners import QLearnerConfig, RunLog, parse_q_config
-from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_switch_period
+from .learners import RunLog
+from .schedule import Schedule, make_schedule
 
 
 class DegenerateRangeError(ValueError):
@@ -113,76 +113,6 @@ def _stderr(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     return statistics.stdev(values) / math.sqrt(len(values))
-
-
-# ---------------------------------------------------------------------------
-# Sweep configuration
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated sweep description; ``raw`` keeps the exact input dict and
-    ``n_agents`` is the agent count of the env it describes."""
-
-    env: dict
-    n_agents: int
-    lr0_values: tuple[float, ...]
-    lr1_values: tuple[float, ...]
-    switch_periods: tuple[float, ...]
-    seeds: tuple[int, ...]
-    total_steps: int
-    eval_every: int
-    eval_episodes: int
-    q_config: QLearnerConfig
-    raw: dict
-
-    @property
-    def digest(self) -> str:
-        return config_digest(self.raw)
-
-
-def config_digest(raw: dict) -> str:
-    payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
-
-
-def parse_run_counts(raw: dict) -> tuple[int, int, int]:
-    """``(total_steps, eval_every, eval_episodes)`` of a train or sweep
-    config, each an integer >= 1. ``eval_every`` defaults to a twentieth of
-    ``total_steps`` (at least 1) and ``eval_episodes`` to 10."""
-    total_steps = parse_count(raw["total_steps"], "total_steps")
-    return (total_steps,
-            parse_count(raw.get("eval_every", max(1, total_steps // 20)), "eval_every"),
-            parse_count(raw.get("eval_episodes", 10), "eval_episodes"))
-
-
-def load_experiment_config(raw: dict) -> ExperimentConfig:
-    """Parse and validate a sweep config dict (see README for the schema).
-
-    The env is built once here, so a bad env fails before any work starts.
-    """
-    try:
-        env = dict(raw["env"])
-        grid = raw["grid"]
-        lr0 = tuple(parse_rate(v) for v in grid["lr0"])
-        lr1 = tuple(parse_rate(v) for v in grid["lr1"])
-        periods = tuple(parse_switch_period(v) for v in grid["switch_periods"])
-        seeds = tuple(int(s) for s in raw["seeds"])
-        total_steps, eval_every, eval_episodes = parse_run_counts(raw)
-    except KeyError as missing:
-        raise ValueError(f"config is missing required key {missing}") from None
-    if not lr0 or not lr1 or not periods:
-        raise ValueError("lr0, lr1, and switch_periods must all be non-empty")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    return ExperimentConfig(
-        env=env, n_agents=env_from_config(env).n, lr0_values=lr0, lr1_values=lr1,
-        switch_periods=periods, seeds=seeds, total_steps=total_steps,
-        eval_every=eval_every, eval_episodes=eval_episodes,
-        q_config=parse_q_config(raw.get("q", {}), total_steps), raw=raw,
-    )
 
 
 def cell_regime(lr0: float, lr1: float) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .envs import TransitionTable
 from .estimation import TeamEstimationProblem, team_mse
-from .schedule import Schedule, parse_count, rates_at
+from .schedule import Schedule, rates_at
 
 QTable = dict[int, list[float]]
 
@@ -56,25 +56,6 @@ class QLearnerConfig:
     def __post_init__(self):
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
-
-
-def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
-    """Build a :class:`QLearnerConfig` from a config's ``q`` block.
-
-    Missing keys take their defaults: ``epsilon_start`` 1.0,
-    ``epsilon_end`` 0.05, ``epsilon_decay_steps`` half of
-    ``total_steps`` (at least 1) and ``discount`` 0.95. The decay length
-    follows the count rule, :func:`schedule.parse_count`.
-    """
-    return QLearnerConfig(
-        epsilon=EpsilonSchedule(
-            start=float(raw.get("epsilon_start", 1.0)),
-            end=float(raw.get("epsilon_end", 0.05)),
-            decay_steps=parse_count(raw.get("epsilon_decay_steps", max(1, total_steps // 2)),
-                                    "epsilon_decay_steps"),
-        ),
-        discount=float(raw.get("discount", 0.95)),
-    )
 
 
 @dataclass(frozen=True)

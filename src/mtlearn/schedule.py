@@ -146,9 +146,10 @@ def parse_switch_period(value) -> float:
     return float(int(value))
 
 
-def parse_count(value, name: str) -> int:
-    """The rule for a config's step and episode counts: an integer >= 1,
-    given as ``10`` or ``10.0``.
+def parse_count(value, name: str, minimum: int = 1) -> int:
+    """The rule for a config's integer fields: an integer >= ``minimum``,
+    given as ``10`` or ``10.0``. Counts of steps, episodes and the like
+    keep the default 1; seeds, action ids and view radii pass 0.
 
     Raises
     ------
@@ -156,8 +157,8 @@ def parse_count(value, name: str) -> int:
         For any other value, such as ``100.7``, ``0``, ``True`` or ``"10"``.
     """
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or not math.isfinite(value) or value != int(value) or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -232,7 +233,8 @@ def classify(schedule: Schedule) -> ScheduleKind:
 
 
 def schedule_to_config(schedule: Schedule) -> dict:
-    """JSON-ready form: {levels, cluster_sizes, switch_period}, inf as "inf"."""
+    """JSON-ready form: {levels, cluster_sizes, switch_period}, inf as "inf";
+    :func:`config.schedule_from_config` reads it back."""
     period: float | str = schedule.switch_period
     if not math.isfinite(period):
         period = "inf"
@@ -243,12 +245,6 @@ def schedule_to_config(schedule: Schedule) -> dict:
         "cluster_sizes": list(schedule.cluster_sizes),
         "switch_period": period,
     }
-
-
-def schedule_from_config(n: int, cfg: dict) -> Schedule:
-    """Inverse of :func:`schedule_to_config`; accepts "inf" for the period."""
-    return make_schedule(n, cfg["levels"], cfg.get("cluster_sizes"),
-                         s=cfg.get("switch_period", "inf"))
 
 
 def position_levels(schedule: Schedule) -> tuple[int, ...]:

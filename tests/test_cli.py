@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from mtlearn import harness, learners
-from mtlearn.cli import EXIT_CELLS_FAILED, main
+from mtlearn.cli import EXIT_CELLS_FAILED, build_parser, main
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
 
@@ -92,7 +92,7 @@ class TestTrainCommand:
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         import mtlearn
-        from mtlearn.harness import config_digest
+        from mtlearn.config import config_digest
         from mtlearn.learners import runlog_to_csv, train
 
         cfg = train_config(tmp_path)
@@ -333,6 +333,112 @@ class TestSweepAndReportCommands:
         assert main(["report"]) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"]["type"] == "ValueError"
+
+
+def sweep_config(tmp_path, **overrides):
+    payload = {
+        "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+        "grid": {"lr0": [0.3, 0.1], "lr1": [0.3, 0.1], "switch_periods": [10]},
+        "seeds": [0, 1], "total_steps": 100, "eval_every": 50, "eval_episodes": 1,
+    }
+    payload.update(overrides)
+    return write_json(tmp_path / "sweep.json", payload)
+
+
+def assert_load_error(capsys, match):
+    captured = capsys.readouterr()
+    assert not captured.out
+    payload = json.loads(captured.err.strip())
+    assert match in payload["error"]["message"], payload
+
+
+class TestConfigsFailAtLoad:
+    @pytest.mark.parametrize("seeds, match", [
+        ([-1, 2], "seeds must be an integer >= 0, got -1"),
+        ([True, 2], "seeds must be an integer >= 0, got True"),
+        ([1.7, 2], "seeds must be an integer >= 0, got 1.7"),
+    ])
+    def test_bad_sweep_seed_fails_before_any_output(self, tmp_path, capsys, seeds, match):
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", sweep_config(tmp_path, seeds=seeds),
+                     "--out", str(out)]) == 1
+        assert_load_error(capsys, match)
+        assert not out.exists()
+
+    def test_one_agent_sweep_env_fails_before_any_output(self, tmp_path, capsys):
+        cfg = sweep_config(tmp_path, env={"kind": "matrix_game", "payoff": [1.0, 0.0]})
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert_load_error(capsys, "cluster_sizes required")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("sedes", [0]), ("out_dir", "elsewhere")])
+    def test_unknown_sweep_key_fails_before_any_output(self, tmp_path, capsys, key, value):
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", sweep_config(tmp_path, **{key: value}),
+                     "--out", str(out)]) == 1
+        assert_load_error(capsys, f"unknown key '{key}'")
+        assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_train_seed_fails(self, tmp_path, capsys, seed):
+        assert main(["train", "--config", train_config(tmp_path, seed=seed)]) == 1
+        assert_load_error(capsys, f"seed must be an integer >= 0, got {seed!r}")
+
+    def test_misspelt_schedule_key_fails(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, schedule={"levels": [0.3, 0.1], "switch_perod": 5})
+        assert main(["train", "--config", cfg]) == 1
+        assert_load_error(capsys, "unknown key 'schedule.switch_perod'")
+
+    @pytest.mark.parametrize("key, value", [("n", 3.7), ("p", "1")])
+    def test_bad_oracle_problem_fails(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path / "oracle.json", {"problem": {key: value}})
+        assert main(["oracle", "--config", cfg]) == 1
+        assert_load_error(capsys, f"{key} must be")
+
+    def test_fractional_oracle_max_sweeps_fails(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "oracle.json", {"max_sweeps": 10.5})
+        assert main(["oracle", "--config", cfg]) == 1
+        assert_load_error(capsys, "max_sweeps must be an integer >= 1, got 10.5")
+
+    def test_fractional_brdyn_max_rounds_fails(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "g.json", {"payoff": MATCH_PAYOFF, "max_rounds": 10.5})
+        assert main(["brdyn", "--config", cfg]) == 1
+        assert_load_error(capsys, "max_rounds must be an integer >= 1, got 10.5")
+
+    def test_unknown_tie_break_lists_the_choices(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "g.json", {"payoff": MATCH_PAYOFF, "tie_break": "random"})
+        assert main(["brdyn", "--config", cfg]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "unknown tie_break 'random'; expected one of lowest_index, keep_current"}
+
+
+FLAGS = {"oracle": ["--config", "--out"], "brdyn": ["--config", "--out"],
+         "train": ["--config", "--seed", "--out"],
+         "sweep": ["--config", "--out", "--workers", "--no-plots"],
+         "report": ["--config", "--out"]}
+FLAG_VALUES = {"--config": ["c.json"], "--out": ["o"], "--seed": ["9"], "--workers": ["7"],
+               "--no-plots": []}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in FLAGS for f in FLAG_VALUES
+                                           if f not in FLAGS[c]])
+def test_parser_refuses_a_flag_the_subcommand_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, flag, *FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_parser_takes_each_flag_the_subcommand_reads(command):
+    argv = [command] + [part for f in FLAGS[command] for part in [f, *FLAG_VALUES[f]]]
+    args = build_parser().parse_args(argv)
+    assert sum(len(FLAGS[c]) for c in FLAGS) == 13
+    assert set(vars(args)) == {"command", "func"} | {f[2:].replace("-", "_")
+                                                     for f in FLAGS[command]}
 
 
 class TestModuleEntryPoint:

@@ -444,3 +444,48 @@ class TestEnvFromConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             env_from_config({"kind": "pendulum"})
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"kind": "foraging", "grid": list(FIXTURE_ROWS), "veiw_radius": 1}, "veiw_radius"),
+        ({"kind": "foraging", "grid": list(FIXTURE_ROWS), "payoff": MATCH_PAYOFF}, "payoff"),
+        ({"kind": "matrix_game", "payoff": MATCH_PAYOFF, "view_radius": 1}, "view_radius"),
+    ])
+    def test_key_unknown_for_the_kind_is_rejected(self, cfg, key):
+        with pytest.raises(ValueError, match=f"unknown key 'env.{key}'"):
+            env_from_config(cfg)
+
+    @pytest.mark.parametrize("kind, extra", [("matrix_game", {"payoff": MATCH_PAYOFF}),
+                                             ("foraging", {"grid": list(FIXTURE_ROWS)})])
+    @pytest.mark.parametrize("horizon", [2.5, 16.9, 0, True, "16"])
+    def test_horizon_follows_the_count_rule(self, kind, extra, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            env_from_config({"kind": kind, "horizon": horizon, **extra})
+
+    def test_integral_float_horizon_is_the_integer(self):
+        env = env_from_config({"kind": "foraging", "grid": list(FIXTURE_ROWS),
+                               "horizon": 16.0})
+        assert env.horizon == 16 and isinstance(env.horizon, int)
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_cooperative_only_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="cooperative_only must be true or false"):
+            env_from_config({"kind": "foraging", "grid": list(FIXTURE_ROWS),
+                             "cooperative_only": flag})
+
+    @pytest.mark.parametrize("radius", [1.5, -1, True, "1"])
+    def test_view_radius_must_be_null_or_an_integer_at_least_zero(self, radius):
+        with pytest.raises(ValueError, match="view_radius must be an integer >= 0"):
+            env_from_config({"kind": "foraging", "grid": list(FIXTURE_ROWS),
+                             "view_radius": radius})
+
+    @pytest.mark.parametrize("radius, expected", [(None, None), (0, 0), (1, 1), (1.0, 1)])
+    def test_valid_view_radius(self, radius, expected):
+        env = env_from_config({"kind": "foraging", "grid": list(FIXTURE_ROWS),
+                               "view_radius": radius})
+        assert env.config.view_radius == expected
+        assert all(isinstance(o, int) for o in env.reset(0))
+
+    @pytest.mark.parametrize("cfg", [{"kind": "foraging"}, {"kind": "matrix_game"}])
+    def test_missing_layout_is_named(self, cfg):
+        with pytest.raises(ValueError, match="missing required key 'env."):
+            env_from_config(cfg)

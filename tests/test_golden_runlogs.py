@@ -16,7 +16,7 @@ import pytest
 
 import mtlearn as mt
 from mtlearn.learners import EpsilonSchedule, QLearnerConfig, runlog_to_csv, train
-from mtlearn.schedule import schedule_from_config
+from mtlearn.config import schedule_from_config
 
 ROOT = Path(__file__).resolve().parent
 GOLDEN = ROOT / "golden"

@@ -14,7 +14,6 @@ from mtlearn.harness import (
     DegenerateRangeError,
     aggregate,
     cell_regime,
-    config_digest,
     curve_auc,
     gap_recovered,
     load_experiment_config,
@@ -22,6 +21,7 @@ from mtlearn.harness import (
     run_sweep,
     smooth,
 )
+from mtlearn.config import config_digest
 from mtlearn.reports import emit_reports, render_reports_from_dir
 from mtlearn.schedule import ScheduleError, make_schedule
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtlearn.config import schedule_from_config
 from mtlearn.schedule import (
     INFINITE,
     ScheduleError,
@@ -16,7 +17,6 @@ from mtlearn.schedule import (
     parse_count,
     parse_rate,
     rates_at,
-    schedule_from_config,
     schedule_to_config,
 )
 

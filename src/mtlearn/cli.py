@@ -8,7 +8,8 @@ config is parsed by :mod:`mtlearn.config` before any work starts. On
 failure a single machine-readable JSON error line is printed to stderr
 and the exit code is 1. A sweep whose every job ran but some cells
 failed writes its outputs, names each failed ``(lr0, lr1, s, seed)``
-with its error on stderr, and exits with :data:`EXIT_CELLS_FAILED`.
+with its error on stderr and in the manifest's ``failures`` list, and
+exits with :data:`EXIT_CELLS_FAILED`.
 """
 
 from __future__ import annotations
@@ -116,8 +117,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         pass
     print(f"  files: {json.dumps(files, sort_keys=True)}")
-    failures = [(cell, seed, err) for cell in result.cells
-                for seed, err in zip(result.seeds, cell.errors) if err is not None]
+    failures = result.failures()
     for cell, seed, err in failures:
         print(f"failed cell lr0={cell.lr0} lr1={cell.lr1} s={cell.period} "
               f"seed={seed}: {err}", file=sys.stderr)

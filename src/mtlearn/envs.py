@@ -57,9 +57,14 @@ class MatrixGameEnv:
         """True: ``reset`` ignores its seed."""
         return True
 
+    @property
+    def state_radix(self) -> tuple[int, ...]:
+        """The time-free state is empty: its rows have no columns."""
+        return ()
+
     def reset(self, seed: int = 0) -> tuple[int, ...]:
         self._t = 0
-        return (0,) * self.n
+        return self._observations()
 
     def step(self, joint_action: Sequence[int]) -> StepResult:
         acts = tuple(int(a) for a in joint_action)
@@ -70,14 +75,30 @@ class MatrixGameEnv:
                 raise ValueError(f"invalid action {a} for agent {i}")
         reward = float(self.game.payoff[acts])
         self._t += 1
-        return StepResult(observations=(0,) * self.n, reward=reward,
+        return StepResult(observations=self._observations(), reward=reward,
                           done=self._t >= self.horizon)
+
+    def transitions(self, states: np.ndarray,
+                    joints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step`` from counter 0 for each row: a payoff lookup per joint
+        action (see :meth:`ForagingEnv.transitions`)."""
+        reward = self.game.payoff[tuple(np.asarray(joints).T)]
+        return states, reward, np.full(len(reward), self.horizon <= 1)
 
     def get_state(self):
         return (self._t,)
 
     def set_state(self, state) -> None:
         (self._t,) = state
+
+    def state_row(self, state) -> tuple[int, ...]:
+        return ()
+
+    def row_state(self, row) -> tuple:
+        return (0,)
+
+    def _observations(self) -> tuple[int, ...]:
+        return (0,) * self.n
 
 
 # Action ids for the foraging gridworld.
@@ -207,6 +228,7 @@ class ForagingEnv:
         self._food_pos: tuple[tuple[int, int], ...] = ()
         self._food_alive: tuple[bool, ...] = ()
         self._t = 0
+        self._grid_tables: tuple[np.ndarray, np.ndarray] | None = None  # see transitions
 
     @property
     def horizon(self) -> int:
@@ -315,6 +337,90 @@ class ForagingEnv:
         return StepResult(observations=self._observations(), reward=reward,
                           done=not any(food_alive) or self._t >= cfg.horizon)
 
+    def transitions(self, states: np.ndarray,
+                    joints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step`` from step counter 0, for a batch of B states at once.
+
+        ``states`` holds B time-free states as rows of ints (see
+        :meth:`state_row`): the agents' cells, the foods' cells and the
+        foods' alive flags, a cell being ``row * width + col``. ``joints``
+        holds B joint actions, one column per agent. Returns the successor
+        rows, the rewards and the ``done`` flags ``step`` gives from step
+        counter 0: no food left, or a horizon of 1. Moves are resolved
+        agent by agent in index order and rewards are summed food by food,
+        as ``step`` does, so every value is bit-identical to it. Actions
+        are not checked.
+        """
+        if self._grid_tables is None:
+            self._grid_tables = self._build_grid_tables()
+        move_target, adjacent = self._grid_tables
+        cfg = self.config
+        n, m = self.n, len(cfg.food_levels)
+        agents = states[:, :n].copy()
+        foods = states[:, n:n + m]
+        alive = states[:, n + m:] != 0
+        blocking = np.where(alive, foods, -1)  # the cells of uncollected foods
+
+        # Movement, lowest agent index first, against the cells the agents
+        # hold after the earlier agents' moves.
+        for i in range(n):
+            here = agents[:, i]
+            target = move_target[here, joints[:, i]]
+            free = target != here
+            for j in range(n):
+                if j != i:
+                    free &= target != agents[:, j]
+            for k in range(m):
+                free &= target != blocking[:, k]
+            agents[:, i] = np.where(free, target, here)
+
+        # Joint loading against post-movement positions, food by food.
+        loading = joints == LOAD
+        levels = np.array(cfg.agent_levels)
+        reward = np.zeros(len(states))
+        for k in range(m):
+            strength = np.where(loading & adjacent[agents, foods[:, k:k + 1]], levels, 0).sum(1)
+            collected = alive[:, k] & (strength >= cfg.food_levels[k])
+            alive[:, k] &= ~collected
+            reward += np.where(collected, cfg.food_levels[k] / self._total_level, 0.0)
+        succ = np.concatenate([agents, foods, alive], axis=1, dtype=states.dtype)
+        return succ, reward, ~alive.any(axis=1) | (cfg.horizon <= 1)
+
+    def _build_grid_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``move_target[cell, action]``, the cell a move leads to (the cell
+        itself for STAY, LOAD and moves off the grid), and
+        ``adjacent[cell, other]``, whether two cells share an edge."""
+        h, w = self.config.height, self.config.width
+        rows, cols = np.divmod(np.arange(h * w), w)
+        move_target = np.repeat(np.arange(h * w)[:, None], 6, axis=1)
+        for action, (dr, dc) in _MOVES.items():
+            r, c = rows + dr, cols + dc
+            on_grid = (0 <= r) & (r < h) & (0 <= c) & (c < w)
+            move_target[on_grid, action] = r[on_grid] * w + c[on_grid]
+        adjacent = (np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)) == 1
+        return move_target, adjacent
+
+    @property
+    def state_radix(self) -> tuple[int, ...]:
+        """Each column of a :meth:`state_row` lies in ``range(radix)``."""
+        cells = self.config.width * self.config.height
+        m = len(self.config.food_levels)
+        return (cells,) * (self.n + m) + (2,) * m
+
+    def state_row(self, state) -> tuple[int, ...]:
+        """The time-free part of a ``get_state()`` value as one row of ints:
+        agent cells, food cells, then food alive flags."""
+        _, agent_pos, food_pos, alive = state
+        w = self.config.width
+        return (tuple(r * w + c for r, c in agent_pos) + tuple(r * w + c for r, c in food_pos)
+                + tuple(map(int, alive)))
+
+    def row_state(self, row) -> tuple:
+        """The ``get_state()`` value at step counter 0 of a :meth:`state_row`."""
+        n, m, w = self.n, len(self.config.food_levels), self.config.width
+        cells = [divmod(cell, w) for cell in row[:n + m]]
+        return (0, tuple(cells[:n]), tuple(cells[n:]), tuple(a != 0 for a in row[n + m:]))
+
     def remaining_food_fraction(self) -> float:
         alive = sum(l for l, a in zip(self.config.food_levels, self._food_alive) if a)
         return alive / self._total_level
@@ -376,6 +482,11 @@ class ForagingEnv:
         return (dr + radius) * span + (dc + radius)
 
 
+# The most (state, joint action) pairs TransitionTable.expand passes to one
+# ``transitions`` call.
+EXPAND_BLOCK = 1 << 15
+
+
 class TransitionTable:
     """An environment's transitions as arrays, filled on demand.
 
@@ -401,13 +512,14 @@ class TransitionTable:
     entry ends the episode by itself.
 
     A missing entry is filled through the env's own ``set_state`` and
-    ``step`` from step counter 0. Every successor then comes back with
-    counter 1, so states are keyed by that form, ``(1,) + get_state()[1:]``,
-    and a fill never slices a state. The step counter only ends an episode
-    at the horizon, so a step taken at counter ``t`` ends the episode when
-    ``term`` is set or ``t + 1 >= horizon``. Transitions are deterministic,
-    so one table serves any number of runs of the same env without coupling
-    them.
+    ``step`` from step counter 0; :meth:`expand` fills whole states at once
+    through the env's batched ``transitions``, which match ``step`` bit for
+    bit. Every successor then comes back with counter 1, so states are keyed
+    by that form, ``(1,) + get_state()[1:]``, and a fill never slices a
+    state. The step counter only ends an episode at the horizon, so a step
+    taken at counter ``t`` ends the episode when ``term`` is set or
+    ``t + 1 >= horizon``. Transitions are deterministic, so one table serves
+    any number of runs of the same env without coupling them.
     """
 
     def __init__(self, env):
@@ -433,6 +545,8 @@ class TransitionTable:
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
         self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
+        self._code_weights: np.ndarray | None = None  # set with _row_ids by expand
+        self._row_ids: dict | None = None
 
     @property
     def obs_count(self) -> int:
@@ -489,6 +603,69 @@ class TransitionTable:
         np.put(self.term, entries, term)
         self._filled(len(entries), any(term), float(np.abs(reward).max()))
 
+    def expand(self, states: Sequence[int]) -> None:
+        """Fill every joint action of ``states`` with the env's batched
+        ``transitions``, :data:`EXPAND_BLOCK` (state, joint action) pairs at a
+        time at most, so memory follows the block and not the number of
+        states. Successors are interned in the order first seen, as
+        :meth:`fill` would intern them."""
+        env = self.env
+        states = list(dict.fromkeys(states))
+        joint_actions = np.array(self.joint_actions, dtype=np.intp).reshape(-1, self.n)
+        n_joint = len(joint_actions)
+        radix = env.state_radix
+        width = len(radix)
+        if self._row_ids is None:
+            self._row_ids = {}
+            if math.prod(radix) <= 2 ** 63:  # every code fits in int64
+                self._code_weights = np.array([math.prod(radix[c + 1:]) for c in range(width)],
+                                              dtype=np.int64)
+        per_block = max(1, EXPAND_BLOCK // n_joint)
+        for lo in range(0, len(states), per_block):
+            block = states[lo:lo + per_block]
+            rows = np.array([env.state_row(self._keys[s]) for s in block],
+                            dtype=np.int64).reshape(len(block), width)
+            succ_rows, reward, term = env.transitions(
+                np.repeat(rows, n_joint, axis=0), np.tile(joint_actions, (len(block), 1)))
+            succ = self._intern_rows(succ_rows).reshape(len(block), n_joint)
+            count = int((self.next[block] < 0).sum())  # entries already filled are rewritten
+            self.next[block] = succ
+            self.reward[block] = reward.reshape(len(block), n_joint)
+            self.term[block] = term.reshape(len(block), n_joint)
+            self._filled(count, bool(term.any()), float(np.abs(reward).max(initial=0.0)))
+
+    def _intern_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of the states in ``rows`` (``env.state_row`` form), interning
+        the new ones in the order first seen.
+
+        Rows are told apart by one int64 code each, their digits in the
+        env's ``state_radix``; where a code could overflow int64 they are
+        compared whole, which is slower but exact. ``_row_ids`` maps a code
+        (or row) to its id in front of ``_index``, which also holds the
+        states interned through :meth:`step` and :meth:`reset`.
+        """
+        if self._code_weights is not None:
+            codes = rows @ self._code_weights
+            unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            keys = unique.tolist()
+        else:
+            unique, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                               return_inverse=True)
+            keys = list(map(tuple, unique.tolist()))
+        env, row_ids = self.env, self._row_ids
+        ids = np.empty(len(keys), dtype=np.intp)
+        for u in np.argsort(first).tolist():
+            state = row_ids.get(keys[u])
+            if state is None:
+                key = env.row_state(rows[first[u]].tolist())
+                state = self._index.get((1,) + key[1:])
+                if state is None:
+                    env.set_state(key)
+                    state = self._intern((1,) + key[1:], env._observations())
+                row_ids[keys[u]] = state
+            ids[u] = state
+        return ids[inverse.reshape(-1)]
+
     def _filled(self, count: int, any_term: bool, size: float) -> None:
         """Account for ``count`` new entries whose largest ``abs(reward)`` is
         ``size`` (NaN if some reward is)."""
@@ -524,11 +701,12 @@ def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
     """Maximum achievable episode return, by finite-horizon backward induction.
 
     The time-free states reachable within the horizon are enumerated
-    breadth-first from ``env.reset(seed)`` by filling a
-    :class:`TransitionTable` of ``env``, one depth at a time: each state
-    first reached at a depth below the horizon has every joint action
-    filled once. A transition that ends the episode before the horizon
-    leads to a terminal state, which is not expanded. Backward induction
+    breadth-first from ``env.reset(seed)`` into a :class:`TransitionTable`
+    of ``env``, one :meth:`TransitionTable.expand` per depth: the states
+    first reached at a depth below the horizon have every joint action
+    filled once, in one batched ``env.transitions`` pass. A transition that
+    ends the episode before the horizon leads to a terminal state, which is
+    not expanded. Backward induction
     over the table's ``reward``, ``term`` and ``next`` arrays then does the
     arithmetic of a plain search (``reward + value``, then the max over
     joint actions), so the result is exact and no recursion depth grows
@@ -553,8 +731,8 @@ def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
                     f"plan search exceeded {budget} expansions; the environment "
                     f"is too large for exhaustive planning"
                 )
+            table.expand(frontier)
             rows = np.array(frontier, dtype=np.intp)
-            table.fill(np.repeat(rows, n_joint), np.tile(np.arange(n_joint), len(rows)))
             going = table.next[rows][~table.term[rows]].tolist()
             frontier = [s for s in dict.fromkeys(going) if s not in expanded]
             expanded.update(frontier)

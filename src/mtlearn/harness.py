@@ -247,6 +247,11 @@ class SweepResult:
         stride0 = len(self.lr1_values) * stride1
         return self.cells[i0 * stride0 + i1 * stride1 + ip]
 
+    def failures(self) -> list[tuple[CellResult, int, str]]:
+        """(cell, seed, error) of every failed run, in grid order."""
+        return [(cell, seed, err) for cell in self.cells
+                for seed, err in zip(self.seeds, cell.errors) if err is not None]
+
     def best_cell(self, regime: str) -> CellResult:
         candidates = [c for c in self.cells if c.regime == regime and c.ok]
         if not candidates:

@@ -101,6 +101,8 @@ def write_gain_csv(result: SweepResult, out_dir: Path) -> str:
 
 
 def write_manifest(result: SweepResult, out_dir: Path, files: dict) -> str:
+    """The sweep's JSON manifest. A ``failures`` list, one entry per failed
+    (cell, seed) run with its error, appears only when some run failed."""
     name = f"sweep_{result.digest}.json"
     payload = {
         "digest": result.digest,
@@ -111,6 +113,11 @@ def write_manifest(result: SweepResult, out_dir: Path, files: dict) -> str:
         "total_steps": result.total_steps,
         "files": files,
     }
+    failures = result.failures()
+    if failures:
+        payload["failures"] = [{"lr0": cell.lr0, "lr1": cell.lr1, "s": _fmt_period(cell.period),
+                                "seed": seed, "error": err}
+                               for cell, seed, err in failures]
     with open(out_dir / name, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

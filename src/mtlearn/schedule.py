@@ -110,13 +110,17 @@ def make_schedule(n: int, levels: Sequence[float],
 
 
 def parse_rate(value) -> float:
-    """The learning-rate rule shared by schedules and sweep configs.
+    """The learning-rate rule shared by schedules and sweep configs: a real
+    number (``0.3`` or ``1``), returned as a float.
 
     Raises
     ------
     ScheduleError
-        If the value is negative or not finite.
+        If the value is negative, not finite, or not a real number, such as
+        ``"0.3"`` or ``True``.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScheduleError(f"rates must be real numbers, finite and >= 0, got {value!r}")
     rate = float(value)
     if rate < 0 or not math.isfinite(rate):
         raise ScheduleError(f"rates must be finite and >= 0, got {rate}")

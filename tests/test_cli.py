@@ -237,6 +237,45 @@ class TestSweepAndReportCommands:
                           "RuntimeError: forced failure"]
         assert list(out.glob("sweep_*.json"))
 
+    def test_manifest_lists_failed_cells_only_when_some_failed(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF, "horizon": 3},
+            "grid": {"lr0": [0.3, 0.1], "lr1": [0.3, 0.1], "switch_periods": [10, "inf"]},
+            "seeds": [0, 1],
+            "total_steps": 100,
+            "eval_every": 50,
+            "eval_episodes": 1,
+        })
+        clean, failed = tmp_path / "clean", tmp_path / "failed"
+        assert main(["sweep", "--config", cfg, "--out", str(clean), "--no-plots"]) == 0
+        job_schedule = harness._job_schedule
+
+        def failing_job_schedule(n, job):
+            if job.levels == (0.3, 0.1) and job.seed == 1:
+                raise RuntimeError("forced failure")
+            return job_schedule(n, job)
+
+        monkeypatch.setattr(harness, "_job_schedule", failing_job_schedule)
+        code = main(["sweep", "--config", cfg, "--out", str(failed), "--no-plots"])
+        assert code == EXIT_CELLS_FAILED
+        (clean_path,) = clean.glob("sweep_*.json")
+        clean_manifest = json.loads(clean_path.read_text())
+        manifest = json.loads((failed / clean_path.name).read_text())
+        assert "failures" not in clean_manifest
+        assert manifest.pop("failures") == [
+            {"lr0": 0.3, "lr1": 0.1, "s": "10", "seed": 1,
+             "error": "RuntimeError: forced failure"},
+            {"lr0": 0.3, "lr1": 0.1, "s": "inf", "seed": 1,
+             "error": "RuntimeError: forced failure"},
+        ]
+        assert manifest == clean_manifest
+        # The manifest names the runs that stderr names.
+        failed_lines = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("failed cell")]
+        assert failed_lines == [f"failed cell lr0=0.3 lr1=0.1 s={s} seed=1: "
+                                "RuntimeError: forced failure" for s in ("10.0", "inf")]
+
     def test_crashed_worker_fails_its_batch_and_keeps_the_outputs(self, tmp_path, capsys,
                                                                     monkeypatch):
         cfg = write_json(tmp_path / "sweep.json", {

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -299,24 +300,43 @@ class TestOptimalReturn:
         # joint actions; states after the collection end the episode.
         env = ForagingEnv(foraging_config_from_ascii(list(FIXTURE_ROWS), horizon=16,
                                                      cooperative_only=True))
-        steps = []
-        step = ForagingEnv.step
-        monkeypatch.setattr(ForagingEnv, "step",
-                            lambda self, ja: steps.append(ja) or step(self, ja))
+        rows = []
+        transitions = ForagingEnv.transitions
+
+        def counted(self, states, joints):
+            rows.extend(zip(map(tuple, states.tolist()), map(tuple, joints.tolist())))
+            return transitions(self, states, joints)
+
+        monkeypatch.setattr(ForagingEnv, "transitions", counted)
         assert optimal_return(env, budget=552 * 36) == 1.0
-        assert len(steps) == 552 * 36  # every expansion is one step, none repeated
+        # Every expansion is one batched row, none repeated.
+        assert len(rows) == len(set(rows)) == 552 * 36
         with pytest.raises(SearchBudgetError):
             optimal_return(env, budget=552 * 36 - 1)
 
+    @pytest.mark.parametrize("top, horizon, expected", [
+        ("c3...", 1, 0.9999999999999999),  # three foods at once, summed in food order
+        ("3...c", 2, 0.5),
+    ])
+    def test_rows_whose_code_would_overflow_int64(self, top, horizon, expected):
+        # 3 agents and 3 foods on 34 x 34 cells: 1156 ** 6 * 2 ** 3 distinct
+        # rows, more than int64 holds, so successors are compared row-wise.
+        rows = [top, "1b2a."] + ["." * 5] * 3
+        env = ForagingEnv(foraging_config_from_ascii(
+            [row + "." * 29 for row in rows] + ["." * 34] * 29, horizon=horizon))
+        assert math.prod(env.state_radix) > 2 ** 63
+        assert optimal_return(env) == reference_optimal_return(env) == expected
+
 
 @st.composite
-def small_foraging_envs(draw):
-    """Small layouts, fixed or seeded, with one or two agents and foods."""
+def small_foraging_envs(draw, max_agents=2, max_foods=2):
+    """Small layouts, fixed or seeded, with one to ``max_agents`` agents and
+    one to ``max_foods`` foods."""
     width = draw(st.integers(2, 4))
     height = draw(st.integers(2, 3))
-    agent_levels = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
-    food_levels = tuple(draw(st.lists(st.integers(1, sum(agent_levels)),
-                                      min_size=1, max_size=2)))
+    agent_levels = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=max_agents)))
+    food_levels = tuple(draw(st.lists(st.integers(1, sum(agent_levels)), min_size=1,
+                                      max_size=min(max_foods, width * height - len(agent_levels)))))
     agent_positions = food_positions = None
     if draw(st.booleans()):
         cells = [(r, c) for r in range(height) for c in range(width)]
@@ -352,6 +372,76 @@ class TestPlannerMatchesReferenceSearch:
     @given(env=small_matrix_game_envs())
     def test_matrix_games(self, env):
         assert optimal_return(env) == reference_optimal_return(env)
+
+
+class TestBatchedTransitions:
+    """``transitions`` is ``step`` from step counter 0, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(env=small_foraging_envs(max_agents=3, max_foods=3), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_foraging_matches_step(self, env, seed, data):
+        # States from the reset's food cells, with agents anywhere (edge cells
+        # included), any food collected, and agents standing on collected food.
+        env.reset(seed)
+        _, _, food_pos, _ = env.get_state()
+        cells = [(r, c) for r in range(env.config.height) for c in range(env.config.width)]
+        states, joints = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            agent_pos = tuple(data.draw(st.permutations(cells))[:env.n])
+            alive = tuple(data.draw(st.booleans()) and cell not in agent_pos
+                          for cell in food_pos)
+            states.append((0, agent_pos, food_pos, alive))
+            joints.append(data.draw(st.tuples(*[st.integers(0, 5)] * env.n)))
+        succ, reward, done = env.transitions(
+            np.array([env.state_row(state) for state in states]), np.array(joints))
+        for state, joint, row, r, d in zip(states, joints, succ.tolist(), reward, done):
+            env.set_state(state)
+            res = env.step(joint)
+            assert env.state_row(env.get_state()) == tuple(row)
+            assert env.get_state() == (1,) + env.row_state(row)[1:]
+            assert r == res.reward
+            assert d == res.done
+
+    @settings(max_examples=40, deadline=None)
+    @given(env=small_matrix_game_envs(), data=st.data())
+    def test_matrix_game_matches_step(self, env, data):
+        joints = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)
+                                                for k in env.action_counts]),
+                                    min_size=1, max_size=8))
+        succ, reward, done = env.transitions(np.zeros((len(joints), 0), dtype=np.int64),
+                                             np.array(joints))
+        assert succ.shape == (len(joints), 0)
+        for joint, r, d in zip(joints, reward, done):
+            env.set_state((0,))
+            res = env.step(joint)
+            assert r == res.reward
+            assert d == res.done
+
+    @settings(max_examples=40, deadline=None)
+    @given(env=st.one_of(small_foraging_envs(), small_matrix_game_envs()), data=st.data())
+    def test_expand_fills_as_fill_does(self, env, data):
+        # Breadth-first, as the planner expands, after a few scalar steps.
+        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        n_joint = len(tables[0].joint_actions)
+        start = tables[0].reset(0)
+        assert tables[1].reset(0) == start
+        for joint in data.draw(st.lists(st.integers(0, n_joint - 1), max_size=3)):
+            assert tables[0].step(start, joint) == tables[1].step(start, joint)
+        frontier, seen = [start], {start}
+        while frontier:
+            tables[0].expand(frontier)
+            rows = np.array(frontier)
+            tables[1].fill(np.repeat(rows, n_joint), np.tile(np.arange(n_joint), len(rows)))
+            frontier = [s for s in dict.fromkeys(tables[0].next[rows].ravel().tolist())
+                        if s not in seen]
+            seen.update(frontier)
+        a, b = tables
+        assert a._keys == b._keys and a.observations == b.observations
+        assert a.missing == b.missing == 0
+        assert (a.reward_bound, a.any_term) == (b.reward_bound, b.any_term)
+        for name in ("next", "reward", "term", "obs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestTransitionMemo:

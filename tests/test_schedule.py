@@ -150,6 +150,23 @@ class TestRatesAt:
         with pytest.raises(ScheduleError, match="finite and >= 0"):
             parse_rate(bad)
 
+    @pytest.mark.parametrize("bad", ["0.3", "inf", True, False, None, [0.3], 1j])
+    def test_rates_must_be_real_numbers(self, bad):
+        with pytest.raises(ScheduleError, match="rates must be real numbers"):
+            parse_rate(bad)
+        with pytest.raises(ScheduleError, match="rates must be real numbers"):
+            make_schedule(2, (0.3, bad), s=10)
+
+    def test_string_and_bool_rates_do_not_become_levels(self):
+        with pytest.raises(ScheduleError):
+            make_schedule(2, ("0.3", True), s=10)
+
+    @pytest.mark.parametrize("good, level", [(1, 1.0), (0, 0.0), (np.float64(0.25), 0.25),
+                                             (np.int64(2), 2.0)])
+    def test_real_rates_are_floats(self, good, level):
+        rate = parse_rate(good)
+        assert rate == level and type(rate) is float
+
 
 class TestClassify:
     def test_reductions(self):

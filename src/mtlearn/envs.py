@@ -86,16 +86,12 @@ class MatrixGameEnv:
         return states, reward, np.full(len(reward), self.horizon <= 1)
 
     def get_state(self):
-        return (self._t,)
+        """``(t, ())``: the step counter and the empty time-free row."""
+        return (self._t, ())
 
     def set_state(self, state) -> None:
-        (self._t,) = state
-
-    def state_row(self, state) -> tuple[int, ...]:
-        return ()
-
-    def row_state(self, row) -> tuple:
-        return (0,)
+        """Jump to ``state``, a ``get_state()`` value."""
+        self._t = state[0]
 
     def _observations(self) -> tuple[int, ...]:
         return (0,) * self.n
@@ -214,19 +210,27 @@ class ForagingEnv:
     combined level at least the food's level; the reward is the food
     level divided by the total food level, so clearing everything in
     one episode yields exactly 1.0.
+
+    The state is one row of ints: the agents' cells, the foods' cells and
+    the foods' alive flags (0 or 1), a cell being ``row * width + col``.
+    ``get_state()`` is ``(t, row)`` with ``t`` the step counter; training,
+    evaluation and planning all key on that row.
     """
 
     def __init__(self, config: ForagingConfig):
         self.config = config
         self.n = config.n
         self._total_level = float(sum(config.food_levels))
-        self._fixed_positions = None
-        if config.agent_positions is not None and config.food_positions is not None:
-            self._fixed_positions = (tuple(config.agent_positions),
-                                     tuple(config.food_positions))
-        self._agent_pos: tuple[tuple[int, int], ...] = ()
-        self._food_pos: tuple[tuple[int, int], ...] = ()
-        self._food_alive: tuple[bool, ...] = ()
+
+        def cells(positions):
+            return None if positions is None else tuple(r * config.width + c for r, c in positions)
+
+        # The config's fixed (row, col) positions as cells, or None where
+        # the reset seed draws them.
+        self._agent_cells = cells(config.agent_positions)
+        self._food_cells = cells(config.food_positions)
+        self._row: tuple[int, ...] = ()
+        self._alive_at = self.n + len(config.food_levels)  # where the row's alive flags start
         self._t = 0
         self._grid_tables: tuple[np.ndarray, np.ndarray] | None = None  # see transitions
 
@@ -253,43 +257,40 @@ class ForagingEnv:
     @property
     def fixed_start(self) -> bool:
         """True when every position is fixed, so ``reset`` ignores its seed."""
-        return self._fixed_positions is not None
+        return self._agent_cells is not None and self._food_cells is not None
 
     def reset(self, seed: int = 0) -> tuple[int, ...]:
-        if self._fixed_positions is not None:
-            self._agent_pos, self._food_pos = self._fixed_positions
-        else:
-            self._agent_pos, self._food_pos = self._draw_positions(seed)
-        self._food_alive = (True,) * len(self.config.food_levels)
+        agents, foods = self._agent_cells, self._food_cells
+        if agents is None or foods is None:
+            agents, foods = self._draw_cells(seed)
+        self._row = agents + foods + (1,) * len(foods)
         self._t = 0
         return self._observations()
 
-    def _draw_positions(self, seed: int):
-        """Positions for a reset; cells left to the seed are distinct free cells."""
-        cfg = self.config
+    def _draw_cells(self, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Cells for a reset; cells left to the seed are distinct free cells."""
         rng = random.Random(seed)
-        taken: set[tuple[int, int]] = set()
-        for positions in (cfg.agent_positions, cfg.food_positions):
-            if positions is not None:
-                taken.update(positions)
+        taken = set(self._agent_cells or ()) | set(self._food_cells or ())
 
-        def draw(count: int) -> list[tuple[int, int]]:
-            free = [(r, c) for r in range(cfg.height) for c in range(cfg.width)
-                    if (r, c) not in taken]
+        def draw(count: int) -> tuple[int, ...]:
+            # Free cells in reading order: the seeded layouts depend on it.
+            free = [cell for cell in range(self.config.width * self.config.height)
+                    if cell not in taken]
             chosen = rng.sample(free, count)
             taken.update(chosen)
-            return chosen
+            return tuple(chosen)
 
-        agent_pos = (cfg.agent_positions if cfg.agent_positions is not None
-                     else draw(self.n))
-        food_pos = (cfg.food_positions if cfg.food_positions is not None
-                    else draw(len(cfg.food_levels)))
-        return tuple(agent_pos), tuple(food_pos)
+        agents = self._agent_cells if self._agent_cells is not None else draw(self.n)
+        foods = (self._food_cells if self._food_cells is not None
+                 else draw(len(self.config.food_levels)))
+        return agents, foods
 
     def step(self, joint_action: Sequence[int]) -> StepResult:
         """Apply one joint action from the current state and advance the step
         counter. Each call recomputes the transition; callers that revisit
-        steps read them from a :class:`TransitionTable` instead."""
+        steps read them from a :class:`TransitionTable` instead. Moves and
+        adjacency are worked out from each cell's (row, col) here, not from
+        the tables :meth:`transitions` builds, so each checks the other."""
         cfg = self.config
         acts = tuple(map(int, joint_action))
         if len(acts) != self.n:
@@ -299,51 +300,54 @@ class ForagingEnv:
                 raise ValueError(f"invalid action {a} for agent {i}")
 
         # Movement, lowest agent index first; earlier moves free their cell.
-        agent_pos = list(self._agent_pos)
-        food_alive = list(self._food_alive)
-        occupied = set(agent_pos)
-        food_cells = {self._food_pos[k] for k in range(len(food_alive))
-                      if food_alive[k]}
+        n, w, h = self.n, cfg.width, cfg.height
+        row, alive_at = self._row, self._alive_at
+        agents = list(row[:n])
+        foods = row[n:alive_at]
+        alive = list(row[alive_at:])
+        occupied = set(agents)
+        food_cells = set(itertools.compress(foods, alive))
         for i, a in enumerate(acts):
             delta = _MOVES.get(a)
             if delta is None:
                 continue
-            r, c = agent_pos[i]
-            target = (r + delta[0], c + delta[1])
-            if not (0 <= target[0] < cfg.height and 0 <= target[1] < cfg.width):
+            r, c = divmod(agents[i], w)
+            r, c = r + delta[0], c + delta[1]
+            if not (0 <= r < h and 0 <= c < w):
                 continue
+            target = r * w + c
             if target in occupied or target in food_cells:
                 continue
-            occupied.discard((r, c))
+            occupied.discard(agents[i])
             occupied.add(target)
-            agent_pos[i] = target
+            agents[i] = target
 
-        # Joint loading against post-movement positions.
+        # Joint loading against post-movement positions, food by food.
         reward = 0.0
-        loaders = [i for i, a in enumerate(acts) if a == LOAD]
-        for k, alive in enumerate(food_alive):
-            if not alive:
-                continue
-            fr, fc = self._food_pos[k]
-            strength = sum(cfg.agent_levels[i] for i in loaders
-                           if abs(agent_pos[i][0] - fr)
-                           + abs(agent_pos[i][1] - fc) == 1)
-            if strength >= cfg.food_levels[k]:
-                food_alive[k] = False
-                reward += cfg.food_levels[k] / self._total_level
+        if LOAD in acts:  # without a loader no food (level >= 1) is collected
+            for k, food in enumerate(foods):
+                if not alive[k]:
+                    continue
+                fr, fc = divmod(food, w)
+                strength = 0
+                for i, a in enumerate(acts):
+                    if a == LOAD and abs(agents[i] // w - fr) + abs(agents[i] % w - fc) == 1:
+                        strength += cfg.agent_levels[i]
+                if strength >= cfg.food_levels[k]:
+                    alive[k] = 0
+                    reward += cfg.food_levels[k] / self._total_level
 
-        self._agent_pos, self._food_alive = tuple(agent_pos), tuple(food_alive)
+        self._row = tuple(agents) + foods + tuple(alive)
         self._t += 1
         return StepResult(observations=self._observations(), reward=reward,
-                          done=not any(food_alive) or self._t >= cfg.horizon)
+                          done=not any(alive) or self._t >= cfg.horizon)
 
     def transitions(self, states: np.ndarray,
                     joints: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``step`` from step counter 0, for a batch of B states at once.
 
-        ``states`` holds B time-free states as rows of ints (see
-        :meth:`state_row`): the agents' cells, the foods' cells and the
-        foods' alive flags, a cell being ``row * width + col``. ``joints``
+        ``states`` holds B state rows, each a ``get_state()[1]``: the
+        agents' cells, the foods' cells and the foods' alive flags. ``joints``
         holds B joint actions, one column per agent. Returns the successor
         rows, the rewards and the ``done`` flags ``step`` gives from step
         counter 0: no food left, or a horizon of 1. Moves are resolved
@@ -402,69 +406,54 @@ class ForagingEnv:
 
     @property
     def state_radix(self) -> tuple[int, ...]:
-        """Each column of a :meth:`state_row` lies in ``range(radix)``."""
+        """Each column of a state row (``get_state()[1]``) lies in ``range(radix)``."""
         cells = self.config.width * self.config.height
         m = len(self.config.food_levels)
         return (cells,) * (self.n + m) + (2,) * m
 
-    def state_row(self, state) -> tuple[int, ...]:
-        """The time-free part of a ``get_state()`` value as one row of ints:
-        agent cells, food cells, then food alive flags."""
-        _, agent_pos, food_pos, alive = state
-        w = self.config.width
-        return (tuple(r * w + c for r, c in agent_pos) + tuple(r * w + c for r, c in food_pos)
-                + tuple(map(int, alive)))
-
-    def row_state(self, row) -> tuple:
-        """The ``get_state()`` value at step counter 0 of a :meth:`state_row`."""
-        n, m, w = self.n, len(self.config.food_levels), self.config.width
-        cells = [divmod(cell, w) for cell in row[:n + m]]
-        return (0, tuple(cells[:n]), tuple(cells[n:]), tuple(a != 0 for a in row[n + m:]))
-
     def remaining_food_fraction(self) -> float:
-        alive = sum(l for l, a in zip(self.config.food_levels, self._food_alive) if a)
-        return alive / self._total_level
+        alive = self._row[self._alive_at:]
+        return sum(l for l, a in zip(self.config.food_levels, alive) if a) / self._total_level
 
     def get_state(self):
-        return (self._t, self._agent_pos, self._food_pos, self._food_alive)
+        """``(t, row)``: the step counter and the state row."""
+        return (self._t, self._row)
 
     def set_state(self, state) -> None:
-        """Jump to ``state``, a ``get_state()`` value; with ``step`` this is how
-        a :class:`TransitionTable` fills its entries."""
-        t, agent_pos, food_pos, alive = state
+        """Jump to ``state``, a ``get_state()`` value: ``(t, row)``."""
+        t, row = state
         self._t = t
-        self._agent_pos = tuple(agent_pos)
-        self._food_pos = tuple(food_pos)
-        self._food_alive = tuple(alive)
+        self._row = tuple(row)
 
     def _observations(self) -> tuple[int, ...]:
         cfg = self.config
-        w = cfg.width
-        cells = w * cfg.height
+        n, w, row = self.n, cfg.width, self._row
         if cfg.view_radius is None:
+            cells = w * cfg.height
             code = 0
-            for r, c in self._agent_pos:
-                code = code * cells + (r * w + c)
-            for alive in self._food_alive:
-                code = code * 2 + (1 if alive else 0)
-            return (code,) * self.n
+            for cell in row[:n]:
+                code = code * cells + cell
+            for flag in row[self._alive_at:]:
+                code = code * 2 + flag
+            return (code,) * n
 
+        agents, foods, alive = row[:n], row[n:self._alive_at], row[self._alive_at:]
         radius = cfg.view_radius
         span = 2 * radius + 1
         invisible = span * span
         base = invisible + 1
         obs = []
-        for i in range(self.n):
-            ar, ac = self._agent_pos[i]
-            code = ar * w + ac
-            for j in range(self.n):
+        for i in range(n):
+            ar, ac = divmod(agents[i], w)
+            code = agents[i]
+            for j in range(n):
                 if j == i:
                     continue
-                code = code * base + self._relative_code(ar, ac, self._agent_pos[j],
+                code = code * base + self._relative_code(ar, ac, divmod(agents[j], w),
                                                          radius, span, invisible)
-            for k in range(len(self._food_alive)):
-                if self._food_alive[k]:
-                    rel = self._relative_code(ar, ac, self._food_pos[k],
+            for k in range(len(foods)):
+                if alive[k]:
+                    rel = self._relative_code(ar, ac, divmod(foods[k], w),
                                               radius, span, invisible)
                 else:
                     rel = invisible
@@ -511,13 +500,13 @@ class TransitionTable:
     a reward is not finite), and ``any_term`` says whether some filled
     entry ends the episode by itself.
 
-    A missing entry is filled through the env's own ``set_state`` and
-    ``step`` from step counter 0; :meth:`expand` fills whole states at once
-    through the env's batched ``transitions``, which match ``step`` bit for
-    bit. Every successor then comes back with counter 1, so states are keyed
-    by that form, ``(1,) + get_state()[1:]``, and a fill never slices a
-    state. The step counter only ends an episode at the horizon, so a step
-    taken at counter ``t`` ends the episode when ``term`` is set or
+    States are keyed by the env's time-free state row, ``get_state()[1]``:
+    ``_keys[s]`` is the row of state ``s``. :meth:`step` and :meth:`fill`
+    fill a missing entry through the env's own ``set_state`` and ``step``
+    from step counter 0; :meth:`expand` fills whole states at once through
+    the env's batched ``transitions``, which match ``step`` bit for bit.
+    The step counter only ends an episode at the horizon, so a step taken
+    at counter ``t`` ends the episode when ``term`` is set or
     ``t + 1 >= horizon``. Transitions are deterministic, so one table serves
     any number of runs of the same env without coupling them.
     """
@@ -532,8 +521,8 @@ class TransitionTable:
         self.joint_index = {ja: j for j, ja in enumerate(self.joint_actions)}
         self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
                                  for i in range(self.n)], dtype=np.intp)
-        self._keys: list[tuple] = []  # each state at counter 0, as set_state takes it
-        self._index: dict[tuple, int] = {}  # counter-1 form -> id
+        self._keys: list[tuple[int, ...]] = []  # each state's row
+        self._index: dict[tuple[int, ...], int] = {}  # row -> id
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
         self.observations: list[tuple[int, ...]] = []
         self._start: int | None = None
@@ -545,8 +534,6 @@ class TransitionTable:
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
         self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
-        self._code_weights: np.ndarray | None = None  # set with _row_ids by expand
-        self._row_ids: dict | None = None
 
     @property
     def obs_count(self) -> int:
@@ -558,7 +545,7 @@ class TransitionTable:
         if self._start is not None:
             return self._start
         observations = self.env.reset(seed)
-        state = self._intern((1,) + self.env.get_state()[1:], observations)
+        state = self._intern(self.env.get_state()[1], observations)
         if self.fixed_start:
             self._start = state
         return state
@@ -568,15 +555,12 @@ class TransitionTable:
         filling the entry first if it is missing."""
         succ = self.next.item(state, joint)
         if succ < 0:
-            env = self.env
-            env.set_state(self._keys[state])
-            res = env.step(self.joint_actions[joint])
-            succ = self._intern(env.get_state(), res.observations)
+            succ, reward, term = self._step_env(state, joint)
             # One entry: scalar writes cost far less than the batched path.
             self.next[state, joint] = succ
-            self.reward[state, joint] = res.reward
-            self.term[state, joint] = res.done
-            self._filled(1, res.done, abs(res.reward))
+            self.reward[state, joint] = reward
+            self.term[state, joint] = term
+            self._filled(1, term, abs(reward))
         return succ, self.reward.item(state, joint), self.term.item(state, joint)
 
     def fill(self, states: np.ndarray, joints: np.ndarray) -> None:
@@ -587,21 +571,20 @@ class TransitionTable:
         entries = list(dict.fromkeys(entries[self.next.take(entries) < 0].tolist()))
         if not entries:
             return
-        keys, joint_actions, intern = self._keys, self.joint_actions, self._intern
-        set_state, step, get_state = self.env.set_state, self.env.step, self.env.get_state
-        succ, reward, term = [], [], []
-        for e in entries:
-            state, joint = divmod(e, n_joint)
-            set_state(keys[state])
-            res = step(joint_actions[joint])
-            succ.append(intern(get_state(), res.observations))
-            reward.append(res.reward)
-            term.append(res.done)
+        succ, reward, term = zip(*(self._step_env(*divmod(e, n_joint)) for e in entries))
         # Each array is written once per call.
         np.put(self.next, entries, succ)
         np.put(self.reward, entries, reward)
         np.put(self.term, entries, term)
         self._filled(len(entries), any(term), float(np.abs(reward).max()))
+
+    def _step_env(self, state: int, joint: int) -> tuple[int, float, bool]:
+        """Successor id, reward and ``done`` of one entry, from the env's
+        ``step`` at step counter 0; the entry itself is not written."""
+        env = self.env
+        env.set_state((0, self._keys[state]))
+        res = env.step(self.joint_actions[joint])
+        return self._intern(env.get_state()[1], res.observations), res.reward, res.done
 
     def expand(self, states: Sequence[int]) -> None:
         """Fill every joint action of ``states`` with the env's batched
@@ -615,54 +598,45 @@ class TransitionTable:
         n_joint = len(joint_actions)
         radix = env.state_radix
         width = len(radix)
-        if self._row_ids is None:
-            self._row_ids = {}
-            if math.prod(radix) <= 2 ** 63:  # every code fits in int64
-                self._code_weights = np.array([math.prod(radix[c + 1:]) for c in range(width)],
-                                              dtype=np.int64)
+        weights = None  # the digit weights of a row's int64 code, where every code fits
+        if math.prod(radix) <= 2 ** 63:
+            weights = np.array([math.prod(radix[c + 1:]) for c in range(width)], dtype=np.int64)
         per_block = max(1, EXPAND_BLOCK // n_joint)
         for lo in range(0, len(states), per_block):
             block = states[lo:lo + per_block]
-            rows = np.array([env.state_row(self._keys[s]) for s in block],
-                            dtype=np.int64).reshape(len(block), width)
+            rows = np.array([self._keys[s] for s in block], dtype=np.int64)
             succ_rows, reward, term = env.transitions(
                 np.repeat(rows, n_joint, axis=0), np.tile(joint_actions, (len(block), 1)))
-            succ = self._intern_rows(succ_rows).reshape(len(block), n_joint)
+            succ = self._intern_rows(succ_rows, weights).reshape(len(block), n_joint)
             count = int((self.next[block] < 0).sum())  # entries already filled are rewritten
             self.next[block] = succ
             self.reward[block] = reward.reshape(len(block), n_joint)
             self.term[block] = term.reshape(len(block), n_joint)
             self._filled(count, bool(term.any()), float(np.abs(reward).max(initial=0.0)))
 
-    def _intern_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ids of the states in ``rows`` (``env.state_row`` form), interning
-        the new ones in the order first seen.
+    def _intern_rows(self, rows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """Ids of the states in ``rows``, interning the new ones in the order
+        first seen.
 
         Rows are told apart by one int64 code each, their digits in the
-        env's ``state_radix``; where a code could overflow int64 they are
-        compared whole, which is slower but exact. ``_row_ids`` maps a code
-        (or row) to its id in front of ``_index``, which also holds the
-        states interned through :meth:`step` and :meth:`reset`.
+        env's ``state_radix`` weighted by ``weights``; where a code could
+        overflow int64 (``weights`` is None) they are compared whole, which
+        is slower but exact. Each distinct row is then looked up once in
+        ``_index``.
         """
-        if self._code_weights is not None:
-            codes = rows @ self._code_weights
-            unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            keys = unique.tolist()
+        if weights is not None:
+            _, first, inverse = np.unique(rows @ weights, return_index=True,
+                                          return_inverse=True)
         else:
-            unique, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                               return_inverse=True)
-            keys = list(map(tuple, unique.tolist()))
-        env, row_ids = self.env, self._row_ids
-        ids = np.empty(len(keys), dtype=np.intp)
-        for u in np.argsort(first).tolist():
-            state = row_ids.get(keys[u])
+            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        env = self.env
+        order = np.argsort(first)
+        ids = np.empty(len(first), dtype=np.intp)
+        for u, row in zip(order.tolist(), map(tuple, rows[first[order]].tolist())):
+            state = self._index.get(row)
             if state is None:
-                key = env.row_state(rows[first[u]].tolist())
-                state = self._index.get((1,) + key[1:])
-                if state is None:
-                    env.set_state(key)
-                    state = self._intern((1,) + key[1:], env._observations())
-                row_ids[keys[u]] = state
+                env.set_state((0, row))
+                state = self._intern(row, env._observations())
             ids[u] = state
         return ids[inverse.reshape(-1)]
 
@@ -675,12 +649,12 @@ class TransitionTable:
         if not size <= self.reward_bound:  # larger, or NaN
             self.reward_bound = size if math.isfinite(size) else math.inf
 
-    def _intern(self, key: tuple, observations: Sequence[int]) -> int:
-        state = self._index.get(key)
+    def _intern(self, row: tuple[int, ...], observations: Sequence[int]) -> int:
+        state = self._index.get(row)
         if state is not None:
             return state
-        state = self._index[key] = len(self._keys)
-        self._keys.append((0,) + key[1:])
+        state = self._index[row] = len(self._keys)
+        self._keys.append(row)
         self.observations.append(tuple(observations))
         self.missing += len(self.joint_actions)
         if state == len(self.obs):
@@ -758,9 +732,10 @@ def env_from_config(cfg: dict):
     ``{"kind": "matrix_game", "payoff": [...], "horizon": 1}`` or
     ``{"kind": "foraging", "grid": ["..."], "horizon": 50,
     "cooperative_only": false, "view_radius": null}``; ``payoff`` and ``grid``
-    are required. A key the kind does not have, a ``horizon`` that is not an
-    integer >= 1, a ``cooperative_only`` that is not a bool and a
-    ``view_radius`` that is neither null nor an integer >= 0 are rejected.
+    are required. A key the kind does not have, a ``grid`` that is not a
+    non-empty list of strings, a ``horizon`` that is not an integer >= 1, a
+    ``cooperative_only`` that is not a bool and a ``view_radius`` that is
+    neither null nor an integer >= 0 are rejected.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"env must be a JSON object, got {cfg!r}")
@@ -778,6 +753,9 @@ def env_from_config(cfg: dict):
     if kind == "matrix_game":
         return MatrixGameEnv(make_game(cfg["payoff"]),
                              horizon=parse_count(cfg.get("horizon", 1), "horizon"))
+    grid = cfg["grid"]
+    if not (isinstance(grid, (list, tuple)) and grid and all(isinstance(row, str) for row in grid)):
+        raise ValueError(f"env.grid must be a non-empty list of strings, got {grid!r}")
     cooperative_only = cfg.get("cooperative_only", False)
     if not isinstance(cooperative_only, bool):
         raise ValueError(f"cooperative_only must be true or false, got {cooperative_only!r}")
@@ -785,5 +763,5 @@ def env_from_config(cfg: dict):
     if view_radius is not None:
         view_radius = parse_count(view_radius, "view_radius", minimum=0)
     return ForagingEnv(foraging_config_from_ascii(
-        cfg["grid"], horizon=parse_count(cfg.get("horizon", 50), "horizon"),
+        grid, horizon=parse_count(cfg.get("horizon", 50), "horizon"),
         cooperative_only=cooperative_only, view_radius=view_radius))

@@ -269,10 +269,11 @@ def _render_gain_svg(rows: list[dict]) -> str:
 # Orchestration
 
 
-def render_svgs_from_csvs(out_dir: Path, digest: str, manifest: dict) -> list[str]:
-    """Re-render every SVG chart from the stored CSV files."""
+def render_svgs_from_csvs(out_dir: Path, digest: str, periods: list[str]) -> list[str]:
+    """Re-render every SVG chart from the stored CSV files; ``periods`` are
+    the switching periods as the manifest and the file names spell them."""
     out = []
-    for period in manifest["switch_periods"]:
+    for period in periods:
         csv_name = f"heatmap_{digest}_s{period}.csv"
         with open(out_dir / csv_name, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -317,11 +318,9 @@ def emit_reports(result: SweepResult, out_dir, plots: bool = True) -> dict:
         "curves": write_curves_csv(result, out_path),
         "gain": write_gain_csv(result, out_path),
     }
-    manifest = {
-        "switch_periods": [_fmt_period(p) for p in result.switch_periods],
-    }
     if plots:
-        files["svgs"] = render_svgs_from_csvs(out_path, result.digest, manifest)
+        files["svgs"] = render_svgs_from_csvs(
+            out_path, result.digest, [_fmt_period(p) for p in result.switch_periods])
     files["manifest"] = write_manifest(result, out_path, files)
     return files
 
@@ -342,4 +341,4 @@ def render_reports_from_dir(out_dir, digest: str | None = None) -> list[str]:
         manifest_path = out_path / f"sweep_{digest}.json"
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    return render_svgs_from_csvs(out_path, digest, manifest)
+    return render_svgs_from_csvs(out_path, digest, manifest["switch_periods"])

@@ -76,9 +76,9 @@ def make_schedule(n: int, levels: Sequence[float],
     Raises
     ------
     ScheduleError
-        If the sizes do not sum to ``n``, a rate is negative or not
-        finite, or the switching period is not a positive integer (or
-        infinity).
+        If a size is not an integer >= 1 (the :func:`parse_count` rule),
+        the sizes do not sum to ``n``, a rate is negative or not finite, or
+        the switching period is not a positive integer (or infinity).
     """
     if n < 1:
         raise ScheduleError(f"agent count must be positive, got {n}")
@@ -93,13 +93,14 @@ def make_schedule(n: int, levels: Sequence[float],
             cluster_sizes = (1, n - 1)
         else:
             raise ScheduleError("cluster_sizes required for this levels/n combination")
-    cluster_sizes = tuple(int(c) for c in cluster_sizes)
+    try:
+        cluster_sizes = tuple(parse_count(c, "cluster sizes") for c in cluster_sizes)
+    except ValueError as err:
+        raise ScheduleError(str(err)) from None
     if len(cluster_sizes) != len(levels):
         raise ScheduleError(
             f"{len(levels)} levels but {len(cluster_sizes)} cluster sizes"
         )
-    if any(c < 1 for c in cluster_sizes):
-        raise ScheduleError(f"cluster sizes must be positive, got {cluster_sizes}")
     if sum(cluster_sizes) != n:
         raise ScheduleError(
             f"cluster sizes {cluster_sizes} sum to {sum(cluster_sizes)}, expected {n}"
@@ -137,12 +138,15 @@ def parse_switch_period(value) -> float:
     Raises
     ------
     ScheduleError
-        For any other value, such as ``10.5``, ``0`` or ``"soon"``.
+        For any other value, such as ``10.5``, ``0``, ``"soon"``, ``True``
+        or ``None``.
     """
     if isinstance(value, str):
         if value.strip().lower() not in ("inf", "infinite", "infinity"):
             raise ScheduleError(f"unrecognized switching period {value!r}")
         return INFINITE
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScheduleError(f"switching period must be a positive integer or inf, got {value!r}")
     if math.isinf(value):
         return INFINITE
     if math.isnan(value) or value != int(value) or int(value) < 1:

@@ -51,6 +51,11 @@ class TestMatrixGameEnv:
             env.step((0, 2))
 
 
+def cell(r, c, width=5):
+    """The cell of grid position (r, c), as foraging state rows hold it."""
+    return r * width + c
+
+
 def two_agent_config(**overrides):
     base = dict(width=5, height=5, agent_levels=(1, 1), food_levels=(2,),
                 agent_positions=((1, 2), (3, 2)), food_positions=((2, 2),),
@@ -95,8 +100,8 @@ class TestForagingMechanics:
         cfg = two_agent_config(agent_positions=None, food_positions=None)
         env_a, env_b = ForagingEnv(cfg), ForagingEnv(cfg)
         assert env_a.reset(7) == env_b.reset(7)
-        state = env_a.get_state()
-        cells = list(state[1]) + list(state[2])
+        _, row = env_a.get_state()
+        cells = row[:3]  # two agents, one food
         assert len(set(cells)) == len(cells)
 
     def test_wall_blocks_movement(self):
@@ -104,27 +109,27 @@ class TestForagingMechanics:
         env.reset(0)
         res = env.step((UP, DOWN))
         assert res.reward == 0.0
-        assert env.get_state()[1] == ((0, 0), (4, 4))
+        assert env.get_state()[1][:2] == (cell(0, 0), cell(4, 4))
 
     def test_food_cell_blocks_movement(self):
         env = ForagingEnv(two_agent_config())
         env.reset(0)
         env.step((DOWN, STAY))  # agent 0 at (1,2) tries to enter the food cell (2,2)
-        assert env.get_state()[1][0] == (1, 2)
+        assert env.get_state()[1][0] == cell(1, 2)
 
     def test_move_conflict_lowest_index_first(self):
         cfg = two_agent_config(agent_positions=((0, 0), (0, 2)), food_positions=((4, 4),))
         env = ForagingEnv(cfg)
         env.reset(0)
         env.step((RIGHT, LEFT))  # both target (0, 1)
-        assert env.get_state()[1] == ((0, 1), (0, 2))
+        assert env.get_state()[1][:2] == (cell(0, 1), cell(0, 2))
 
     def test_vacated_cell_can_be_entered_same_step(self):
         cfg = two_agent_config(agent_positions=((0, 1), (0, 2)), food_positions=((4, 4),))
         env = ForagingEnv(cfg)
         env.reset(0)
         env.step((LEFT, LEFT))  # agent 0 frees (0,1); agent 1 may enter it
-        assert env.get_state()[1] == ((0, 0), (0, 1))
+        assert env.get_state()[1][:2] == (cell(0, 0), cell(0, 1))
 
     def test_joint_load_collects_and_finishes(self):
         env = ForagingEnv(two_agent_config())
@@ -234,11 +239,11 @@ class TestObservations:
         base_state = env.get_state()
         base_obs = env._observations()
         # Move the far agent somewhere else far away: out-of-view change.
-        t, agents, foods, alive = base_state
-        env.set_state((t, ((0, 0), (6, 5)), foods, alive))
+        t, row = base_state
+        env.set_state((t, (cell(0, 0, 7), cell(6, 5, 7)) + row[2:]))
         assert env._observations()[0] == base_obs[0]
         # Move it next door: in-view change.
-        env.set_state((t, ((0, 0), (1, 1)), foods, alive))
+        env.set_state((t, (cell(0, 0, 7), cell(1, 1, 7)) + row[2:]))
         assert env._observations()[0] != base_obs[0]
 
     def test_partial_view_sizes(self):
@@ -384,22 +389,20 @@ class TestBatchedTransitions:
         # States from the reset's food cells, with agents anywhere (edge cells
         # included), any food collected, and agents standing on collected food.
         env.reset(seed)
-        _, _, food_pos, _ = env.get_state()
-        cells = [(r, c) for r in range(env.config.height) for c in range(env.config.width)]
-        states, joints = [], []
+        n, m = env.n, len(env.config.food_levels)
+        foods = env.get_state()[1][n:n + m]
+        cells = range(env.config.width * env.config.height)
+        rows, joints = [], []
         for _ in range(data.draw(st.integers(1, 8))):
-            agent_pos = tuple(data.draw(st.permutations(cells))[:env.n])
-            alive = tuple(data.draw(st.booleans()) and cell not in agent_pos
-                          for cell in food_pos)
-            states.append((0, agent_pos, food_pos, alive))
-            joints.append(data.draw(st.tuples(*[st.integers(0, 5)] * env.n)))
-        succ, reward, done = env.transitions(
-            np.array([env.state_row(state) for state in states]), np.array(joints))
-        for state, joint, row, r, d in zip(states, joints, succ.tolist(), reward, done):
-            env.set_state(state)
+            agents = tuple(data.draw(st.permutations(cells))[:n])
+            alive = tuple(int(data.draw(st.booleans()) and food not in agents) for food in foods)
+            rows.append(agents + foods + alive)
+            joints.append(data.draw(st.tuples(*[st.integers(0, 5)] * n)))
+        succ, reward, done = env.transitions(np.array(rows), np.array(joints))
+        for row, joint, succ_row, r, d in zip(rows, joints, succ.tolist(), reward, done):
+            env.set_state((0, row))
             res = env.step(joint)
-            assert env.state_row(env.get_state()) == tuple(row)
-            assert env.get_state() == (1,) + env.row_state(row)[1:]
+            assert env.get_state() == (1, tuple(succ_row))
             assert r == res.reward
             assert d == res.done
 
@@ -413,7 +416,7 @@ class TestBatchedTransitions:
                                              np.array(joints))
         assert succ.shape == (len(joints), 0)
         for joint, r, d in zip(joints, reward, done):
-            env.set_state((0,))
+            env.set_state((0, ()))
             res = env.step(joint)
             assert r == res.reward
             assert d == res.done
@@ -461,6 +464,7 @@ class TestTransitionMemo:
         dense = [{} for _ in range(env.n)]  # each agent's env observation -> dense id
 
         def check_observations(state, observations):
+            assert table._keys[state] == live.get_state()[1]  # keyed by the env's own row
             assert table.observations[state] == observations
             for i, o in enumerate(observations):
                 assert dense[i].setdefault(o, table.obs[state, i]) == table.obs[state, i]
@@ -500,13 +504,13 @@ class TestTransitionMemo:
         }
         for seed, (agents, foods, obs) in expected.items():
             assert env.reset(seed) == obs
-            assert env.get_state() == (0, agents, foods, (True, True))
+            assert env.get_state() == (0, tuple(cell(*p) for p in agents + foods) + (1, 1))
         partly_seeded = ForagingEnv(two_agent_config(
             width=4, height=3, agent_positions=((0, 0), (2, 3)), food_positions=None))
         partly_seeded.reset(0)
-        assert partly_seeded.get_state()[2] == ((1, 3),)
+        assert partly_seeded.get_state()[1][2] == cell(1, 3, 4)
         partly_seeded.reset(7)
-        assert partly_seeded.get_state()[2] == ((1, 2),)
+        assert partly_seeded.get_state()[1][2] == cell(1, 2, 4)
 
     def test_planner_leaves_env_state_untouched(self):
         env = ForagingEnv(two_agent_config())
@@ -574,6 +578,11 @@ class TestEnvFromConfig:
                                "view_radius": radius})
         assert env.config.view_radius == expected
         assert all(isinstance(o, int) for o in env.reset(0))
+
+    @pytest.mark.parametrize("grid", [".1b1.", [], [5], ["..1", 7]])
+    def test_grid_must_be_a_non_empty_list_of_strings(self, grid):
+        with pytest.raises(ValueError, match="env.grid must be a non-empty list of strings"):
+            env_from_config({"kind": "foraging", "grid": grid})
 
     @pytest.mark.parametrize("cfg", [{"kind": "foraging"}, {"kind": "matrix_game"}])
     def test_missing_layout_is_named(self, cfg):

@@ -188,6 +188,11 @@ class TestExperimentConfig:
         with pytest.raises(ScheduleError, match="positive integer"):
             load_experiment_config(sweep_raw_config(periods=(0,)))
 
+    @pytest.mark.parametrize("bad", [True, None, [10]])
+    def test_non_real_period_rejected_at_load(self, bad):
+        with pytest.raises(ScheduleError, match="positive integer or inf"):
+            load_experiment_config(sweep_raw_config(periods=(5, bad)))
+
     @given(period=st.one_of(st.integers(-5, 10 ** 6), st.floats(allow_nan=True),
                             st.sampled_from(["inf", " Infinity", "soon", "10"])))
     def test_load_applies_the_schedule_period_rule(self, period):

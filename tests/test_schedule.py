@@ -58,6 +58,16 @@ class TestMakeSchedule:
         with pytest.raises(ScheduleError):
             make_schedule(**kwargs)
 
+    @pytest.mark.parametrize("sizes", [(1.5, 2), (True, 2), ("1", 2), (None, 3), (0, 3)])
+    def test_cluster_sizes_follow_the_count_rule(self, sizes):
+        with pytest.raises(ScheduleError, match="cluster sizes must be an integer >= 1"):
+            make_schedule(3, (0.1, 0.2), cluster_sizes=sizes)
+
+    def test_integral_float_cluster_sizes_are_integers(self):
+        sched = make_schedule(3, (0.1, 0.2), cluster_sizes=(1.0, np.int64(2)))
+        assert sched.cluster_sizes == (1, 2)
+        assert all(type(c) is int for c in sched.cluster_sizes)
+
     def test_single_level_defaults_to_whole_team(self):
         sched = make_schedule(4, (0.2,))
         assert sched.cluster_sizes == (4,)
@@ -218,6 +228,13 @@ class TestConfigRoundTrip:
     def test_unknown_period_string_rejected(self):
         with pytest.raises(ScheduleError):
             schedule_from_config(2, {"levels": [0.1, 0.01], "switch_period": "soon"})
+
+    @pytest.mark.parametrize("bad", [True, False, None, [10], 1j])
+    def test_non_real_period_rejected(self, bad):
+        with pytest.raises(ScheduleError, match="positive integer or inf"):
+            schedule_from_config(2, {"levels": [0.1, 0.01], "switch_period": bad})
+        with pytest.raises(ScheduleError, match="positive integer or inf"):
+            make_schedule(2, (0.1, 0.01), s=bad)
 
 
 class TestParseCount:

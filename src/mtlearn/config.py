@@ -119,7 +119,8 @@ def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
 
 
 def schedule_from_config(n: int, cfg: dict) -> Schedule:
-    """Inverse of :func:`schedule.schedule_to_config` for an ``n``-agent env.
+    """The :class:`Schedule` of a train config's ``schedule`` block,
+    ``{levels, cluster_sizes, switch_period}``, for an ``n``-agent env.
 
     ``levels`` is required; ``cluster_sizes`` takes :func:`make_schedule`'s
     default and ``switch_period`` defaults to "inf".

@@ -23,7 +23,8 @@ from .schedule import parse_count
 
 
 class SearchBudgetError(RuntimeError):
-    """Raised when exhaustive planning would exceed its expansion budget."""
+    """Raised when enumerating an env's reachable states (for planning or
+    lockstep training) would exceed its expansion budget."""
 
 
 @dataclass(frozen=True)
@@ -411,10 +412,6 @@ class ForagingEnv:
         m = len(self.config.food_levels)
         return (cells,) * (self.n + m) + (2,) * m
 
-    def remaining_food_fraction(self) -> float:
-        alive = self._row[self._alive_at:]
-        return sum(l for l, a in zip(self.config.food_levels, alive) if a) / self._total_level
-
     def get_state(self):
         """``(t, row)``: the step counter and the state row."""
         return (self._t, self._row)
@@ -475,9 +472,14 @@ class ForagingEnv:
 # ``transitions`` call.
 EXPAND_BLOCK = 1 << 15
 
+# The most joint actions TransitionTable.expand_reachable expands for the
+# planner and for lockstep training: about 170 MB of table at 17 bytes an
+# entry, before the slack of its doubling arrays.
+SEARCH_BUDGET = 10_000_000
+
 
 class TransitionTable:
-    """An environment's transitions as arrays, filled on demand.
+    """An environment's transitions as arrays.
 
     This is the one cache of an env's deterministic transition function:
     scalar training and evaluation (``learners.train``), lockstep sweeps
@@ -486,7 +488,7 @@ class TransitionTable:
     in ``itertools.product`` order, ``sum(a_i * strides[i])``, and
     ``joint_index`` maps a joint action tuple to it. For state ``s``:
 
-    - ``next[s, j]`` is the successor's id, or -1 while the entry is missing;
+    - ``next[s, j]`` is the successor's id, or -1 while the entry is not filled;
     - ``reward[s, j]`` is the step's reward;
     - ``term[s, j]`` is the step's ``done`` taken from step counter 0;
     - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
@@ -494,19 +496,18 @@ class TransitionTable:
       env's own observation tuple.
 
     Flattened, ``s * len(joint_actions) + j`` is the entry's offset.
-    ``missing`` counts the entries of the states seen so far that are not
-    filled yet; once it is 0, every successor is filled too.
     ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
     a reward is not finite), and ``any_term`` says whether some filled
     entry ends the episode by itself.
 
     States are keyed by the env's time-free state row, ``get_state()[1]``:
-    ``_keys[s]`` is the row of state ``s``. :meth:`step` and :meth:`fill`
-    fill a missing entry through the env's own ``set_state`` and ``step``
-    from step counter 0; :meth:`expand` fills whole states at once through
-    the env's batched ``transitions``, which match ``step`` bit for bit.
-    The step counter only ends an episode at the horizon, so a step taken
-    at counter ``t`` ends the episode when ``term`` is set or
+    ``_keys[s]`` is the row of state ``s``. :meth:`step` fills one entry on
+    first use through the env's own ``set_state`` and ``step`` from step
+    counter 0; :meth:`expand` fills whole states at once through the env's
+    batched ``transitions``, which match ``step`` bit for bit, and
+    :meth:`expand_reachable` fills every state an episode from the start
+    can step from. The step counter only ends an episode at the horizon, so
+    a step taken at counter ``t`` ends the episode when ``term`` is set or
     ``t + 1 >= horizon``. Transitions are deterministic, so one table serves
     any number of runs of the same env without coupling them.
     """
@@ -526,7 +527,6 @@ class TransitionTable:
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
         self.observations: list[tuple[int, ...]] = []
         self._start: int | None = None
-        self.missing = 0
         shape = (64, len(self.joint_actions))  # rows double as states are seen
         self.reward_bound = 0.0
         self.any_term = False
@@ -552,46 +552,27 @@ class TransitionTable:
 
     def step(self, state: int, joint: int) -> tuple[int, float, bool]:
         """Successor, reward and ``term`` of one entry as Python values,
-        filling the entry first if it is missing."""
+        filling the entry first if it is not filled yet."""
         succ = self.next.item(state, joint)
         if succ < 0:
-            succ, reward, term = self._step_env(state, joint)
+            env = self.env
+            env.set_state((0, self._keys[state]))
+            res = env.step(self.joint_actions[joint])
+            succ = self._intern(env.get_state()[1], res.observations)
             # One entry: scalar writes cost far less than the batched path.
             self.next[state, joint] = succ
-            self.reward[state, joint] = reward
-            self.term[state, joint] = term
-            self._filled(1, term, abs(reward))
+            self.reward[state, joint] = res.reward
+            self.term[state, joint] = res.done
+            self._filled(res.done, abs(res.reward))
         return succ, self.reward.item(state, joint), self.term.item(state, joint)
-
-    def fill(self, states: np.ndarray, joints: np.ndarray) -> None:
-        """Fill the missing entries among the (state, joint action) pairs."""
-        n_joint = len(self.joint_actions)
-        entries = states * n_joint + joints
-        # Deduplicated on flat offsets, in first-seen order.
-        entries = list(dict.fromkeys(entries[self.next.take(entries) < 0].tolist()))
-        if not entries:
-            return
-        succ, reward, term = zip(*(self._step_env(*divmod(e, n_joint)) for e in entries))
-        # Each array is written once per call.
-        np.put(self.next, entries, succ)
-        np.put(self.reward, entries, reward)
-        np.put(self.term, entries, term)
-        self._filled(len(entries), any(term), float(np.abs(reward).max()))
-
-    def _step_env(self, state: int, joint: int) -> tuple[int, float, bool]:
-        """Successor id, reward and ``done`` of one entry, from the env's
-        ``step`` at step counter 0; the entry itself is not written."""
-        env = self.env
-        env.set_state((0, self._keys[state]))
-        res = env.step(self.joint_actions[joint])
-        return self._intern(env.get_state()[1], res.observations), res.reward, res.done
 
     def expand(self, states: Sequence[int]) -> None:
         """Fill every joint action of ``states`` with the env's batched
         ``transitions``, :data:`EXPAND_BLOCK` (state, joint action) pairs at a
         time at most, so memory follows the block and not the number of
         states. Successors are interned in the order first seen, as
-        :meth:`fill` would intern them."""
+        :meth:`step` would intern them called entry by entry in the same
+        order."""
         env = self.env
         states = list(dict.fromkeys(states))
         joint_actions = np.array(self.joint_actions, dtype=np.intp).reshape(-1, self.n)
@@ -608,11 +589,37 @@ class TransitionTable:
             succ_rows, reward, term = env.transitions(
                 np.repeat(rows, n_joint, axis=0), np.tile(joint_actions, (len(block), 1)))
             succ = self._intern_rows(succ_rows, weights).reshape(len(block), n_joint)
-            count = int((self.next[block] < 0).sum())  # entries already filled are rewritten
             self.next[block] = succ
             self.reward[block] = reward.reshape(len(block), n_joint)
             self.term[block] = term.reshape(len(block), n_joint)
-            self._filled(count, bool(term.any()), float(np.abs(reward).max(initial=0.0)))
+            self._filled(bool(term.any()), float(np.abs(reward).max(initial=0.0)))
+
+    def expand_reachable(self, start: int, budget: int) -> None:
+        """Fill every joint action of each state an episode from ``start``
+        can step from, breadth-first, with one :meth:`expand` per depth.
+
+        The states first reached at a depth below the horizon are expanded;
+        a transition that ends the episode before the horizon leads to a
+        terminal state, which is not. New states get ids in breadth-first
+        order. Raises :class:`SearchBudgetError` once more than ``budget``
+        joint actions would be expanded.
+        """
+        n_joint = len(self.joint_actions)
+        frontier = [start]
+        expanded = set(frontier)
+        expansions = 0
+        for _ in range(self.horizon):
+            expansions += len(frontier) * n_joint
+            if expansions > budget:
+                raise SearchBudgetError(
+                    f"plan search exceeded {budget} expansions; the environment "
+                    f"is too large for exhaustive planning"
+                )
+            self.expand(frontier)
+            rows = np.array(frontier, dtype=np.intp)
+            going = self.next[rows][~self.term[rows]].tolist()
+            frontier = [s for s in dict.fromkeys(going) if s not in expanded]
+            expanded.update(frontier)
 
     def _intern_rows(self, rows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
         """Ids of the states in ``rows``, interning the new ones in the order
@@ -640,10 +647,9 @@ class TransitionTable:
             ids[u] = state
         return ids[inverse.reshape(-1)]
 
-    def _filled(self, count: int, any_term: bool, size: float) -> None:
-        """Account for ``count`` new entries whose largest ``abs(reward)`` is
-        ``size`` (NaN if some reward is)."""
-        self.missing -= count
+    def _filled(self, any_term: bool, size: float) -> None:
+        """Account for new entries whose largest ``abs(reward)`` is ``size``
+        (NaN if some reward is)."""
         if any_term:
             self.any_term = True
         if not size <= self.reward_bound:  # larger, or NaN
@@ -656,7 +662,6 @@ class TransitionTable:
         state = self._index[row] = len(self._keys)
         self._keys.append(row)
         self.observations.append(tuple(observations))
-        self.missing += len(self.joint_actions)
         if state == len(self.obs):
             self._grow()
         for i, o in enumerate(observations):
@@ -671,16 +676,13 @@ class TransitionTable:
         self.obs = np.concatenate([self.obs, np.zeros_like(self.obs)])
 
 
-def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
+def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     """Maximum achievable episode return, by finite-horizon backward induction.
 
-    The time-free states reachable within the horizon are enumerated
-    breadth-first from ``env.reset(seed)`` into a :class:`TransitionTable`
-    of ``env``, one :meth:`TransitionTable.expand` per depth: the states
-    first reached at a depth below the horizon have every joint action
-    filled once, in one batched ``env.transitions`` pass. A transition that
-    ends the episode before the horizon leads to a terminal state, which is
-    not expanded. Backward induction
+    The time-free states reachable within the horizon from
+    ``env.reset(seed)`` are enumerated into a :class:`TransitionTable` of
+    ``env`` by :meth:`TransitionTable.expand_reachable`, one batched
+    ``env.transitions`` pass per depth. Backward induction
     over the table's ``reward``, ``term`` and ``next`` arrays then does the
     arithmetic of a plain search (``reward + value``, then the max over
     joint actions), so the result is exact and no recursion depth grows
@@ -693,23 +695,8 @@ def optimal_return(env, seed: int = 0, budget: int = 10_000_000) -> float:
     saved = env.get_state()
     try:
         table = TransitionTable(env)
-        n_joint = len(table.joint_actions)
         start = table.reset(seed)
-        frontier = [start]
-        expanded = set(frontier)
-        expansions = 0
-        for _ in range(table.horizon):
-            expansions += len(frontier) * n_joint
-            if expansions > budget:
-                raise SearchBudgetError(
-                    f"plan search exceeded {budget} expansions; the environment "
-                    f"is too large for exhaustive planning"
-                )
-            table.expand(frontier)
-            rows = np.array(frontier, dtype=np.intp)
-            going = table.next[rows][~table.term[rows]].tolist()
-            frontier = [s for s in dict.fromkeys(going) if s not in expanded]
-            expanded.update(frontier)
+        table.expand_reachable(start, budget)
     finally:
         env.set_state(saved)
 

@@ -139,18 +139,16 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _job_schedule(n: int, job: Job) -> Schedule:
-    """Per-job set-up: the rate schedule of ``job`` for an ``n``-agent env."""
-    return make_schedule(n, job.levels, s=job.period)
-
-
 # The least work, in run-steps (jobs x total_steps), that earns a batch of
 # its own. A lockstep step costs nearly as much for a few runs as for a
-# hundred, and every worker fills its own transition table, so only big
+# hundred, and every worker starts up and expands its own transition table
+# (one breadth-first pass, about 7 ms on the foraging fixture), so only big
 # sweeps gain from a split. On a 2-core host a forced 2-way split lost on
 # configs/sweep_foraging.json (2.25M run-steps), broke even on that grid
 # with 6 seeds (4.5M) and on sweep_matrix with 20 seeds (1.26M), and won
-# on sweep_matrix with 80 seeds (5M).
+# on sweep_matrix with 80 seeds (5M). On a later 2-core shared host it won
+# at every one of those sizes, by 5% at 2.25M up to 32% on sweep_matrix at
+# 5M (README, "Lockstep sweeps"), which puts the break-even lower than this.
 SPLIT_RUN_STEPS = 2_500_000
 
 
@@ -167,7 +165,7 @@ def _run_batch(config: ExperimentConfig,
     schedules: dict[int, Schedule] = {}
     for k, job in enumerate(jobs):
         try:
-            schedules[k] = _job_schedule(n, job)
+            schedules[k] = make_schedule(n, job.levels, s=job.period)
         except Exception as exc:  # noqa: BLE001 - per-job failures must not kill the sweep
             outcomes[k] = (None, _error_text(exc))
     try:

@@ -3,20 +3,20 @@
 ``train_lockstep`` returns, run for run, the logs that ``learners.train``
 returns, bit for bit, while paying the per-step interpreter cost once for
 every run. The runs step through a :class:`TransitionTable` of the env,
-filled on demand. Sweeps use it (``harness.run_sweep``); it is a module of
-its own, imported on first use, so importing the package does not load it.
+filled with every state an episode can step from before training starts.
+Sweeps use it (``harness.run_sweep``); it is a module of its own, imported
+on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from typing import Sequence
 
 import numpy as np
 
-from .envs import TransitionTable
+from .envs import SEARCH_BUDGET, TransitionTable
 from .learners import (
     QLearnerConfig,
     RunLog,
@@ -72,109 +72,67 @@ class _LockstepQ:
     ``flat[(base[r, i] + o) * width + a]`` is run r, agent i, dense
     observation o, action a, and ``rows`` is the same array with one row
     per (run, agent, observation). Actions past an agent's count are -inf
-    pads, which the first-max fold never picks. Rows grow with the
-    transition table's observation count.
+    pads, which the first-max fold never picks.
     """
 
-    def __init__(self, runs: int, action_counts: Sequence[int]):
+    def __init__(self, runs: int, action_counts: Sequence[int], observations: int):
         self.runs = runs
-        self.n = len(action_counts)
+        n = len(action_counts)
         self.width = max(action_counts)
-        self.pad = np.zeros((self.n, self.width))
+        q = np.zeros((runs, n, observations, self.width))
         for i, k in enumerate(action_counts):
-            self.pad[i, k:] = -np.inf
-        self.capacity = 0
-        self._alloc(16)
-
-    def _alloc(self, capacity: int) -> None:
-        q = np.empty((self.runs, self.n, capacity, self.width))
-        q[:] = self.pad[None, :, None, :]
-        if self.capacity:
-            q[:, :, :self.capacity] = self.rows.reshape(
-                self.runs, self.n, self.capacity, self.width)
-        self.capacity = capacity
+            q[:, i, :, k:] = -np.inf
         self.rows = q.reshape(-1, self.width)
         self.flat = q.reshape(-1)
-        agent_rows = np.arange(self.runs * self.n, dtype=np.intp) * capacity
-        self.base = agent_rows.reshape(self.runs, self.n)
-
-    def fit(self, table: TransitionTable) -> None:
-        """Make room for every observation the table has numbered."""
-        needed = table.obs_count
-        if needed > self.capacity:
-            self._alloc(max(needed, 2 * self.capacity))
+        self.base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
 
     def greedy(self, rows: np.ndarray, finite: bool) -> np.ndarray:
         """``greedy_action`` of each row; ``finite`` says no entry is NaN or inf."""
         return _first_max(self.rows.take(rows, axis=0), finite)
 
 
-def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, eval_rngs: list[random.Random],
-                       episodes: int, finite: bool) -> list[float]:
-    """``_evaluate_greedy`` for every run at once: all runs' episodes step
-    together, each run's returns are summed episode by episode, in order.
-    ``eval_rngs`` draw the reset seeds, and are empty when the env ignores
-    them."""
+def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, episodes: int,
+                       finite: bool) -> list[float]:
+    """``_evaluate_greedy`` for every run at once. A greedy episode is
+    deterministic, so from the env's fixed start every episode of a run is
+    the same one: the runs play it once, together, and each run's return is
+    summed ``episodes`` times, in order."""
     runs = q.runs
-    if table.fixed_start:
-        # A greedy episode is deterministic, so from a fixed start every episode
-        # of a run is the same one: play it once and count it ``episodes`` times.
-        played = 1
-        state = np.full(runs, table.reset(0), dtype=np.intp)
-    else:
-        played = episodes
-        state = np.array([table.reset(rng.getrandbits(32)) for rng in eval_rngs
-                          for _ in range(episodes)], dtype=np.intp)
-        q.fit(table)
-    live = np.arange(runs * played)
-    run_of = np.repeat(np.arange(runs), played)
-    returns = np.zeros(runs * played)
+    live = np.arange(runs)
+    state = np.full(runs, table.reset(0), dtype=np.intp)
+    returns = np.zeros(runs)
     n_joint = len(table.joint_actions)
     steps = 0
     while live.size:
-        joint = q.greedy(q.base[run_of[live]] + table.obs.take(state, axis=0), finite) \
-            @ table.strides
+        joint = q.greedy(q.base[live] + table.obs.take(state, axis=0), finite) @ table.strides
         entry = state * n_joint + joint
-        succ = table.next.take(entry)
-        if table.missing and succ.min() < 0:
-            table.fill(state, joint)
-            q.fit(table)
-            succ = table.next.take(entry)
         returns[live] += table.reward.take(entry)
         steps += 1
         if steps >= table.horizon:
             break
         going = ~table.term.take(entry)
-        live, state = live[going], succ[going]
+        live, state = live[going], table.next.take(entry)[going]
     total = np.zeros(runs)
-    per_episode = returns.reshape(runs, played)
-    for e in range(episodes):
-        total = total + per_episode[:, e % played]
+    for _ in range(episodes):
+        total = total + returns
     return (total / episodes).tolist()
 
 
 def _seed_streams(seeds: Sequence[int], n: int, eps_values: list[float],
-                  counts: Sequence[int], resets: bool):
-    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``, and its
-    episode and evaluation streams (empty lists unless ``resets``).
+                  counts: Sequence[int]) -> np.ndarray:
+    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``.
 
-    All of it depends only on the run's seed (``_spawn_streams`` depends
-    only on the seed and ``n``), so it is drawn once per distinct seed and
-    shared by every run with that seed. The streams are consumed as the
-    run goes, so each run gets its own copy of them.
+    It depends only on the run's seed (``_spawn_streams`` depends only on
+    the seed and ``n``), so it is drawn once per distinct seed and shared by
+    every run with that seed.
     """
     distinct = list(dict.fromkeys(seeds))
     draws = np.empty((len(eps_values), len(distinct), n), dtype=np.min_scalar_type(-max(counts)))
-    streams = []
     for k, seed in enumerate(distinct):
-        env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
+        _, _, explore_rngs = _spawn_streams(seed, n)
         for i, rng in enumerate(explore_rngs):
             draws[:, k, i] = _exploration(rng, eps_values, counts[i])
-        streams.append((env_rng, eval_rng))
-    index = [distinct.index(seed) for seed in seeds]
-    env_rngs = [copy.copy(streams[k][0]) for k in index] if resets else []
-    eval_rngs = [copy.copy(streams[k][1]) for k in index] if resets else []
-    return draws.take(index, axis=1), env_rngs, eval_rngs
+    return draws.take([distinct.index(seed) for seed in seeds], axis=1)
 
 
 # With every rate in [0, 1] and a discount of at most 1, an update moves a
@@ -192,19 +150,26 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
 
     Returns, for each run r, the log that ``train(env_factory,
     schedules[r], q_config, total_steps, eval_every, eval_episodes,
-    seeds[r], config_digest)`` returns, bit for bit. All runs advance
-    together through one :class:`TransitionTable` of the env, so the
-    per-step cost is a few numpy calls over every run. Exploration does
-    not depend on the Q-values, so it is drawn ahead, once per distinct
-    seed, in ``train``'s order. Greedy choices and the bootstrap maximum
-    follow ``greedy_action``'s first-max fold, a zero rate leaves a table
-    untouched, and every update does ``train``'s float operations in its
-    order.
+    seeds[r], config_digest)`` returns, bit for bit. The env must have a
+    fixed start (every env ``env_from_config`` builds has one); any other
+    raises ``ValueError``. Before training, every state an episode can step
+    from is expanded into one :class:`TransitionTable` of the env
+    (:meth:`TransitionTable.expand_reachable`, with the planner's
+    :data:`envs.SEARCH_BUDGET`, so an env too large for it raises
+    :class:`envs.SearchBudgetError`). All runs then advance together
+    through that complete table, so the per-step cost is a few numpy calls
+    over every run. Exploration does not depend on the Q-values, so it is
+    drawn ahead, once per distinct seed, in ``train``'s order. Greedy
+    choices and the bootstrap maximum follow ``greedy_action``'s first-max
+    fold, a zero rate leaves a table untouched, and every update does
+    ``train``'s float operations in its order.
     """
     _validate_train_args(total_steps, eval_every, eval_episodes)
     if len(schedules) != len(seeds):
         raise ValueError(f"{len(schedules)} schedules but {len(seeds)} seeds")
     table = TransitionTable(env_factory())
+    if not table.fixed_start:
+        raise ValueError("lockstep training needs an environment with a fixed start")
     n = table.n
     for schedule in schedules:
         if schedule.n != n:
@@ -212,12 +177,10 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     runs = len(seeds)
     if not runs:
         return []
-    # Reset seeds are drawn only when the env uses them; the streams are
-    # separate, so skipping their draws changes nothing else.
-    fixed = table.fixed_start
-    explore, env_rngs, eval_rngs = _seed_streams(
-        seeds, n, [q_config.epsilon.value(t) for t in range(total_steps)],
-        table.action_counts, not fixed)
+    start = table.reset(0)
+    table.expand_reachable(start, SEARCH_BUDGET)
+    explore = _seed_streams(seeds, n, [q_config.epsilon.value(t) for t in range(total_steps)],
+                            table.action_counts)
     greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
@@ -234,64 +197,43 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     lr = np.empty((runs, n))
     horizon = table.horizon
 
-    q = _LockstepQ(runs, table.action_counts)
-    if fixed:
-        start = table.reset(0)
-        state = np.full(runs, start, dtype=np.intp)
-    else:
-        state = np.array([table.reset(rng.getrandbits(32)) for rng in env_rngs],
-                         dtype=np.intp)
-    q.fit(table)
+    q = _LockstepQ(runs, table.action_counts, table.obs_count)
     n_joint = len(table.joint_actions)
     width = q.width
     strides = table.strides
+    next_flat, obs = table.next.reshape(-1), table.obs
+    reward_col, term_flat = table.reward.reshape(-1, 1), table.term.reshape(-1)
+    q_rows, q_flat, base = q.rows, q.flat, q.base
+    any_term = table.any_term
+    # Whether updates need the finite check (see _NO_OVERFLOW).
+    check = not (unit_rates and (total_steps + 1) * table.reward_bound < _NO_OVERFLOW)
     row_starts = np.arange(runs * n, dtype=np.intp).reshape(runs, n) * width
-    state_off = state * n_joint  # each run's state, as the state's first entry
+    start_off = start * n_joint
+    start_rows = base + obs[start]
+    state_off = np.full(runs, start_off, dtype=np.intp)  # each run's state's first entry
+    rows = start_rows.copy()  # each run's agents' Q-rows in that state
     ends = np.full(runs, horizon, dtype=np.intp)  # step count that cuts each run's episode
     next_cut = horizon  # the earliest of them, while only the horizon ends episodes
 
-    def bind(state_off):
-        """What a step reads from the table and the Q-tables, the rows of the
-        runs' states and of the start, and whether updates need the finite
-        check. Arrays move when they grow, so this is read again after
-        anything that can grow them: fills, evaluation and resets."""
-        return (table.next.reshape(-1), table.obs,
-                table.reward.reshape(-1, 1), table.term.reshape(-1), q.rows, q.flat, q.base,
-                q.base + table.obs.take(state_off // n_joint, axis=0),
-                q.base + table.obs[start] if fixed else None,
-                not (unit_rates and (total_steps + 1) * table.reward_bound < _NO_OVERFLOW))
-
-    stale = True  # bind() must run before the next step
     finite = True
     eval_steps: list[int] = []
     eval_returns: list[list[float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t, greedy_t, forced_t in zip(range(total_steps), greedy, explore):
-            if stale:
-                (next_flat, obs, reward_col, term_flat, q_rows, q_flat, base, rows,
-                 start_rows, check) = bind(state_off)
-                stale = False
             if rate_change[t]:
                 for period, members, member_rates in by_period:
                     if t % period == 0:
                         lr[members] = member_rates[:, (t // period) % n]
             actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
                                forced_t)
-            joint = actions @ strides
-            entry = state_off + joint
+            entry = state_off + actions @ strides
             succ = next_flat.take(entry)
-            if table.missing and succ.min() < 0:
-                table.fill(state_off // n_joint, joint)
-                q.fit(table)
-                (next_flat, obs, reward_col, term_flat, q_rows, q_flat, base, rows,
-                 start_rows, check) = bind(state_off)
-                succ = next_flat.take(entry)
             succ_rows = base + obs.take(succ, axis=0)
             succ_q = q_rows.take(succ_rows, axis=0)
             reward = reward_col.take(entry, axis=0)
             target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
             t1 = t + 1
-            if table.any_term:
+            if any_term:
                 done = term_flat.take(entry) | (ends <= t1)
                 ended = np.count_nonzero(done)
             else:  # only the horizon ends episodes
@@ -314,21 +256,13 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
 
             if t1 % eval_every == 0 or t1 == total_steps:
                 eval_steps.append(t1)
-                eval_returns.append(_evaluate_lockstep(table, q, eval_rngs, eval_episodes,
-                                                       finite))
-                stale = True
+                eval_returns.append(_evaluate_lockstep(table, q, eval_episodes, finite))
             if ended:
                 np.copyto(ends, t1 + horizon, where=done)
-                if not table.any_term:
+                if not any_term:
                     next_cut = int(ends.min())
-                if fixed:
-                    np.copyto(state_off, start * n_joint, where=done)
-                    np.copyto(rows, start_rows, where=done[:, None])
-                else:
-                    for r in np.flatnonzero(done).tolist():
-                        state_off[r] = table.reset(env_rngs[r].getrandbits(32)) * n_joint
-                    q.fit(table)
-                    stale = True
+                np.copyto(state_off, start_off, where=done)
+                np.copyto(rows, start_rows, where=done[:, None])
 
     logs = []
     for r, seed in enumerate(seeds):

@@ -240,21 +240,6 @@ def classify(schedule: Schedule) -> ScheduleKind:
     return ScheduleKind.MULTI_TIMESCALE
 
 
-def schedule_to_config(schedule: Schedule) -> dict:
-    """JSON-ready form: {levels, cluster_sizes, switch_period}, inf as "inf";
-    :func:`config.schedule_from_config` reads it back."""
-    period: float | str = schedule.switch_period
-    if not math.isfinite(period):
-        period = "inf"
-    else:
-        period = int(period)
-    return {
-        "levels": list(schedule.levels),
-        "cluster_sizes": list(schedule.cluster_sizes),
-        "switch_period": period,
-    }
-
-
 def position_levels(schedule: Schedule) -> tuple[int, ...]:
     """Level index of each layout position (position 0 is fastest)."""
     return tuple(_level_of_position(schedule, p) for p in range(schedule.n))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import mtlearn as mt
 
@@ -23,6 +24,20 @@ def fixture_env_factory():
     return mt.ForagingEnv(
         mt.foraging_config_from_ascii(list(FIXTURE_ROWS), horizon=FIXTURE_HORIZON,
                                       cooperative_only=True))
+
+
+@st.composite
+def ascii_layouts(draw):
+    """ASCII layouts: one or two agents and foods on a grid of at most 4x3."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    agents = draw(st.lists(st.sampled_from("12"), min_size=1, max_size=2))
+    total = sum(int(a) for a in agents)
+    foods = draw(st.lists(st.sampled_from("ab"[:total]), min_size=1, max_size=2))
+    cells = ["."] * (width * height)
+    placed = draw(st.permutations(range(width * height)))
+    for cell, ch in zip(placed, agents + foods):
+        cells[cell] = ch
+    return ["".join(cells[r * width:(r + 1) * width]) for r in range(height)]
 
 
 @pytest.fixture

@@ -173,6 +173,24 @@ def test_train_and_sweep_parse_the_same_q_config(tmp_path, capsys, monkeypatch, 
         assert sweep.q_config.epsilon.decay_steps == 150
 
 
+def failing_make_schedule():
+    """``harness.make_schedule`` that fails the seed-1 job of each
+    (0.3, 0.1) cell: a batch sets its jobs up in grid order, seeds (0, 1)
+    innermost, so that job's call is the second with the cell's levels and
+    period."""
+    make_schedule = harness.make_schedule
+    calls = []
+
+    def failing(n, levels, s):
+        if levels == (0.3, 0.1):
+            calls.append(s)
+            if calls.count(s) == 2:
+                raise RuntimeError("forced failure")
+        return make_schedule(n, levels, s=s)
+
+    return failing
+
+
 class TestSweepAndReportCommands:
     def test_sweep_then_report(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sweep.json", {
@@ -219,14 +237,7 @@ class TestSweepAndReportCommands:
             "eval_every": 50,
             "eval_episodes": 1,
         })
-        job_schedule = harness._job_schedule
-
-        def failing_job_schedule(n, job):
-            if job.levels == (0.3, 0.1) and job.seed == 1:
-                raise RuntimeError("forced failure")
-            return job_schedule(n, job)
-
-        monkeypatch.setattr(harness, "_job_schedule", failing_job_schedule)
+        monkeypatch.setattr(harness, "make_schedule", failing_make_schedule())
         out = tmp_path / "results"
         code = main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"])
         assert code == EXIT_CELLS_FAILED
@@ -249,14 +260,7 @@ class TestSweepAndReportCommands:
         })
         clean, failed = tmp_path / "clean", tmp_path / "failed"
         assert main(["sweep", "--config", cfg, "--out", str(clean), "--no-plots"]) == 0
-        job_schedule = harness._job_schedule
-
-        def failing_job_schedule(n, job):
-            if job.levels == (0.3, 0.1) and job.seed == 1:
-                raise RuntimeError("forced failure")
-            return job_schedule(n, job)
-
-        monkeypatch.setattr(harness, "_job_schedule", failing_job_schedule)
+        monkeypatch.setattr(harness, "make_schedule", failing_make_schedule())
         code = main(["sweep", "--config", cfg, "--out", str(failed), "--no-plots"])
         assert code == EXIT_CELLS_FAILED
         (clean_path,) = clean.glob("sweep_*.json")
@@ -286,16 +290,16 @@ class TestSweepAndReportCommands:
             "eval_every": 50,
             "eval_episodes": 1,
         })
-        job_schedule = harness._job_schedule
+        make_schedule = harness.make_schedule
 
-        def dying_job_schedule(n, job):
-            if job.levels == (0.1, 0.1):  # in the second of two batches
+        def dying_make_schedule(n, levels, s):
+            if levels == (0.1, 0.1):  # in the second of two batches
                 os._exit(1)
-            return job_schedule(n, job)
+            return make_schedule(n, levels, s=s)
 
         # Forked workers inherit the patched set-up; the sweep is far below the
         # batch-split break-even, so the split is forced.
-        monkeypatch.setattr(harness, "_job_schedule", dying_job_schedule)
+        monkeypatch.setattr(harness, "make_schedule", dying_make_schedule)
         monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))

@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mtlearn.envs import (
     ForagingConfig,
     ForagingEnv,
     MatrixGameEnv,
+    SEARCH_BUDGET,
     SearchBudgetError,
     TransitionTable,
     env_from_config,
@@ -25,7 +27,7 @@ from mtlearn.envs import (
 
 from mtlearn.games import make_game
 
-from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
+from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF, ascii_layouts, fixture_env_factory
 from planner_reference import reference_optimal_return
 
 
@@ -179,7 +181,10 @@ class TestForagingMechanics:
                 res = env.step(tuple(int(a) for a in rng.integers(0, 6, size=2)))
                 collected += res.reward
                 done = res.done
-                assert collected == pytest.approx(1.0 - env.remaining_food_fraction())
+                alive = env.get_state()[1][-2:]
+                remaining = (sum(level for level, a in zip(cfg.food_levels, alive) if a)
+                             / sum(cfg.food_levels))
+                assert collected == pytest.approx(1.0 - remaining)
             assert 0.0 <= collected <= 1.0
 
     def test_matrix_return_bounded_by_horizon_times_max_payoff(self):
@@ -423,8 +428,9 @@ class TestBatchedTransitions:
 
     @settings(max_examples=40, deadline=None)
     @given(env=st.one_of(small_foraging_envs(), small_matrix_game_envs()), data=st.data())
-    def test_expand_fills_as_fill_does(self, env, data):
-        # Breadth-first, as the planner expands, after a few scalar steps.
+    def test_expand_fills_as_step_does(self, env, data):
+        # Breadth-first, as the planner expands, after a few scalar steps; the
+        # second table steps the same entries one by one, in the same order.
         tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
         n_joint = len(tables[0].joint_actions)
         start = tables[0].reset(0)
@@ -434,17 +440,74 @@ class TestBatchedTransitions:
         frontier, seen = [start], {start}
         while frontier:
             tables[0].expand(frontier)
+            for state in frontier:
+                for joint in range(n_joint):
+                    tables[1].step(state, joint)
             rows = np.array(frontier)
-            tables[1].fill(np.repeat(rows, n_joint), np.tile(np.arange(n_joint), len(rows)))
             frontier = [s for s in dict.fromkeys(tables[0].next[rows].ravel().tolist())
                         if s not in seen]
             seen.update(frontier)
         a, b = tables
         assert a._keys == b._keys and a.observations == b.observations
-        assert a.missing == b.missing == 0
         assert (a.reward_bound, a.any_term) == (b.reward_bound, b.any_term)
         for name in ("next", "reward", "term", "obs"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestTransitionTable:
+    def test_matrix_game_has_one_state(self):
+        table = TransitionTable(MatrixGameEnv(make_game(CLIMBING_PAYOFF), horizon=4))
+        start = table.reset(123)
+        assert table.reset(456) == start
+        for joint in range(9):
+            table.step(start, joint)
+        assert (table.next[:1] == start).all()
+        assert table.reward[start].tolist() == [float(v) for v in np.ravel(CLIMBING_PAYOFF)]
+        assert not table.term[start].any()  # only the horizon ends an episode
+
+    def test_filled_entries_match_env_steps(self):
+        env = fixture_env_factory()
+        table = TransitionTable(fixture_env_factory())
+        rng = random.Random(0)
+        state = table.reset(0)
+        env.reset(0)
+        for _ in range(400):
+            joint = rng.randrange(36)
+            table.step(state, joint)
+            res = env.step(table.joint_actions[joint])
+            assert table.reward[state, joint] == res.reward
+            succ = int(table.next[state, joint])
+            if res.done:
+                state = table.reset(0)
+                env.reset(0)
+            else:
+                state = succ
+        unfilled = int((table.next[:len(table._keys)] < 0).sum())
+        assert 0 < unfilled < len(table.joint_actions) * len(table._keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=st.one_of(
+        st.builds(lambda layout, horizon, radius: ForagingEnv(foraging_config_from_ascii(
+            layout, horizon=horizon, view_radius=radius)),
+            ascii_layouts(), st.integers(1, 8), st.sampled_from([None, 0, 1])),
+        small_matrix_game_envs()), seed=st.integers(0, 2 ** 16))
+    def test_expand_reachable_fills_every_step_from_the_start(self, env, seed):
+        # A walk from the start, reset when its episode ends, never meets an
+        # entry left unfilled, so it never interns a state either.
+        table = TransitionTable(env)
+        start = table.reset(0)
+        table.expand_reachable(start, SEARCH_BUDGET)
+        size = len(table._keys)
+        rng = random.Random(seed)
+        state, steps = start, 0
+        for _ in range(300):
+            joint = rng.randrange(len(table.joint_actions))
+            assert table.next[state, joint] >= 0
+            state, _, term = table.step(state, joint)
+            steps += 1
+            if term or steps >= table.horizon:
+                state, steps = start, 0
+        assert len(table._keys) == size
 
 
 class TestTransitionMemo:

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtlearn import lockstep
 from mtlearn.harness import (
     DegenerateGapError,
     DegenerateRangeError,
+    Job,
+    _run_batch,
     aggregate,
     cell_regime,
     curve_auc,
@@ -25,7 +28,7 @@ from mtlearn.config import config_digest
 from mtlearn.reports import emit_reports, render_reports_from_dir
 from mtlearn.schedule import ScheduleError, make_schedule
 
-from conftest import MATCH_PAYOFF
+from conftest import FIXTURE_ROWS, MATCH_PAYOFF
 
 
 class TestNormalizeReturns:
@@ -270,6 +273,20 @@ class TestRunSweep:
         assert all(e and "eval_every" in e for c in result.cells for e in c.errors)
         with pytest.raises(ValueError):
             result.best_cell("independent")
+
+    def test_env_over_the_search_budget_fails_its_jobs(self, monkeypatch):
+        # The fixture expands 552 states x 36 joint actions before training.
+        raw = sweep_raw_config(periods=(5,), seeds=(0,), steps=200)
+        raw["env"] = {"kind": "foraging", "grid": list(FIXTURE_ROWS), "horizon": 16,
+                      "cooperative_only": True}
+        cfg = load_experiment_config(raw)
+        jobs = [Job((0.5, 0.1), 5.0, 0), Job((0.1, 0.1), 5.0, 1)]
+        monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36 - 1)
+        assert _run_batch(cfg, jobs) == [
+            (None, "SearchBudgetError: plan search exceeded 19871 expansions; the "
+                   "environment is too large for exhaustive planning")] * 2
+        monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36)
+        assert all(log is not None and error is None for log, error in _run_batch(cfg, jobs))
 
     def test_stderr_over_seeds(self):
         cfg = load_experiment_config(sweep_raw_config())

@@ -25,9 +25,9 @@ from mtlearn.learners import (
     train,
     train_with_tables,
 )
-from mtlearn.lockstep import TransitionTable, _exploration, train_lockstep
+from mtlearn.lockstep import _exploration, train_lockstep
 
-from conftest import CLIMBING_PAYOFF, fixture_env_factory
+from conftest import CLIMBING_PAYOFF, ascii_layouts, fixture_env_factory
 
 RATES = (0.0, 0.05, 0.5, 1.0, 2.5)
 # Payoffs of 1e308 overflow a learner to inf and then NaN within a few
@@ -47,31 +47,11 @@ def matrix_game_factories(draw):
 
 
 @st.composite
-def ascii_layouts(draw):
-    """ASCII layouts: one or two agents and foods on a grid of at most 4x3."""
-    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 3))
-    agents = draw(st.lists(st.sampled_from("12"), min_size=1, max_size=2))
-    total = sum(int(a) for a in agents)
-    foods = draw(st.lists(st.sampled_from("ab"[:total]), min_size=1, max_size=2))
-    cells = ["."] * (width * height)
-    placed = draw(st.permutations(range(width * height)))
-    for cell, ch in zip(placed, agents + foods):
-        cells[cell] = ch
-    return ["".join(cells[r * width:(r + 1) * width]) for r in range(height)]
-
-
-@st.composite
 def foraging_factories(draw):
-    """ASCII (fixed) or seeded layouts, view_radius None, 0 or 1."""
-    horizon = draw(st.integers(1, 8))
-    view_radius = draw(st.sampled_from([None, 0, 1]))
-    if draw(st.booleans()):
-        config = mt.foraging_config_from_ascii(draw(ascii_layouts()), horizon=horizon,
-                                               view_radius=view_radius)
-    else:
-        config = mt.ForagingConfig(width=3, height=3, agent_levels=(1, 1),
-                                   food_levels=(draw(st.integers(1, 2)),),
-                                   horizon=horizon, view_radius=view_radius)
+    """ASCII layouts (lockstep needs a fixed start), view_radius None, 0 or 1."""
+    config = mt.foraging_config_from_ascii(draw(ascii_layouts()),
+                                           horizon=draw(st.integers(1, 8)),
+                                           view_radius=draw(st.sampled_from([None, 0, 1])))
     return lambda: mt.ForagingEnv(config)
 
 
@@ -182,6 +162,16 @@ class TestLockstepArguments:
         with pytest.raises(ValueError, match="schedule is for 3 agents"):
             train_lockstep(fixture_env_factory, [sched], [0], QLearnerConfig(), 10, 5, 1)
 
+    def test_seeded_env_rejected(self):
+        def factory():
+            return mt.ForagingEnv(mt.ForagingConfig(width=3, height=3, agent_levels=(1, 1),
+                                                    food_levels=(1,)))
+
+        sched = mt.make_schedule(2, (0.3, 0.1))
+        for schedules, seeds in (([sched], [0]), ([], [])):
+            with pytest.raises(ValueError, match="needs an environment with a fixed start"):
+                train_lockstep(factory, schedules, seeds, QLearnerConfig(), 10, 5, 1)
+
     def test_bad_step_counts(self):
         sched = mt.make_schedule(2, (0.3, 0.1))
         with pytest.raises(ValueError, match="total_steps"):
@@ -206,33 +196,3 @@ def test_exploration_draws_match_select_action(seed, n_actions, eps):
         else:
             assert action == 0
     assert reference_rng.getstate() == lockstep_rng.getstate()
-
-
-class TestTransitionTable:
-    def test_matrix_game_has_one_state(self):
-        table = TransitionTable(mt.MatrixGameEnv(mt.make_game(CLIMBING_PAYOFF), horizon=4))
-        start = table.reset(123)
-        assert table.reset(456) == start
-        table.fill(np.array([start] * 9), np.arange(9))
-        assert table.missing == 0
-        assert (table.next[:1] == start).all()
-        assert table.reward[start].tolist() == [float(v) for v in np.ravel(CLIMBING_PAYOFF)]
-        assert not table.term[start].any()  # only the horizon ends an episode
-
-    def test_filled_entries_match_env_steps(self):
-        env = fixture_env_factory()
-        table = TransitionTable(fixture_env_factory())
-        rng = random.Random(0)
-        state = table.reset(0)
-        obs = env.reset(0)
-        for _ in range(400):
-            joint = rng.randrange(36)
-            table.fill(np.array([state]), np.array([joint]))
-            res = env.step(table.joint_actions[joint])
-            assert table.reward[state, joint] == res.reward
-            succ = int(table.next[state, joint])
-            if res.done:
-                state, obs = table.reset(0), env.reset(0)
-            else:
-                state, obs = succ, res.observations
-        assert 0 < table.missing < len(table.joint_actions) * len(table._keys)

@@ -24,7 +24,7 @@ from .schedule import parse_count
 
 class SearchBudgetError(RuntimeError):
     """Raised when enumerating an env's reachable states (for planning or
-    lockstep training) would exceed its expansion budget."""
+    training) would exceed its expansion budget."""
 
 
 @dataclass(frozen=True)
@@ -473,7 +473,7 @@ class ForagingEnv:
 EXPAND_BLOCK = 1 << 15
 
 # The most joint actions TransitionTable.expand_reachable expands for the
-# planner and for lockstep training: about 170 MB of table at 17 bytes an
+# planner and for training: about 170 MB of table at 17 bytes an
 # entry, before the slack of its doubling arrays.
 SEARCH_BUDGET = 10_000_000
 
@@ -498,18 +498,15 @@ class TransitionTable:
     Flattened, ``s * len(joint_actions) + j`` is the entry's offset.
     ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
     a reward is not finite), and ``any_term`` says whether some filled
-    entry ends the episode by itself.
-
-    States are keyed by the env's time-free state row, ``get_state()[1]``:
-    ``_keys[s]`` is the row of state ``s``. :meth:`step` fills one entry on
-    first use through the env's own ``set_state`` and ``step`` from step
-    counter 0; :meth:`expand` fills whole states at once through the env's
-    batched ``transitions``, which match ``step`` bit for bit, and
-    :meth:`expand_reachable` fills every state an episode from the start
-    can step from. The step counter only ends an episode at the horizon, so
-    a step taken at counter ``t`` ends the episode when ``term`` is set or
-    ``t + 1 >= horizon``. Transitions are deterministic, so one table serves
-    any number of runs of the same env without coupling them.
+    entry ends the episode by itself. States are keyed by the env's
+    time-free state row, ``get_state()[1]``, and ``_keys[s]`` is the row of
+    state ``s``. The planner, and both training loops wherever the env has
+    a fixed start, fill the table before use with :meth:`expand_reachable`,
+    one :meth:`expand` (the env's batched ``transitions``, equal to ``step``
+    bit for bit) per depth; :meth:`step` fills an entry on first use through
+    the env's own ``set_state`` and ``step``, for seeded-reset envs. A step
+    taken at counter ``t`` ends the episode when ``term`` is set or ``t + 1
+    >= horizon``, so one table serves any number of runs without coupling.
     """
 
     def __init__(self, env):
@@ -611,10 +608,8 @@ class TransitionTable:
         for _ in range(self.horizon):
             expansions += len(frontier) * n_joint
             if expansions > budget:
-                raise SearchBudgetError(
-                    f"plan search exceeded {budget} expansions; the environment "
-                    f"is too large for exhaustive planning"
-                )
+                raise SearchBudgetError(f"reachable-state search exceeded {budget} "
+                                        f"expansions; the environment has too many states")
             self.expand(frontier)
             rows = np.array(frontier, dtype=np.intp)
             going = self.next[rows][~self.term[rows]].tolist()

@@ -3,9 +3,10 @@
 Each agent owns a Q-table over its private observation ids and updates
 it online with whatever learning rate the schedule assigns at that
 update step, so independent, sequential, two-timescale, and rotating
-multi-timescale training are all the same loop. Training and evaluation
-step through one :class:`envs.TransitionTable` of the env. A
-stochastic-gradient learner covers the linear estimation problem.
+multi-timescale training are all the same loop. It steps through one
+:class:`envs.TransitionTable` of the env, with exploration drawn ahead and
+the per-step rules of ``select_action``, ``q_update`` and ``greedy_action``
+inlined. A stochastic-gradient learner covers the linear estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
 (episode seeds, per-agent exploration, evaluation), so evaluation never
@@ -18,10 +19,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .envs import TransitionTable
+from .envs import SEARCH_BUDGET, TransitionTable
 from .estimation import TeamEstimationProblem, team_mse
 from .schedule import Schedule, rates_at
 
@@ -150,24 +152,60 @@ def _spawn_streams(seed: int, n_agents: int):
     return to_rng(env_ss), to_rng(eval_ss), [to_rng(ss) for ss in explore_ss.spawn(n_agents)]
 
 
+def _exploration(rng: random.Random, epsilon: EpsilonSchedule, n_actions: int,
+                 steps: int) -> list[int]:
+    """One agent's exploration over a run: each step's random action, or -1
+    where it acts greedily. Draws from ``rng`` as ``select_action`` does with
+    ``epsilon.value(t)``: ``random()`` while epsilon is positive, then, only
+    when exploring, ``randrange(n_actions)``, computed as the standard library
+    does (``getrandbits`` of the count's bit length until one is below it)."""
+    rnd, getrandbits = rng.random, rng.getrandbits
+    bits = n_actions.bit_length()
+    first, last, decay = epsilon.start, epsilon.end, epsilon.decay_steps
+    out = [-1] * steps
+    for t in range(steps):
+        e = last if t >= decay else first + (last - first) * (t / decay)
+        if e > 0.0 and rnd() < e:
+            a = getrandbits(bits)
+            while a >= n_actions:
+                a = getrandbits(bits)
+            out[t] = a
+    return out
+
+
+def _seed_streams(seeds: Sequence[int], n: int, epsilon: EpsilonSchedule, steps: int,
+                  counts: Sequence[int]) -> np.ndarray:
+    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``. It
+    depends only on the run's seed, so it is drawn once per distinct seed."""
+    distinct = list(dict.fromkeys(seeds))
+    draws = np.empty((steps, len(distinct), n), dtype=np.min_scalar_type(-max(counts)))
+    for k, seed in enumerate(distinct):
+        _, _, explore_rngs = _spawn_streams(seed, n)
+        for i, rng in enumerate(explore_rngs):
+            draws[:, k, i] = _exploration(rng, epsilon, counts[i], steps)
+    return draws.take([distinct.index(seed) for seed in seeds], axis=1)
+
+
 def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int,
                      eval_rng: random.Random) -> float:
-    """Mean greedy return over ``episodes`` episodes, each from a reset
-    seeded by ``eval_rng``."""
-    counts, joint_index = table.action_counts, table.joint_index
-    observations = table.observations
+    """Mean greedy return over ``episodes`` episodes, each from a reset seeded
+    by ``eval_rng``; each distinct start state's episode is played once."""
+    joint_index, observations = table.joint_index, table.observations
+    returns: dict[int, float] = {}  # start state -> its episode's return
     total = 0.0
     for _ in range(episodes):
-        state = table.reset(eval_rng.getrandbits(32))
-        ep_return = 0.0
-        for _ in range(table.horizon):
-            obs = observations[state]
-            actions = tuple([greedy_action(tables[i], obs[i], counts[i])
-                             for i in range(len(tables))])
-            state, reward, term = table.step(state, joint_index[actions])
-            ep_return += reward
-            if term:
-                break
+        start = table.reset(eval_rng.getrandbits(32))
+        ep_return = returns.get(start)
+        if ep_return is None:
+            ep_return, state = 0.0, start
+            for _ in range(table.horizon):
+                actions = tuple([row.index(max(row)) if row is not None else 0
+                                 for row in map(dict.get, tables, observations[state])])
+                state, reward, term = table.step(state, joint_index[actions])
+                ep_return += reward
+                if term:
+                    break
+            returns[start] = ep_return
         total += ep_return
     return total / episodes
 
@@ -187,53 +225,72 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     """Scheduled decentralized Q-learning; also returns the learned tables.
 
     The env comes from one ``env_factory()`` call, and training and greedy
-    evaluation both step through one :class:`TransitionTable` of it.
+    evaluation both step through one :class:`TransitionTable` of it, which
+    a fixed-start env expands before the first step, raising
+    :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`. The
+    inputs are ``lockstep.train_lockstep``'s; only the step kernel differs.
     """
     _validate_train_args(total_steps, eval_every, eval_episodes)
     table = TransitionTable(env_factory())
     n = table.n
     if schedule.n != n:
         raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
-    action_counts, joint_index = table.action_counts, table.joint_index
-    observations = table.observations
-    horizon = table.horizon
+    action_counts, observations, horizon = table.action_counts, table.observations, table.horizon
     tables: list[QTable] = [{} for _ in range(n)]
-    env_rng, eval_rng, explore_rngs = _spawn_streams(seed, n)
-
-    eps = q_config.epsilon
-    discount = q_config.discount
-
-    eval_steps: list[int] = []
-    eval_returns: list[float] = []
+    env_rng, eval_rng, _ = _spawn_streams(seed, n)
     state = table.reset(env_rng.getrandbits(32))
-    episode_steps = 0
-    for t in range(total_steps):
-        eps_t = eps.value(t)
-        obs = observations[state]
-        actions = tuple([select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
-                         for i in range(n)])
-        state, reward, term = table.step(state, joint_index[actions])
-        episode_steps += 1
-        done = term or episode_steps >= horizon
-        next_obs = observations[state]
-        rates = rates_at(schedule, t)
-        for i in range(n):
-            q_update(tables[i], obs[i], actions[i], reward, next_obs[i], done, rates[i],
-                     discount, action_counts[i])
-        done_steps = t + 1
-        if done_steps % eval_every == 0 or done_steps == total_steps:
-            if not eval_steps or eval_steps[-1] != done_steps:
-                eval_steps.append(done_steps)
-                eval_returns.append(_evaluate_greedy(table, tables, eval_episodes, eval_rng))
-        if done:
-            state = table.reset(env_rng.getrandbits(32))
-            episode_steps = 0
+    if table.fixed_start:
+        table.expand_reachable(state, SEARCH_BUDGET)
 
-    log = RunLog(seed=seed,
-                 eval_points=tuple(zip(eval_steps, eval_returns)),
-                 final_return=_final_window_mean(eval_returns),
-                 eval_episodes=eval_episodes,
-                 config_digest=config_digest)
+    discount = q_config.discount
+    rates_by_rotation = schedule.rates_by_rotation
+    period = int(schedule.switch_period) if schedule.is_switching else total_steps
+    switch = 0  # the next step where the rates rotate
+    agent_ids, strides = range(n), table.strides.tolist()
+
+    eval_points: list[tuple[int, float]] = []
+    episode_steps = 0
+    explore = _seed_streams([seed], n, q_config.epsilon, total_steps, action_counts)[:, 0]
+    for lo in range(0, total_steps, eval_every):
+        hi = min(lo + eval_every, total_steps)
+        for t, actions in zip(range(lo, hi), explore[lo:hi].tolist()):
+            if t == switch:
+                rates = rates_by_rotation[(t // period) % n]
+                switch += period
+            obs = observations[state]
+            joint = 0
+            for i in agent_ids:  # a greedy agent's -1 becomes greedy_action's choice
+                a = actions[i]
+                if a < 0:
+                    row = tables[i].get(obs[i])
+                    actions[i] = a = row.index(max(row)) if row is not None else 0
+                joint += a * strides[i]
+            state, reward, term = table.step(state, joint)
+            episode_steps += 1
+            done = term or episode_steps >= horizon
+            next_obs = observations[state]
+            for i in agent_ids:
+                lr = rates[i]
+                if lr == 0.0:  # a zero rate creates no row
+                    continue
+                q, o, a = tables[i], obs[i], actions[i]
+                row = q.get(o)
+                if row is None:
+                    row = q[o] = [0.0] * action_counts[i]
+                if done:  # an ending step does not bootstrap
+                    target = reward
+                else:
+                    nxt = q.get(next_obs[i])
+                    target = reward + discount * (max(nxt) if nxt is not None else 0.0)
+                row[a] += lr * (target - row[a])
+            if done:
+                state = table.reset(env_rng.getrandbits(32))
+                episode_steps = 0
+        eval_points.append((hi, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
+
+    log = RunLog(seed=seed, eval_points=tuple(eval_points),
+                 final_return=_final_window_mean([value for _, value in eval_points]),
+                 eval_episodes=eval_episodes, config_digest=config_digest)
     return log, tables
 
 
@@ -241,9 +298,8 @@ def train(env_factory, schedule: Schedule, q_config: QLearnerConfig,
           total_steps: int, eval_every: int, eval_episodes: int,
           seed: int, config_digest: str = "") -> RunLog:
     """Scheduled decentralized Q-learning, returning the evaluation log."""
-    log, _ = train_with_tables(env_factory, schedule, q_config, total_steps,
-                               eval_every, eval_episodes, seed, config_digest)
-    return log
+    return train_with_tables(env_factory, schedule, q_config, total_steps, eval_every,
+                             eval_episodes, seed, config_digest)[0]
 
 
 def _safe_mse(problem: TeamEstimationProblem, gains: np.ndarray) -> float:

@@ -2,8 +2,9 @@
 
 ``train_lockstep`` returns, run for run, the logs that ``learners.train``
 returns, bit for bit, while paying the per-step interpreter cost once for
-every run. The runs step through a :class:`TransitionTable` of the env,
-filled with every state an episode can step from before training starts.
+every run. Its inputs are ``train``'s: a :class:`TransitionTable` of the
+env expanded before the first step, exploration drawn ahead by
+``learners._seed_streams`` and rates looked up once per switching period.
 Sweeps use it (``harness.run_sweep``); it is a module of its own, imported
 on first use, so importing the package does not load it.
 """
@@ -11,7 +12,6 @@ on first use, so importing the package does not load it.
 from __future__ import annotations
 
 import math
-import random
 from typing import Sequence
 
 import numpy as np
@@ -21,32 +21,10 @@ from .learners import (
     QLearnerConfig,
     RunLog,
     _final_window_mean,
-    _spawn_streams,
+    _seed_streams,
     _validate_train_args,
 )
 from .schedule import Schedule
-
-
-def _exploration(rng: random.Random, eps_values: list[float], n_actions: int) -> list[int]:
-    """One agent's exploration over a run: each step's random action, or -1
-    where it acts greedily.
-
-    Draws from ``rng`` exactly as ``select_action`` does: ``random()``
-    whenever epsilon is positive, then, only when exploring,
-    ``randrange(n_actions)``, inlined as the standard library computes it
-    (``getrandbits`` of the count's bit length until a value is below the
-    count).
-    """
-    rnd, getrandbits = rng.random, rng.getrandbits
-    bits = n_actions.bit_length()
-    out = [-1] * len(eps_values)
-    for t, e in enumerate(eps_values):
-        if e > 0.0 and rnd() < e:
-            a = getrandbits(bits)
-            while a >= n_actions:
-                a = getrandbits(bits)
-            out[t] = a
-    return out
 
 
 def _first_max(rows: np.ndarray, finite: bool) -> np.ndarray:
@@ -86,17 +64,11 @@ class _LockstepQ:
         self.flat = q.reshape(-1)
         self.base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
 
-    def greedy(self, rows: np.ndarray, finite: bool) -> np.ndarray:
-        """``greedy_action`` of each row; ``finite`` says no entry is NaN or inf."""
-        return _first_max(self.rows.take(rows, axis=0), finite)
-
 
 def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, episodes: int,
                        finite: bool) -> list[float]:
-    """``_evaluate_greedy`` for every run at once. A greedy episode is
-    deterministic, so from the env's fixed start every episode of a run is
-    the same one: the runs play it once, together, and each run's return is
-    summed ``episodes`` times, in order."""
+    """``_evaluate_greedy`` for every run at once: from the env's fixed start
+    the runs play their one greedy episode together."""
     runs = q.runs
     live = np.arange(runs)
     state = np.full(runs, table.reset(0), dtype=np.intp)
@@ -104,7 +76,8 @@ def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, episodes: int,
     n_joint = len(table.joint_actions)
     steps = 0
     while live.size:
-        joint = q.greedy(q.base[live] + table.obs.take(state, axis=0), finite) @ table.strides
+        rows = q.base[live] + table.obs.take(state, axis=0)
+        joint = _first_max(q.rows.take(rows, axis=0), finite) @ table.strides
         entry = state * n_joint + joint
         returns[live] += table.reward.take(entry)
         steps += 1
@@ -116,23 +89,6 @@ def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, episodes: int,
     for _ in range(episodes):
         total = total + returns
     return (total / episodes).tolist()
-
-
-def _seed_streams(seeds: Sequence[int], n: int, eps_values: list[float],
-                  counts: Sequence[int]) -> np.ndarray:
-    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``.
-
-    It depends only on the run's seed (``_spawn_streams`` depends only on
-    the seed and ``n``), so it is drawn once per distinct seed and shared by
-    every run with that seed.
-    """
-    distinct = list(dict.fromkeys(seeds))
-    draws = np.empty((len(eps_values), len(distinct), n), dtype=np.min_scalar_type(-max(counts)))
-    for k, seed in enumerate(distinct):
-        _, _, explore_rngs = _spawn_streams(seed, n)
-        for i, rng in enumerate(explore_rngs):
-            draws[:, k, i] = _exploration(rng, eps_values, counts[i])
-    return draws.take([distinct.index(seed) for seed in seeds], axis=1)
 
 
 # With every rate in [0, 1] and a discount of at most 1, an update moves a
@@ -152,17 +108,11 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     schedules[r], q_config, total_steps, eval_every, eval_episodes,
     seeds[r], config_digest)`` returns, bit for bit. The env must have a
     fixed start (every env ``env_from_config`` builds has one); any other
-    raises ``ValueError``. Before training, every state an episode can step
-    from is expanded into one :class:`TransitionTable` of the env
-    (:meth:`TransitionTable.expand_reachable`, with the planner's
-    :data:`envs.SEARCH_BUDGET`, so an env too large for it raises
-    :class:`envs.SearchBudgetError`). All runs then advance together
-    through that complete table, so the per-step cost is a few numpy calls
-    over every run. Exploration does not depend on the Q-values, so it is
-    drawn ahead, once per distinct seed, in ``train``'s order. Greedy
-    choices and the bootstrap maximum follow ``greedy_action``'s first-max
-    fold, a zero rate leaves a table untouched, and every update does
-    ``train``'s float operations in its order.
+    raises ``ValueError``. All runs advance together through the complete
+    table, so a step is a few numpy calls over every run. Greedy choices
+    and the bootstrap maximum follow ``greedy_action``'s first-max fold, a
+    zero rate leaves a table untouched, and every update does ``train``'s
+    float operations in its order.
     """
     _validate_train_args(total_steps, eval_every, eval_episodes)
     if len(schedules) != len(seeds):
@@ -179,8 +129,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
         return []
     start = table.reset(0)
     table.expand_reachable(start, SEARCH_BUDGET)
-    explore = _seed_streams(seeds, n, [q_config.epsilon.value(t) for t in range(total_steps)],
-                            table.action_counts)
+    explore = _seed_streams(seeds, n, q_config.epsilon, total_steps, table.action_counts)
     greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])

@@ -1,10 +1,13 @@
-"""Independent single-rate learner for criterion 6's reduction check.
+"""Independent live-env learner: the reference for ``learners.train``.
 
-``learners.train`` steps through a ``TransitionTable`` of the env. This
-learner is deliberately kept as its own plain loop: one fixed rate for
-every agent, no scheduler, and no table. It steps and evaluates on live
-env instances, so an equal-rate schedule run through ``train`` must
-reproduce its logs exactly.
+``learners.train`` steps through a ``TransitionTable`` of the env, with
+exploration drawn ahead and its per-step rules inlined. This learner is
+deliberately kept as its own plain loop: it calls ``select_action``,
+``q_update`` and ``greedy_action`` on every step, reads each step's rates
+with ``schedule.rates_at`` (or uses one fixed rate for every agent), and
+steps and evaluates on live env instances, with no table. Criterion 6's
+reduction runs it with one rate; ``tests/test_train_reference.py`` runs it
+with schedules.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from mtlearn.learners import (
     q_update,
     select_action,
 )
+from mtlearn.schedule import Schedule, rates_at
 
 
 def evaluate_greedy_on_env(env, tables, action_counts, episodes: int,
@@ -42,13 +46,15 @@ def evaluate_greedy_on_env(env, tables, action_counts, episodes: int,
     return total / episodes
 
 
-def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
-                      total_steps: int, eval_every: int, eval_episodes: int,
-                      seed: int, config_digest: str = "") -> RunLog:
-    """Reference learner: every agent always updates with the same rate."""
+def train_reference(env_factory, rates: float | Schedule, q_config: QLearnerConfig,
+                    total_steps: int, eval_every: int, eval_episodes: int,
+                    seed: int, config_digest: str = "") -> tuple[RunLog, list[dict]]:
+    """Reference learner, returning the log and the Q-tables. ``rates`` is a
+    schedule, read with ``rates_at`` on every step, or one rate that every
+    agent always updates with."""
     _validate_train_args(total_steps, eval_every, eval_episodes)
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    if not isinstance(rates, Schedule) and rates < 0:
+        raise ValueError(f"learning rate must be >= 0, got {rates}")
     env = env_factory()
     eval_env = env_factory()
     n = env.n
@@ -66,9 +72,10 @@ def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
         actions = [select_action(tables[i], obs[i], eps_t, explore_rngs[i], action_counts[i])
                    for i in range(n)]
         res = env.step(actions)
+        lrs = rates_at(rates, t) if isinstance(rates, Schedule) else (rates,) * n
         for i in range(n):
             q_update(tables[i], obs[i], actions[i], res.reward, res.observations[i],
-                     res.done, lr, discount, action_counts[i])
+                     res.done, lrs[i], discount, action_counts[i])
         obs = res.observations
         done_steps = t + 1
         if done_steps % eval_every == 0 or done_steps == total_steps:
@@ -79,8 +86,18 @@ def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
         if res.done:
             obs = env.reset(env_rng.getrandbits(32))
 
-    return RunLog(seed=seed,
-                  eval_points=tuple(zip(eval_steps, eval_returns)),
-                  final_return=_final_window_mean(eval_returns),
-                  eval_episodes=eval_episodes,
-                  config_digest=config_digest)
+    log = RunLog(seed=seed,
+                 eval_points=tuple(zip(eval_steps, eval_returns)),
+                 final_return=_final_window_mean(eval_returns),
+                 eval_episodes=eval_episodes,
+                 config_digest=config_digest)
+    return log, tables
+
+
+def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
+                      total_steps: int, eval_every: int, eval_episodes: int,
+                      seed: int, config_digest: str = "") -> RunLog:
+    """Reference learner: every agent always updates with the same rate."""
+    log, _ = train_reference(env_factory, lr, q_config, total_steps, eval_every,
+                             eval_episodes, seed, config_digest)
+    return log

@@ -283,8 +283,8 @@ class TestRunSweep:
         jobs = [Job((0.5, 0.1), 5.0, 0), Job((0.1, 0.1), 5.0, 1)]
         monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36 - 1)
         assert _run_batch(cfg, jobs) == [
-            (None, "SearchBudgetError: plan search exceeded 19871 expansions; the "
-                   "environment is too large for exhaustive planning")] * 2
+            (None, "SearchBudgetError: reachable-state search exceeded 19871 "
+                   "expansions; the environment has too many states")] * 2
         monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36)
         assert all(log is not None and error is None for log, error in _run_batch(cfg, jobs))
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import mtlearn as mt
-from mtlearn.envs import MatrixGameEnv
+from mtlearn import learners
+from mtlearn.envs import MatrixGameEnv, SearchBudgetError, TransitionTable
 from mtlearn.estimation import Mode, run_br_iteration, team_mse
 from mtlearn.learners import (
     EpsilonSchedule,
@@ -177,6 +178,25 @@ class TestTrainReductions:
         sched2 = mt.make_schedule(2, (0.1, 0.05), s=10)
         with pytest.raises(ValueError):
             train(match_env_factory, sched2, small_q_config(), 0, 5, 1, seed=0)
+
+    def test_search_budget_fires_before_the_first_step(self, monkeypatch):
+        # The fixture's table is 552 states x 36 joint actions, all expanded
+        # before training; an env over the budget fails before any step or
+        # exploration draw.
+        work = []
+        table_step, exploration = TransitionTable.step, learners._exploration
+        monkeypatch.setattr(TransitionTable, "step",
+                            lambda *a: work.append("step") or table_step(*a))
+        monkeypatch.setattr(learners, "_exploration",
+                            lambda *a: work.append("explore") or exploration(*a))
+        sched = mt.make_schedule(2, (0.3, 0.05), s=50)
+        monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36 - 1)
+        with pytest.raises(SearchBudgetError, match="reachable-state search exceeded 19871 "):
+            train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
+        assert work == []
+        monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36)
+        train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
+        assert work.count("explore") == 2 and work.count("step") >= 100
 
     def test_runlog_csv_shape(self):
         sched = mt.make_schedule(2, (0.2, 0.1), s=10)

@@ -20,12 +20,13 @@ import mtlearn as mt
 from mtlearn.learners import (
     EpsilonSchedule,
     QLearnerConfig,
+    _exploration,
     runlog_to_csv,
     select_action,
     train,
     train_with_tables,
 )
-from mtlearn.lockstep import _exploration, train_lockstep
+from mtlearn.lockstep import train_lockstep
 
 from conftest import CLIMBING_PAYOFF, ascii_layouts, fixture_env_factory
 
@@ -180,19 +181,22 @@ class TestLockstepArguments:
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n_actions=st.integers(1, 9),
-       eps=st.lists(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), max_size=60))
-def test_exploration_draws_match_select_action(seed, n_actions, eps):
+       epsilon=st.builds(EpsilonSchedule, st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+                         st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), st.integers(1, 40)),
+       steps=st.integers(0, 60))
+def test_exploration_draws_match_select_action(seed, n_actions, epsilon, steps):
     """The pre-drawn exploration consumes the stream as select_action does."""
-    draws = _exploration(random.Random(seed), eps, n_actions)
+    draws = _exploration(random.Random(seed), epsilon, n_actions, steps)
     # A table whose greedy action is always 0 marks every explored step that
     # drew a nonzero action; the streams must also end in the same state.
-    reference_rng, lockstep_rng = random.Random(seed), random.Random(seed)
-    _exploration(lockstep_rng, eps, n_actions)
+    reference_rng, drawn_rng = random.Random(seed), random.Random(seed)
+    _exploration(drawn_rng, epsilon, n_actions, steps)
     marker = {0: [1.0] + [0.0] * (n_actions - 1)}
-    for e, drawn in zip(eps, draws):
-        action = select_action(marker, 0, e, reference_rng, n_actions)
+    assert len(draws) == steps
+    for t, drawn in enumerate(draws):
+        action = select_action(marker, 0, epsilon.value(t), reference_rng, n_actions)
         if drawn >= 0:
             assert action == drawn
         else:
             assert action == 0
-    assert reference_rng.getstate() == lockstep_rng.getstate()
+    assert reference_rng.getstate() == drawn_rng.getstate()

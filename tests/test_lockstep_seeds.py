@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn as mt
-from mtlearn import lockstep
+from mtlearn import learners, lockstep
 from mtlearn.learners import QLearnerConfig
 
 from conftest import CLIMBING_PAYOFF
@@ -56,12 +56,12 @@ class TestSharedSeedsMatchTrain:
 def test_exploration_is_drawn_once_per_seed(monkeypatch):
     calls = []
 
-    def counting_exploration(rng, eps_values, n_actions):
+    def counting_exploration(rng, epsilon, n_actions, steps):
         calls.append(n_actions)
-        return exploration(rng, eps_values, n_actions)
+        return exploration(rng, epsilon, n_actions, steps)
 
-    exploration = lockstep._exploration
-    monkeypatch.setattr(lockstep, "_exploration", counting_exploration)
+    exploration = learners._exploration
+    monkeypatch.setattr(learners, "_exploration", counting_exploration)
 
     def factory():
         return mt.MatrixGameEnv(mt.make_game(CLIMBING_PAYOFF), horizon=5)

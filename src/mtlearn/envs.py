@@ -492,8 +492,10 @@ class TransitionTable:
     - ``reward[s, j]`` is the step's reward;
     - ``term[s, j]`` is the step's ``done`` taken from step counter 0;
     - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
-      numbered in the order first seen, and ``observations[s]`` is the
-      env's own observation tuple.
+      numbered in state-id order, and ``observations[s]`` is the env's own
+      observation tuple. Both are encoded on first read (of either, or of
+      ``obs_count``), so the planner, which reads none, encodes none. Bind
+      them once the table stops growing: neither holds states added after a read.
 
     Flattened, ``s * len(joint_actions) + j`` is the entry's offset.
     ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
@@ -517,12 +519,13 @@ class TransitionTable:
         self.fixed_start = env.fixed_start
         self.joint_actions = list(itertools.product(*(range(k) for k in self.action_counts)))
         self.joint_index = {ja: j for j, ja in enumerate(self.joint_actions)}
+        self._joint_array = np.array(self.joint_actions, dtype=np.intp).reshape(-1, self.n)
         self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
                                  for i in range(self.n)], dtype=np.intp)
         self._keys: list[tuple[int, ...]] = []  # each state's row
         self._index: dict[tuple[int, ...], int] = {}  # row -> id
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
-        self.observations: list[tuple[int, ...]] = []
+        self._observations: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
         self._start: int | None = None
         shape = (64, len(self.joint_actions))  # rows double as states are seen
         self.reward_bound = 0.0
@@ -530,11 +533,24 @@ class TransitionTable:
         self.next = np.full(shape, -1, dtype=np.intp)
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
-        self.obs = np.zeros((shape[0], self.n), dtype=np.intp)
+        self._obs = np.zeros((shape[0], self.n), dtype=np.intp)
+
+    @property
+    def observations(self) -> list[tuple[int, ...]]:
+        """Each state's observation tuple, by state id."""
+        self._encode_pending()
+        return self._observations
+
+    @property
+    def obs(self) -> np.ndarray:
+        """Each state's dense per-agent observation ids, one row per state."""
+        self._encode_pending()
+        return self._obs
 
     @property
     def obs_count(self) -> int:
         """The most distinct observations any one agent has been given."""
+        self._encode_pending()
         return max(len(ids) for ids in self._obs_ids)
 
     def reset(self, seed: int) -> int:
@@ -569,11 +585,10 @@ class TransitionTable:
         time at most, so memory follows the block and not the number of
         states. Successors are interned in the order first seen, as
         :meth:`step` would intern them called entry by entry in the same
-        order."""
+        order; their observations are encoded on first read."""
         env = self.env
         states = list(dict.fromkeys(states))
-        joint_actions = np.array(self.joint_actions, dtype=np.intp).reshape(-1, self.n)
-        n_joint = len(joint_actions)
+        n_joint = len(self.joint_actions)
         radix = env.state_radix
         width = len(radix)
         weights = None  # the digit weights of a row's int64 code, where every code fits
@@ -584,7 +599,7 @@ class TransitionTable:
             block = states[lo:lo + per_block]
             rows = np.array([self._keys[s] for s in block], dtype=np.int64)
             succ_rows, reward, term = env.transitions(
-                np.repeat(rows, n_joint, axis=0), np.tile(joint_actions, (len(block), 1)))
+                np.repeat(rows, n_joint, axis=0), np.tile(self._joint_array, (len(block), 1)))
             succ = self._intern_rows(succ_rows, weights).reshape(len(block), n_joint)
             self.next[block] = succ
             self.reward[block] = reward.reshape(len(block), n_joint)
@@ -606,14 +621,19 @@ class TransitionTable:
         expanded = set(frontier)
         expansions = 0
         for _ in range(self.horizon):
+            if not frontier:
+                break
             expansions += len(frontier) * n_joint
             if expansions > budget:
                 raise SearchBudgetError(f"reachable-state search exceeded {budget} "
                                         f"expansions; the environment has too many states")
             self.expand(frontier)
             rows = np.array(frontier, dtype=np.intp)
-            going = self.next[rows][~self.term[rows]].tolist()
-            frontier = [s for s in dict.fromkeys(going) if s not in expanded]
+            going = self.next[rows][~self.term[rows]]
+            first = np.full(len(self._keys), len(going))  # each state's first index
+            np.minimum.at(first, going, np.arange(len(going)))
+            seen = np.argsort(first)[:np.count_nonzero(first < len(going))]
+            frontier = [s for s in seen.tolist() if s not in expanded]
             expanded.update(frontier)
 
     def _intern_rows(self, rows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -627,19 +647,16 @@ class TransitionTable:
         ``_index``.
         """
         if weights is not None:
-            _, first, inverse = np.unique(rows @ weights, return_index=True,
-                                          return_inverse=True)
+            _, inverse = np.unique(rows @ weights, return_inverse=True)
+            first = np.full(inverse.max() + 1, len(rows))  # each row's first index
+            np.minimum.at(first, inverse, np.arange(len(rows)))
         else:
             _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        env = self.env
         order = np.argsort(first)
         ids = np.empty(len(first), dtype=np.intp)
         for u, row in zip(order.tolist(), map(tuple, rows[first[order]].tolist())):
             state = self._index.get(row)
-            if state is None:
-                env.set_state((0, row))
-                state = self._intern(row, env._observations())
-            ids[u] = state
+            ids[u] = self._add(row) if state is None else state
         return ids[inverse.reshape(-1)]
 
     def _filled(self, any_term: bool, size: float) -> None:
@@ -651,24 +668,37 @@ class TransitionTable:
             self.reward_bound = size if math.isfinite(size) else math.inf
 
     def _intern(self, row: tuple[int, ...], observations: Sequence[int]) -> int:
+        """Id of ``row``; a new state is encoded at once, after those before it."""
         state = self._index.get(row)
-        if state is not None:
-            return state
-        state = self._index[row] = len(self._keys)
-        self._keys.append(row)
-        self.observations.append(tuple(observations))
-        if state == len(self.obs):
-            self._grow()
-        for i, o in enumerate(observations):
-            ids = self._obs_ids[i]
-            self.obs[state, i] = ids.setdefault(o, len(ids))
+        if state is None:
+            self._encode_pending()
+            state = self._add(row)
+            self._encode(observations)
         return state
 
-    def _grow(self) -> None:
-        self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
-        self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
-        self.term = np.concatenate([self.term, np.zeros_like(self.term)])
-        self.obs = np.concatenate([self.obs, np.zeros_like(self.obs)])
+    def _add(self, row: tuple[int, ...]) -> int:
+        """Id of ``row``, stored as a new state with its observations pending."""
+        state = self._index[row] = len(self._keys)
+        self._keys.append(row)
+        if state == len(self.next):
+            self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
+            self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
+            self.term = np.concatenate([self.term, np.zeros_like(self.term)])
+            self._obs = np.concatenate([self._obs, np.zeros_like(self._obs)])
+        return state
+
+    def _encode_pending(self) -> None:
+        """Encode every pending state in state-id order, from the env itself."""
+        env = self.env
+        for row in self._keys[len(self._observations):]:
+            env.set_state((0, row))
+            self._encode(env._observations())
+
+    def _encode(self, observations: Sequence[int]) -> None:
+        """Encode the next state; an agent's new observation takes its next id."""
+        self._obs[len(self._observations)] = [ids.setdefault(o, len(ids))
+                                              for ids, o in zip(self._obs_ids, observations)]
+        self._observations.append(tuple(observations))
 
 
 def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
@@ -677,15 +707,15 @@ def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     The time-free states reachable within the horizon from
     ``env.reset(seed)`` are enumerated into a :class:`TransitionTable` of
     ``env`` by :meth:`TransitionTable.expand_reachable`, one batched
-    ``env.transitions`` pass per depth. Backward induction
-    over the table's ``reward``, ``term`` and ``next`` arrays then does the
-    arithmetic of a plain search (``reward + value``, then the max over
-    joint actions), so the result is exact and no recursion depth grows
-    with the horizon. A state first reached at the last depth is one step
-    from the end wherever it occurs, so only its rewards reach the result.
-    The env is put back in the state it was passed in. Raises
-    :class:`SearchBudgetError` once more than ``budget`` joint actions
-    would be expanded.
+    ``env.transitions`` pass per depth, which encodes no observation: only
+    ``env.reset`` does. Backward induction over the table's ``reward``,
+    ``term`` and ``next`` arrays then does the arithmetic of a plain search
+    (``reward + value``, then the max over joint actions), so the result is
+    exact and no recursion depth grows with the horizon. A state first
+    reached at the last depth is one step from the end wherever it occurs,
+    so only its rewards reach the result. The env is put back in the state
+    it was passed in. Raises :class:`SearchBudgetError` once more than
+    ``budget`` joint actions would be expanded.
     """
     saved = env.get_state()
     try:

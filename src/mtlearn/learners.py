@@ -235,12 +235,12 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     n = table.n
     if schedule.n != n:
         raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
-    action_counts, observations, horizon = table.action_counts, table.observations, table.horizon
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, _ = _spawn_streams(seed, n)
     state = table.reset(env_rng.getrandbits(32))
     if table.fixed_start:
         table.expand_reachable(state, SEARCH_BUDGET)
+    action_counts, observations, horizon = table.action_counts, table.observations, table.horizon
 
     discount = q_config.discount
     rates_by_rotation = schedule.rates_by_rotation

@@ -324,6 +324,27 @@ class TestOptimalReturn:
         with pytest.raises(SearchBudgetError):
             optimal_return(env, budget=552 * 36 - 1)
 
+    def test_fixture_plan_encodes_no_observation_and_no_empty_frontier(self, monkeypatch):
+        # The reset encodes the start's observations; the search reads none,
+        # and it stops at depth 7, where no new state is reached.
+        encoded, frontiers = [], []
+        observations, expand = ForagingEnv._observations, TransitionTable.expand
+
+        def counted_observations(self):
+            encoded.append(self.get_state())
+            return observations(self)
+
+        def counted_expand(self, states):
+            frontiers.append(len(states))
+            return expand(self, states)
+
+        monkeypatch.setattr(ForagingEnv, "_observations", counted_observations)
+        monkeypatch.setattr(TransitionTable, "expand", counted_expand)
+        assert optimal_return(fixture_env_factory()) == 1.0
+        assert len(encoded) <= 1
+        assert len(frontiers) == 7 and min(frontiers) > 0
+        assert sum(frontiers) == 552
+
     @pytest.mark.parametrize("top, horizon, expected", [
         ("c3...", 1, 0.9999999999999999),  # three foods at once, summed in food order
         ("3...c", 2, 0.5),
@@ -447,11 +468,7 @@ class TestBatchedTransitions:
             frontier = [s for s in dict.fromkeys(tables[0].next[rows].ravel().tolist())
                         if s not in seen]
             seen.update(frontier)
-        a, b = tables
-        assert a._keys == b._keys and a.observations == b.observations
-        assert (a.reward_bound, a.any_term) == (b.reward_bound, b.any_term)
-        for name in ("next", "reward", "term", "obs"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert_same_tables(*tables)
 
 
 class TestTransitionTable:
@@ -508,6 +525,77 @@ class TestTransitionTable:
             if term or steps >= table.horizon:
                 state, steps = start, 0
         assert len(table._keys) == size
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=st.one_of(
+        st.builds(lambda layout, horizon, radius: ForagingEnv(foraging_config_from_ascii(
+            layout, horizon=horizon, view_radius=radius)),
+            ascii_layouts(), st.integers(1, 8), st.sampled_from([None, 0, 1])),
+        small_matrix_game_envs()))
+    def test_observations_read_after_expanding_match_step_fills(self, env):
+        # Expanded states are encoded on the first read, as the same entries
+        # stepped one by one, in the same order, encode them as they come.
+        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        tables[0].expand_reachable(tables[0].reset(0), SEARCH_BUDGET)
+        step_reachable(tables[1], tables[1].reset(0))
+        assert_same_tables(*tables)
+
+    @settings(max_examples=100, deadline=None)
+    @given(env=st.builds(
+        lambda width, height, levels, horizon, radius: ForagingEnv(ForagingConfig(
+            width=width, height=height, agent_levels=levels, food_levels=(1,),
+            horizon=horizon, view_radius=radius)),
+        st.integers(2, 4), st.integers(2, 3), st.sampled_from([(1,), (1, 1), (1, 2)]),
+        st.integers(1, 5), st.sampled_from([None, 0, 1])),
+        seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
+        joints=st.lists(st.integers(0, 35), min_size=1, max_size=6))
+    def test_seeded_resets_after_expanding_keep_observation_ids_in_state_order(
+            self, env, seeds, joints):
+        # A seeded env expanded from one start, then reset to other seeds and
+        # stepped into new states: each scalar fill encodes the expanded
+        # states first, so ids stay those of a table filled only by step.
+        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        for table in tables:
+            start = table.reset(7)
+            if table is tables[0]:
+                table.expand_reachable(start, SEARCH_BUDGET)
+            else:
+                step_reachable(table, start)
+            for seed in seeds:
+                state = table.reset(seed)
+                for joint in joints:
+                    state, _, term = table.step(state, joint % len(table.joint_actions))
+                    if term:
+                        break
+        assert_same_tables(*tables)
+
+
+def step_reachable(table, start):
+    """``expand_reachable``'s search from ``start``, one ``step`` per entry."""
+    frontier, seen = [start], {start}
+    for _ in range(table.horizon):
+        going = []
+        for state in frontier:
+            for joint in range(len(table.joint_actions)):
+                succ, _, term = table.step(state, joint)
+                if not term:
+                    going.append(succ)
+        frontier = [s for s in dict.fromkeys(going) if s not in seen]
+        seen.update(frontier)
+
+
+def assert_same_tables(a, b):
+    """``a`` and ``b`` hold the same states, entries and observation ids."""
+    size = len(a._keys)
+    assert a._keys == b._keys
+    assert a.observations == b.observations and len(a.observations) == size
+    assert a.obs_count == b.obs_count
+    assert (a.reward_bound, a.any_term) == (b.reward_bound, b.any_term)
+    for name in ("next", "reward", "term", "obs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for i in range(a.n):  # each agent's ids first appear in state order: 0, 1, 2, ...
+        firsts = list(dict.fromkeys(a.obs[:size, i].tolist()))
+        assert firsts == list(range(len(firsts)))
 
 
 class TestTransitionMemo:

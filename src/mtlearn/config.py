@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -158,9 +159,13 @@ def load_oracle_config(raw: dict) -> OracleConfig:
                             _number(prob.get("sigma2", 0.5), "sigma2"),
                             parse_count(prob.get("n", 3), "n"))
     k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
-    return OracleConfig(problem=problem, k0=k0,
-                        max_sweeps=parse_count(raw.get("max_sweeps", 200), "max_sweeps"),
-                        tol=_number(raw.get("tol", 1e-10), "tol"), raw=raw)
+    if len(k0) != problem.n or not all(map(math.isfinite, k0)):
+        raise ValueError(f"k0 must list {problem.n} finite numbers, one per agent, got {list(k0)}")
+    tol = _number(raw.get("tol", 1e-10), "tol")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    return OracleConfig(problem=problem, k0=k0, tol=tol, raw=raw,
+                        max_sweeps=parse_count(raw.get("max_sweeps", 200), "max_sweeps"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +187,13 @@ def load_brdyn_config(raw: dict) -> BrdynConfig:
     _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
             required=("payoff",))
     game = make_game(raw["payoff"])
-    initial = _list(raw.get("initial", [0] * game.n), "initial")
+    initial = tuple(parse_count(a, "initial", minimum=0)
+                    for a in _list(raw.get("initial", [0] * game.n), "initial"))
+    if len(initial) != game.n or any(a >= c for a, c in zip(initial, game.action_counts)):
+        raise ValueError(f"initial must hold one action id per agent, each below its action "
+                         f"count {list(game.action_counts)}, got {list(initial)}")
     return BrdynConfig(
-        game=game, mode=_choice(Mode, raw.get("mode", "sibr"), "mode"),
-        initial=tuple(parse_count(a, "initial", minimum=0) for a in initial),
+        game=game, mode=_choice(Mode, raw.get("mode", "sibr"), "mode"), initial=initial,
         tie_break=_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
         max_rounds=parse_count(raw.get("max_rounds", 1000), "max_rounds"), raw=raw)
 

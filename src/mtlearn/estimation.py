@@ -149,14 +149,14 @@ def iteration_matrix(problem: TeamEstimationProblem, mode: Mode) -> np.ndarray:
     upper = np.triu(gamma, 1)
     if mode is Mode.IIBR:
         return -(lower + upper) / d[:, None]
-    # Forward substitution column by column: (D + L) X = -U.
+    # Forward substitution column by column: (D + L) X = -U. x is reused: row i reads x[:i].
     dl = np.diag(d) + lower
-    out = np.empty((n, n))
+    out, x = np.empty((n, n)), np.empty(n)
+    rows = [(dl[i, :i], x[:i], float(dl[i, i])) for i in range(n)]
     for j in range(n):
-        rhs = -upper[:, j]
-        x = np.zeros(n)
-        for i in range(n):
-            x[i] = (rhs[i] - dl[i, :i] @ x[:i]) / dl[i, i]
+        rhs = (-upper[:, j]).tolist()
+        for i, (dl_lo, x_lo, d_i) in enumerate(rows):
+            x[i] = (rhs[i] - np.vdot(dl_lo, x_lo)) / d_i
         out[:, j] = x
     return out
 
@@ -166,17 +166,22 @@ def spectral_radius(a) -> float:
     return linalg.spectral_radius(a)
 
 
-def _sweep(problem: TeamEstimationProblem, mode: Mode, k: np.ndarray) -> np.ndarray:
-    gamma, eta, n = problem.gamma, problem.eta, problem.n
-    if mode is Mode.IIBR:
-        new = np.empty(n)
-        for i in range(n):
-            new[i] = (eta[i] - gamma[i, :i] @ k[:i] - gamma[i, i + 1:] @ k[i + 1:]) / gamma[i, i]
-        return new
+def _sweeps(problem: TeamEstimationProblem, mode: Mode, k: np.ndarray):
+    """Each sweep's iterate from ``k``, as a new array. The row slices are taken once:
+    IIBR reads a copy of the last iterate, SIBR the gains it is writing."""
+    gamma = problem.gamma
     new = k.copy()
-    for i in range(n):
-        new[i] = (eta[i] - gamma[i, :i] @ new[:i] - gamma[i, i + 1:] @ new[i + 1:]) / gamma[i, i]
-    return new
+    old = new if mode is Mode.SIBR else k.copy()
+    rows = [(float(problem.eta[i]), gamma[i, :i], old[:i], gamma[i, i + 1:], old[i + 1:],
+             float(gamma[i, i]))
+            for i in range(problem.n)]
+    vdot = np.vdot
+    while True:
+        for i, (eta_i, g_lo, k_lo, g_hi, k_hi, d_i) in enumerate(rows):
+            new[i] = (eta_i - vdot(g_lo, k_lo) - vdot(g_hi, k_hi)) / d_i
+        if old is not new:
+            old[:] = new
+        yield new.copy()
 
 
 def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
@@ -202,26 +207,23 @@ def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
         raise SplittingError("gamma has a zero diagonal entry; sweeps undefined")
 
     k_star = solve_exact(problem)
-    err0 = float(np.max(np.abs(k - k_star)))
+    err0 = float(abs(k - k_star).max())
     blowup = 1e6 * (1.0 + err0)
 
-    iterates = [k.copy()]
+    iterates = [k]
     errors = [err0]
     status = "max_sweeps"
     sweeps = 0
     if err0 <= tol:
         status = "converged"
     else:
-        for t in range(1, max_sweeps + 1):
-            k = _sweep(problem, mode, k)
-            sweeps = t
-            if not np.all(np.isfinite(k)):
-                iterates.append(k.copy())
+        for sweeps, k in zip(range(1, max_sweeps + 1), _sweeps(problem, mode, k)):
+            iterates.append(k)
+            if not np.isfinite(k).all():
                 errors.append(float("inf"))
                 status = "diverged"
                 break
-            err = float(np.max(np.abs(k - k_star)))
-            iterates.append(k.copy())
+            err = float(abs(k - k_star).max())
             errors.append(err)
             if err <= tol:
                 status = "converged"

@@ -5,7 +5,9 @@ a direct solver based on Gaussian elimination with partial pivoting,
 and an eigenvalue routine based on Householder reduction to Hessenberg
 form followed by a shifted QR iteration carried out in complex
 arithmetic. No LAPACK-backed routines are called; numpy is used only
-as an array container.
+as an array container. Every floating-point result is bit-identical to
+``tests/oracle_reference.py``; row dots use ``np.vdot``, the dot loop ``@``
+runs (``ndarray.dot`` can give -0.0 where ``@`` gives 0.0).
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+
+
+_EPS = np.finfo(float).eps
 
 
 class SingularMatrixError(ValueError):
@@ -58,25 +63,26 @@ def solve_dense(a, b) -> np.ndarray:
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
 
     scale = max(np.max(np.abs(a)), 1.0)
-    tiny = n * np.finfo(float).eps * scale
+    tiny = n * _EPS * scale
 
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        piv = k + int(abs(a[k:, k]).argmax())
         if abs(a[piv, k]) <= tiny:
             raise SingularMatrixError(f"singular system: pivot {a[piv, k]!r} in column {k}")
         if piv != k:
             a[[k, piv]] = a[[piv, k]]
             b[[k, piv]] = b[[piv, k]]
-        for i in range(k + 1, n):
-            m = a[i, k] / a[k, k]
-            if m != 0.0:
-                a[i, k + 1:] -= m * a[k, k + 1:]
-                b[i] -= m * b[k]
-            a[i, k] = 0.0
+        # All rows below the pivot at once; a zero multiplier's row is masked out.
+        m = a[k + 1:, k] / a[k, k]
+        rows = m != 0.0
+        rest, b_rest = a[k + 1:, k + 1:], b[k + 1:]
+        np.subtract(rest, m[:, None] * a[k, k + 1:], out=rest, where=rows[:, None])
+        np.subtract(b_rest, m * b[k], out=b_rest, where=rows)
+        a[k + 1:, k] = 0.0
 
     x = np.zeros(n)
     for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+        x[i] = (b[i] - np.vdot(a[i, i + 1:], x[i + 1:])) / a[i, i]
     return x
 
 
@@ -127,9 +133,9 @@ def _qr_step(h: np.ndarray, m: int, mu: complex) -> None:
     Hessenberg) and overwrites the window with R Q + mu*I, a unitary
     similarity of the original window.
     """
-    for i in range(m):
-        h[i, i] -= mu
-    rots: list[tuple[complex, complex]] = []
+    d = np.arange(m)
+    h[d, d] -= mu
+    rots = []
     for i in range(m - 1):
         a, b = h[i, i], h[i + 1, i]
         r = np.hypot(abs(a), abs(b))
@@ -137,27 +143,26 @@ def _qr_step(h: np.ndarray, m: int, mu: complex) -> None:
             c, s = 1.0 + 0.0j, 0.0 + 0.0j
         else:
             c, s = a / r, b / r
-        rots.append((c, s))
-        row_i = h[i, i:m].copy()
-        row_j = h[i + 1, i:m].copy()
-        h[i, i:m] = np.conj(c) * row_i + np.conj(s) * row_j
-        h[i + 1, i:m] = -s * row_i + c * row_j
+        cc, cs = np.conj(c), np.conj(s)
+        rots.append((c, s, cc, cs))
+        row_i, row_j = h[i, i:m], h[i + 1, i:m]
+        new_i = cc * row_i + cs * row_j
+        row_j[:] = -s * row_i + c * row_j
+        row_i[:] = new_i
         h[i + 1, i] = 0.0
-    for i, (c, s) in enumerate(rots):
-        hi = min(i + 2, m)
-        col_i = h[:hi, i].copy()
-        col_j = h[:hi, i + 1].copy()
-        h[:hi, i] = c * col_i + s * col_j
-        h[:hi, i + 1] = -np.conj(s) * col_i + np.conj(c) * col_j
-    for i in range(m):
-        h[i, i] += mu
+    for i, (c, s, cc, cs) in enumerate(rots):
+        col_i, col_j = h[:i + 2, i], h[:i + 2, i + 1]
+        new_i = c * col_i + s * col_j
+        col_j[:] = -cs * col_i + cc * col_j
+        col_i[:] = new_i
+    h[d, d] += mu
 
 
 def _subdiag_negligible(h: np.ndarray, i: int) -> bool:
     local = abs(h[i, i]) + abs(h[i + 1, i + 1])
     if local == 0.0:
         local = float(np.max(np.abs(h))) or 1.0
-    return abs(h[i + 1, i]) <= np.finfo(float).eps * local
+    return abs(h[i + 1, i]) <= _EPS * local
 
 
 def eigvals(a, max_iter: int | None = None) -> np.ndarray:
@@ -173,7 +178,8 @@ def eigvals(a, max_iter: int | None = None) -> np.ndarray:
     a : (n, n) array_like
         Real matrix with finite entries.
     max_iter : int, optional
-        Total QR-step budget. Defaults to ``60 * n + 120``.
+        Total QR-step budget, an int >= 0 (ValueError otherwise). Defaults
+        to ``60 * n + 120``.
 
     Returns
     -------
@@ -185,6 +191,9 @@ def eigvals(a, max_iter: int | None = None) -> np.ndarray:
     EigenConvergenceError
         If the iteration budget is exhausted before full deflation.
     """
+    if max_iter is not None and (not isinstance(max_iter, (int, np.integer))
+                                 or isinstance(max_iter, bool) or max_iter < 0):
+        raise ValueError(f"max_iter must be an int >= 0, got {max_iter!r}")
     a = _as_square_matrix(a)
     n = a.shape[0]
     if n == 0:
@@ -218,7 +227,7 @@ def eigvals(a, max_iter: int | None = None) -> np.ndarray:
             stalled = 0
             continue
         if used >= budget:
-            sub = [abs(h[i + 1, i]) for i in range(m - 1)]
+            sub = [float(abs(h[i + 1, i])) for i in range(m - 1)]
             raise EigenConvergenceError(
                 f"QR iteration did not deflate a {m}x{m} block within {budget} steps; "
                 f"remaining subdiagonal magnitudes: {sub}"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mtlearn import harness, learners
+from mtlearn import estimation, games, harness, learners
 from mtlearn.cli import EXIT_CELLS_FAILED, build_parser, main
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
@@ -438,6 +438,26 @@ class TestConfigsFailAtLoad:
         cfg = write_json(tmp_path / "oracle.json", {"problem": {key: value}})
         assert main(["oracle", "--config", cfg]) == 1
         assert_load_error(capsys, f"{key} must be")
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"k0": [0.0, 0.0]}, "k0 must list 3 finite numbers, one per agent, got [0.0, 0.0]"),
+        ({"k0": [0.0, float("nan"), 0.0]}, "k0 must list 3 finite numbers"),
+        ({"tol": -1}, "tol must be a finite number > 0, got -1.0"),
+        ({"tol": float("inf")}, "tol must be a finite number > 0, got inf"),
+    ])
+    def test_bad_oracle_sweep_input_fails_before_the_solve(self, tmp_path, capsys, monkeypatch,
+                                                           raw, message):
+        monkeypatch.setattr(estimation, "solve_exact", None)
+        assert main(["oracle", "--config", write_json(tmp_path / "oracle.json", raw)]) == 1
+        assert_load_error(capsys, message)
+
+    @pytest.mark.parametrize("initial", [[0, 5], [2, 0], [0], [0, 0, 0]])
+    def test_bad_brdyn_initial_fails_at_load(self, tmp_path, capsys, monkeypatch, initial):
+        monkeypatch.setattr(games, "run_dynamics", None)
+        cfg = write_json(tmp_path / "g.json", {"payoff": MATCH_PAYOFF, "initial": initial})
+        assert main(["brdyn", "--config", cfg]) == 1
+        assert_load_error(capsys, "initial must hold one action id per agent, each below its "
+                                  f"action count [2, 2], got {initial}")
 
     def test_fractional_oracle_max_sweeps_fails(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "oracle.json", {"max_sweeps": 10.5})

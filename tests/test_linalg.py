@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,25 @@ class TestEigvals:
         a = np.eye(8)[np.roll(np.arange(8), 1)]  # cyclic permutation
         with pytest.raises(EigenConvergenceError, match="subdiagonal"):
             eigvals(a, max_iter=1)
+
+    def test_budget_diagnostics_print_plain_floats(self):
+        a = np.eye(8)[np.roll(np.arange(8), 1)]
+        with pytest.raises(EigenConvergenceError) as exc:
+            eigvals(a, max_iter=1)
+        magnitudes = str(exc.value).split("magnitudes: ")[1]
+        assert "np." not in magnitudes
+        assert all(float(v) >= 0.0 for v in magnitudes.strip("[]").split(", "))
+
+    @pytest.mark.parametrize("max_iter", [-3, True, False, 2.5, "3", np.float64(4.0)])
+    def test_bad_budget_is_rejected_before_any_step(self, max_iter):
+        message = re.escape(f"max_iter must be an int >= 0, got {max_iter!r}")
+        for fn in (eigvals, spectral_radius):
+            with pytest.raises(ValueError, match=message):
+                fn(np.eye(3), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, 7, np.int64(7)])
+    def test_int_budgets_are_accepted(self, max_iter):
+        assert spectral_radius(np.diag([1.0, -2.0, 0.5]), max_iter=max_iter) == 2.0
 
 
 class TestSpectralRadius:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,15 @@ assert "mtlearn.lockstep" not in sys.modules, sorted(sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_kernels_call_no_lapack():
+    # linalg and estimation do their arithmetic in-repo, bit-identical to
+    # tests/oracle_reference.py; a LAPACK routine would be faster but would
+    # round differently.
+    src = Path(mtlearn.__file__).resolve().parent
+    for name in ("linalg.py", "estimation.py"):
+        text = (src / name).read_text()
+        for banned in ("np.linalg", "numpy.linalg", "scipy"):
+            assert banned not in text, f"{name} references {banned}"
+        assert not re.search(r"from\s+numpy\s+import[^\n]*\blinalg\b", text), name

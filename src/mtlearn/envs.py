@@ -485,8 +485,7 @@ class TransitionTable:
     scalar training and evaluation (``learners.train``), lockstep sweeps
     and the planner all step through it. States get dense ids in the order
     they are first seen. Joint action ``j`` is the index of the joint action
-    in ``itertools.product`` order, ``sum(a_i * strides[i])``, and
-    ``joint_index`` maps a joint action tuple to it. For state ``s``:
+    in ``itertools.product`` order, ``sum(a_i * strides[i])``. For state ``s``:
 
     - ``next[s, j]`` is the successor's id, or -1 while the entry is not filled;
     - ``reward[s, j]`` is the step's reward;
@@ -497,12 +496,10 @@ class TransitionTable:
       ``obs_count``), so the planner, which reads none, encodes none. Bind
       them once the table stops growing: neither holds states added after a read.
 
-    Flattened, ``s * len(joint_actions) + j`` is the entry's offset.
-    ``reward_bound`` is the largest ``abs(reward)`` filled so far (inf once
-    a reward is not finite), and ``any_term`` says whether some filled
-    entry ends the episode by itself. States are keyed by the env's
-    time-free state row, ``get_state()[1]``, and ``_keys[s]`` is the row of
-    state ``s``. The planner, and both training loops wherever the env has
+    Flattened, ``s * len(joint_actions) + j`` is the entry's offset; an
+    entry not filled holds reward 0 and ``term`` False. States are keyed by
+    the env's time-free state row, ``get_state()[1]``, and ``_keys[s]`` is
+    the row of state ``s``. The planner, and both training loops wherever the env has
     a fixed start, fill the table before use with :meth:`expand_reachable`,
     one :meth:`expand` (the env's batched ``transitions``, equal to ``step``
     bit for bit) per depth; :meth:`step` fills an entry on first use through
@@ -518,7 +515,6 @@ class TransitionTable:
         self.action_counts = tuple(env.action_counts)
         self.fixed_start = env.fixed_start
         self.joint_actions = list(itertools.product(*(range(k) for k in self.action_counts)))
-        self.joint_index = {ja: j for j, ja in enumerate(self.joint_actions)}
         self._joint_array = np.array(self.joint_actions, dtype=np.intp).reshape(-1, self.n)
         self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
                                  for i in range(self.n)], dtype=np.intp)
@@ -528,8 +524,6 @@ class TransitionTable:
         self._observations: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
         self._start: int | None = None
         shape = (64, len(self.joint_actions))  # rows double as states are seen
-        self.reward_bound = 0.0
-        self.any_term = False
         self.next = np.full(shape, -1, dtype=np.intp)
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
@@ -576,7 +570,6 @@ class TransitionTable:
             self.next[state, joint] = succ
             self.reward[state, joint] = res.reward
             self.term[state, joint] = res.done
-            self._filled(res.done, abs(res.reward))
         return succ, self.reward.item(state, joint), self.term.item(state, joint)
 
     def expand(self, states: Sequence[int]) -> None:
@@ -604,7 +597,6 @@ class TransitionTable:
             self.next[block] = succ
             self.reward[block] = reward.reshape(len(block), n_joint)
             self.term[block] = term.reshape(len(block), n_joint)
-            self._filled(bool(term.any()), float(np.abs(reward).max(initial=0.0)))
 
     def expand_reachable(self, start: int, budget: int) -> None:
         """Fill every joint action of each state an episode from ``start``
@@ -658,14 +650,6 @@ class TransitionTable:
             state = self._index.get(row)
             ids[u] = self._add(row) if state is None else state
         return ids[inverse.reshape(-1)]
-
-    def _filled(self, any_term: bool, size: float) -> None:
-        """Account for new entries whose largest ``abs(reward)`` is ``size``
-        (NaN if some reward is)."""
-        if any_term:
-            self.any_term = True
-        if not size <= self.reward_bound:  # larger, or NaN
-            self.reward_bound = size if math.isfinite(size) else math.inf
 
     def _intern(self, row: tuple[int, ...], observations: Sequence[int]) -> int:
         """Id of ``row``; a new state is encoded at once, after those before it."""

@@ -13,6 +13,7 @@ spectral analysis that decides which of them converges.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,13 @@ class TeamEstimationProblem:
     gamma: np.ndarray = field(repr=False)
     eta: np.ndarray = field(repr=False)
 
+    @functools.cached_property
+    def solution(self) -> np.ndarray:
+        """The exact gains, solved once per problem and read-only."""
+        k = linalg.solve_dense(self.gamma, self.eta)
+        k.setflags(write=False)
+        return k
+
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
@@ -98,8 +106,9 @@ def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationPr
     Raises
     ------
     InvalidProblemError
-        If ``sigma2 <= 0``, ``n < 2``, or the diagonal weight
-        ``p * (1 + sigma2)`` vanishes.
+        If ``sigma2 <= 0``, ``n < 2``, a parameter is not finite, the
+        diagonal weight ``p * (1 + sigma2)`` vanishes, or it or the
+        right-hand side ``p + (n - 1) * q`` overflows.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidProblemError(f"agent count must be an integer, got {n!r}")
@@ -112,11 +121,14 @@ def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationPr
         raise InvalidProblemError("zero diagonal: p * (1 + sigma2) must be nonzero")
     if not np.all(np.isfinite([p, q, sigma2])):
         raise InvalidProblemError("parameters must be finite")
-
     n = int(n)
+    rhs = float(p) + (n - 1) * float(q)
+    if not np.isfinite([diag, rhs]).all():
+        raise InvalidProblemError(f"system overflows: p * (1 + sigma2) = {diag}, "
+                                  f"p + (n - 1) * q = {rhs}")
     gamma = np.full((n, n), float(q))
     np.fill_diagonal(gamma, diag)
-    eta = np.full(n, float(p) + (n - 1) * float(q))
+    eta = np.full(n, rhs)
     gamma.setflags(write=False)
     eta.setflags(write=False)
     return TeamEstimationProblem(p=float(p), q=float(q), sigma2=float(sigma2),
@@ -124,14 +136,14 @@ def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationPr
 
 
 def solve_exact(problem: TeamEstimationProblem) -> np.ndarray:
-    """Gain vector solving ``gamma @ K = eta`` directly.
+    """Gain vector solving ``gamma @ K = eta``: the problem's read-only ``solution``.
 
     Raises
     ------
     linalg.SingularMatrixError
         If the system matrix is singular.
     """
-    return linalg.solve_dense(problem.gamma, problem.eta)
+    return problem.solution
 
 
 def iteration_matrix(problem: TeamEstimationProblem, mode: Mode) -> np.ndarray:

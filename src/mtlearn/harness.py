@@ -141,14 +141,10 @@ def _error_text(exc: Exception) -> str:
 
 # The least work, in run-steps (jobs x total_steps), that earns a batch of
 # its own. A lockstep step costs nearly as much for a few runs as for a
-# hundred, and every worker starts up and expands its own transition table
-# (one breadth-first pass, about 7 ms on the foraging fixture), so only big
-# sweeps gain from a split. On a 2-core host a forced 2-way split lost on
-# configs/sweep_foraging.json (2.25M run-steps), broke even on that grid
-# with 6 seeds (4.5M) and on sweep_matrix with 20 seeds (1.26M), and won
-# on sweep_matrix with 80 seeds (5M). On a later 2-core shared host it won
-# at every one of those sizes, by 5% at 2.25M up to 32% on sweep_matrix at
-# 5M (README, "Lockstep sweeps"), which puts the break-even lower than this.
+# hundred, and every worker starts up and expands its own transition table,
+# so only big sweeps gain from a split. The README ("Lockstep sweeps") has
+# the measurements behind the figure. A lower one would split sweep_matrix
+# at --workers 2, and the benchmark's peak_rss_mb would count a worker's RSS.
 SPLIT_RUN_STEPS = 2_500_000
 
 
@@ -287,48 +283,31 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
         raise ValueError(f"workers must be >= 1, got {workers}")
     digest = config.digest
 
-    # Unique jobs: equal-rate cells do not depend on the switching period.
-    jobs: list[Job] = []
-    key_index: dict[tuple, int] = {}
+    # Each cell's jobs; equal-rate cells do not depend on the switching period,
+    # so they run at the first one and the job itself is the dedup key.
     first_period = config.switch_periods[0]
-    for lr0 in config.lr0_values:
-        for lr1 in config.lr1_values:
-            for period in config.switch_periods:
-                for seed in config.seeds:
-                    key = ((lr0, seed) if lr0 == lr1
-                           else (lr0, lr1, period, seed))
-                    if key in key_index:
-                        continue
-                    key_index[key] = len(jobs)
-                    run_period = first_period if lr0 == lr1 else period
-                    jobs.append(Job((lr0, lr1), run_period, seed))
-
-    outcomes = _run_jobs(config, jobs, workers)
+    grid = [(lr0, lr1, period, [Job((lr0, lr1), first_period if lr0 == lr1 else period, seed)
+                                for seed in config.seeds])
+            for lr0 in config.lr0_values for lr1 in config.lr1_values
+            for period in config.switch_periods]
+    jobs = list(dict.fromkeys(job for *_, cell_jobs in grid for job in cell_jobs))
+    outcomes = dict(zip(jobs, _run_jobs(config, jobs, workers)))
 
     cells: list[CellResult] = []
-    for lr0 in config.lr0_values:
-        for lr1 in config.lr1_values:
-            for period in config.switch_periods:
-                runs: list[RunLog | None] = []
-                errors: list[str | None] = []
-                for seed in config.seeds:
-                    key = ((lr0, seed) if lr0 == lr1
-                           else (lr0, lr1, period, seed))
-                    log, err = outcomes[key_index[key]]
-                    runs.append(log)
-                    errors.append(err)
-                finals = [r.final_return for r in runs if r is not None]
-                aucs = [curve_auc(r.eval_points) for r in runs if r is not None]
-                cells.append(CellResult(
-                    lr0=lr0, lr1=lr1, period=period,
-                    regime=cell_regime(lr0, lr1),
-                    runs=tuple(runs), errors=tuple(errors),
-                    per_seed_final=tuple(finals), per_seed_auc=tuple(aucs),
-                    final_mean=sum(finals) / len(finals) if finals else math.nan,
-                    final_stderr=_stderr(finals),
-                    auc_mean=sum(aucs) / len(aucs) if aucs else math.nan,
-                    auc_stderr=_stderr(aucs),
-                ))
+    for lr0, lr1, period, cell_jobs in grid:
+        runs = tuple(outcomes[job][0] for job in cell_jobs)
+        finals = [r.final_return for r in runs if r is not None]
+        aucs = [curve_auc(r.eval_points) for r in runs if r is not None]
+        cells.append(CellResult(
+            lr0=lr0, lr1=lr1, period=period,
+            regime=cell_regime(lr0, lr1),
+            runs=runs, errors=tuple(outcomes[job][1] for job in cell_jobs),
+            per_seed_final=tuple(finals), per_seed_auc=tuple(aucs),
+            final_mean=sum(finals) / len(finals) if finals else math.nan,
+            final_stderr=_stderr(finals),
+            auc_mean=sum(aucs) / len(aucs) if aucs else math.nan,
+            auc_stderr=_stderr(aucs),
+        ))
 
     return SweepResult(
         digest=digest, lr0_values=config.lr0_values, lr1_values=config.lr1_values,

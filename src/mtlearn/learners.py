@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .envs import SEARCH_BUDGET, TransitionTable
-from .estimation import TeamEstimationProblem, team_mse
+from .estimation import TeamEstimationProblem, team_mse, team_mse_gradient
 from .schedule import Schedule, rates_at
 
 QTable = dict[int, list[float]]
@@ -190,7 +190,7 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
                      eval_rng: random.Random) -> float:
     """Mean greedy return over ``episodes`` episodes, each from a reset seeded
     by ``eval_rng``; each distinct start state's episode is played once."""
-    joint_index, observations = table.joint_index, table.observations
+    strides, observations = table.strides.tolist(), table.observations
     returns: dict[int, float] = {}  # start state -> its episode's return
     total = 0.0
     for _ in range(episodes):
@@ -199,9 +199,10 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
         if ep_return is None:
             ep_return, state = 0.0, start
             for _ in range(table.horizon):
-                actions = tuple([row.index(max(row)) if row is not None else 0
-                                 for row in map(dict.get, tables, observations[state])])
-                state, reward, term = table.step(state, joint_index[actions])
+                joint = sum([(row.index(max(row)) if row is not None else 0) * stride
+                             for row, stride in zip(map(dict.get, tables, observations[state]),
+                                                    strides)])
+                state, reward, term = table.step(state, joint)
                 ep_return += reward
                 if term:
                     break
@@ -363,7 +364,7 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
     eval_values: list[float] = []
     for t in range(total_steps):
         if exact_gradient:
-            grad = (2.0 / (n * n)) * (problem.gamma @ gains - problem.eta)
+            grad = team_mse_gradient(problem, gains)
         else:
             x = rng.standard_normal(batch_size)
             y = x[:, None] + noise_std * rng.standard_normal((batch_size, n))

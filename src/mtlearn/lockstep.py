@@ -44,40 +44,19 @@ def _first_max(rows: np.ndarray, finite: bool) -> np.ndarray:
     return best
 
 
-class _LockstepQ:
-    """The Q-tables of R runs of n agents, as one array.
-
-    ``flat[(base[r, i] + o) * width + a]`` is run r, agent i, dense
-    observation o, action a, and ``rows`` is the same array with one row
-    per (run, agent, observation). Actions past an agent's count are -inf
-    pads, which the first-max fold never picks.
-    """
-
-    def __init__(self, runs: int, action_counts: Sequence[int], observations: int):
-        self.runs = runs
-        n = len(action_counts)
-        self.width = max(action_counts)
-        q = np.zeros((runs, n, observations, self.width))
-        for i, k in enumerate(action_counts):
-            q[:, i, :, k:] = -np.inf
-        self.rows = q.reshape(-1, self.width)
-        self.flat = q.reshape(-1)
-        self.base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
-
-
-def _evaluate_lockstep(table: TransitionTable, q: _LockstepQ, episodes: int,
-                       finite: bool) -> list[float]:
+def _evaluate_lockstep(table: TransitionTable, q_rows: np.ndarray, base: np.ndarray,
+                       episodes: int, finite: bool) -> list[float]:
     """``_evaluate_greedy`` for every run at once: from the env's fixed start
     the runs play their one greedy episode together."""
-    runs = q.runs
+    runs = len(base)
     live = np.arange(runs)
     state = np.full(runs, table.reset(0), dtype=np.intp)
     returns = np.zeros(runs)
     n_joint = len(table.joint_actions)
     steps = 0
     while live.size:
-        rows = q.base[live] + table.obs.take(state, axis=0)
-        joint = _first_max(q.rows.take(rows, axis=0), finite) @ table.strides
+        rows = base[live] + table.obs.take(state, axis=0)
+        joint = _first_max(q_rows.take(rows, axis=0), finite) @ table.strides
         entry = state * n_joint + joint
         returns[live] += table.reward.take(entry)
         steps += 1
@@ -133,29 +112,34 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
-    unit_rates = float(rates.max()) <= 1.0
     # A run's rates change at multiples of its period; one that never
     # switches stays at rotation 0 for every step.
-    periods = [int(s.switch_period) if s.is_switching else total_steps for s in schedules]
-    by_period = []  # (period, its runs, their rates by rotation)
+    periods = np.array([int(s.switch_period) if s.is_switching else total_steps
+                        for s in schedules])
     rate_change = [False] * total_steps  # steps where some run rotates
-    for period in sorted(set(periods)):
-        members = np.array([r for r, p in enumerate(periods) if p == period])
-        by_period.append((period, members, rates[members]))
+    for period in set(periods.tolist()):
         rate_change[::period] = [True] * len(range(0, total_steps, period))
-    lr = np.empty((runs, n))
+    run_ids = np.arange(runs)
     horizon = table.horizon
+    # Facts of the complete table (an unfilled entry holds reward 0, term False):
+    # does some entry end the episode, and do updates need the finite check?
+    any_term = bool(table.term.any())
+    reward_bound = float(np.abs(table.reward).max())  # a NaN reward sets the check
+    check = not (float(rates.max()) <= 1.0 and (total_steps + 1) * reward_bound < _NO_OVERFLOW)
 
-    q = _LockstepQ(runs, table.action_counts, table.obs_count)
+    # The Q-tables of all runs as one array: row (base[r, i] + o) is run r,
+    # agent i, dense observation o. Actions past an agent's count are -inf
+    # pads, which the first-max fold never picks.
+    width, observations = max(table.action_counts), table.obs_count
+    q = np.zeros((runs, n, observations, width))
+    for i, k in enumerate(table.action_counts):
+        q[:, i, :, k:] = -np.inf
+    q_rows, q_flat = q.reshape(-1, width), q.reshape(-1)
+    base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
     n_joint = len(table.joint_actions)
-    width = q.width
     strides = table.strides
     next_flat, obs = table.next.reshape(-1), table.obs
     reward_col, term_flat = table.reward.reshape(-1, 1), table.term.reshape(-1)
-    q_rows, q_flat, base = q.rows, q.flat, q.base
-    any_term = table.any_term
-    # Whether updates need the finite check (see _NO_OVERFLOW).
-    check = not (unit_rates and (total_steps + 1) * table.reward_bound < _NO_OVERFLOW)
     row_starts = np.arange(runs * n, dtype=np.intp).reshape(runs, n) * width
     start_off = start * n_joint
     start_rows = base + obs[start]
@@ -170,9 +154,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     with np.errstate(over="ignore", invalid="ignore"):
         for t, greedy_t, forced_t in zip(range(total_steps), greedy, explore):
             if rate_change[t]:
-                for period, members, member_rates in by_period:
-                    if t % period == 0:
-                        lr[members] = member_rates[:, (t // period) % n]
+                lr = rates[run_ids, (t // periods) % n]
             actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
                                forced_t)
             entry = state_off + actions @ strides
@@ -205,7 +187,8 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
 
             if t1 % eval_every == 0 or t1 == total_steps:
                 eval_steps.append(t1)
-                eval_returns.append(_evaluate_lockstep(table, q, eval_episodes, finite))
+                eval_returns.append(_evaluate_lockstep(table, q_rows, base, eval_episodes,
+                                                       finite))
             if ended:
                 np.copyto(ends, t1 + horizon, where=done)
                 if not any_term:

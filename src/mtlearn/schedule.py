@@ -58,11 +58,17 @@ class Schedule:
         return math.isfinite(self.switch_period)
 
     @functools.cached_property
+    def levels_by_rotation(self) -> tuple[tuple[int, ...], ...]:
+        """Level index of every agent, indexed by rotation, then by agent: at
+        rotation r, agent i holds the level of cluster position (i - r) mod n."""
+        layout = [h for h, size in enumerate(self.cluster_sizes) for _ in range(size)]
+        return tuple(tuple(layout[(i - rot) % self.n] for i in range(self.n))
+                     for rot in range(self.n))
+
+    @functools.cached_property
     def rates_by_rotation(self) -> tuple[tuple[float, ...], ...]:
         """Rate of every agent, indexed by rotation, then by agent."""
-        pos_level = position_levels(self)
-        return tuple(tuple(self.levels[pos_level[(i - rot) % self.n]] for i in range(self.n))
-                     for rot in range(self.n))
+        return tuple(tuple(self.levels[h] for h in levels) for levels in self.levels_by_rotation)
 
 
 def make_schedule(n: int, levels: Sequence[float],
@@ -179,15 +185,6 @@ def rotation_at(schedule: Schedule, t: int) -> int:
     return (t // int(schedule.switch_period)) % schedule.n
 
 
-def _level_of_position(schedule: Schedule, pos: int) -> int:
-    acc = 0
-    for h, c in enumerate(schedule.cluster_sizes):
-        acc += c
-        if pos < acc:
-            return h
-    raise AssertionError("position outside cluster layout")
-
-
 def assignment(schedule: Schedule, t: int) -> dict[int, int]:
     """Map from agent index to rate-level index at update step ``t``.
 
@@ -196,25 +193,21 @@ def assignment(schedule: Schedule, t: int) -> dict[int, int]:
     rotates forward by one agent, so with the default (1, n-1) shape
     the fast agent at step t is ``(t // s) mod n``.
     """
-    r = rotation_at(schedule, t)
-    return {agent: _level_of_position(schedule, (agent - r) % schedule.n)
-            for agent in range(schedule.n)}
+    return dict(enumerate(schedule.levels_by_rotation[rotation_at(schedule, t)]))
 
 
 def learning_rate(schedule: Schedule, t: int, agent: int) -> float:
     """Rate used by ``agent`` at update step ``t``."""
     if not 0 <= agent < schedule.n:
         raise IndexError(f"agent {agent} out of range [0, {schedule.n})")
-    r = rotation_at(schedule, t)
-    return schedule.levels[_level_of_position(schedule, (agent - r) % schedule.n)]
+    return rates_at(schedule, t)[agent]
 
 
 def rates_at(schedule: Schedule, t: int) -> tuple[float, ...]:
     """Rate of every agent at update step ``t``, indexed by agent.
 
-    Equal to ``learning_rate(schedule, t, agent)`` for each agent, from a
-    per-rotation table built once per schedule, so it is cheap enough to
-    call on every update step.
+    A read of the per-rotation table built once per schedule, so it is
+    cheap enough to call on every update step.
     """
     return schedule.rates_by_rotation[rotation_at(schedule, t)]
 
@@ -238,8 +231,3 @@ def classify(schedule: Schedule) -> ScheduleKind:
     if not schedule.is_switching:
         return ScheduleKind.TWO_TIMESCALE
     return ScheduleKind.MULTI_TIMESCALE
-
-
-def position_levels(schedule: Schedule) -> tuple[int, ...]:
-    """Level index of each layout position (position 0 is fastest)."""
-    return tuple(_level_of_position(schedule, p) for p in range(schedule.n))

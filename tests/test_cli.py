@@ -439,6 +439,12 @@ class TestConfigsFailAtLoad:
         assert main(["oracle", "--config", cfg]) == 1
         assert_load_error(capsys, f"{key} must be")
 
+    def test_overflowing_oracle_problem_fails(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "oracle.json", {
+            "problem": {"p": 1e308, "q": 1e308, "sigma2": 0.5, "n": 3}, "max_sweeps": 5})
+        assert main(["oracle", "--config", cfg]) == 1
+        assert_load_error(capsys, "system overflows")
+
     @pytest.mark.parametrize("raw, message", [
         ({"k0": [0.0, 0.0]}, "k0 must list 3 finite numbers, one per agent, got [0.0, 0.0]"),
         ({"k0": [0.0, float("nan"), 0.0]}, "k0 must list 3 finite numbers"),

@@ -590,7 +590,6 @@ def assert_same_tables(a, b):
     assert a._keys == b._keys
     assert a.observations == b.observations and len(a.observations) == size
     assert a.obs_count == b.obs_count
-    assert (a.reward_bound, a.any_term) == (b.reward_bound, b.any_term)
     for name in ("next", "reward", "term", "obs"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for i in range(a.n):  # each agent's ids first appear in state order: 0, 1, 2, ...

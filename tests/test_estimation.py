@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mtlearn as mt
+from mtlearn import linalg
 from mtlearn.estimation import (
     InvalidProblemError,
     Mode,
@@ -60,6 +61,8 @@ class TestBuildProblem:
         (1.0, 1.0, 0.5, 1),      # single agent
         (0.0, 1.0, 0.5, 3),      # zero diagonal
         (1.0, 1.0, 0.5, 2.5),    # non-integer count
+        (1e308, 1e308, 0.5, 3),  # right-hand side p + (n - 1) q overflows
+        (1e308, 0.5, 1.0, 3),    # diagonal p (1 + sigma2) overflows
     ])
     def test_invalid_parameters(self, p, q, s2, n):
         with pytest.raises(InvalidProblemError):
@@ -67,6 +70,21 @@ class TestBuildProblem:
 
 
 class TestSolveExact:
+    def test_solved_once_per_problem(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, solve=linalg.solve_dense):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(linalg, "solve_dense", counted)
+        prob = build_problem(1.0, 0.5, 0.5, 3)
+        k = solve_exact(prob)
+        for mode in Mode:
+            run_br_iteration(prob, mode, [0.0] * 3)
+        assert len(calls) == 1
+        assert solve_exact(prob) is k and not k.flags.writeable
+
     def test_coupled_instance_six_sevenths(self, coupled_problem):
         # Independent derivation: by symmetry all gains are equal, so
         # (3/2) k + 2 k = 3, i.e. k = 6/7. Cross-checked with numpy below.

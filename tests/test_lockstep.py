@@ -132,6 +132,20 @@ class TestLockstepMatchesTrain:
         assert diverged >= 4
         assert_lockstep_matches_train(factory, runs, q_config, 200, 30, 2)
 
+    def test_unit_rates_that_overflow(self):
+        # Rates of at most 1 cannot overflow a Q-value unless the rewards are
+        # near the float range, as here: the finite check must still run.
+        payoff = [[1e308, -1e308], [5.0, 1e308]]
+
+        def factory():
+            return mt.MatrixGameEnv(mt.make_game(payoff), horizon=4)
+
+        runs = [(mt.make_schedule(2, levels, s=period), seed)
+                for levels in ((1.0, 0.0), (0.5, 1.0), (1.0, 1.0))
+                for period in (1, 3) for seed in (0, 1)]
+        q_config = QLearnerConfig(EpsilonSchedule(1.0, 0.0, 40), discount=1.0)
+        assert_lockstep_matches_train(factory, runs, q_config, 60, 10, 2)
+
     def test_fixture_runs(self):
         sched = mt.make_schedule(2, (0.3, 0.05), s=500)
         runs = [(sched, seed) for seed in (0, 1)] + [(mt.make_schedule(2, (0.3, 0.0), s=100), 2)]

@@ -29,6 +29,30 @@ def test_public_surface_importable():
     assert not missing, f"missing exports: {missing}"
 
 
+def test_benchmark_names_exist():
+    # bench/workloads.py reaches these through the submodules; a deletion
+    # should fail here rather than as a failed benchmark run.
+    import mtlearn.cli
+    import mtlearn.harness
+
+    names = {
+        "learners": ["train", "QLearnerConfig", "EpsilonSchedule", "runlog_to_csv"],
+        "envs": ["env_from_config", "optimal_return"],
+        "schedule": ["make_schedule"],
+        "harness": ["load_experiment_config", "run_sweep"],
+        "cli": ["main"],
+        "estimation": ["build_problem", "solve_exact", "iteration_matrix", "spectral_radius",
+                       "run_br_iteration", "Mode"],
+        "games": ["make_game", "run_dynamics", "is_agent_by_agent_optimal", "best_response"],
+    }
+    missing = [f"{module}.{name}" for module, attrs in names.items() for name in attrs
+               if not hasattr(getattr(mtlearn, module), name)]
+    assert not missing, f"missing benchmark names: {missing}"
+    args = mtlearn.cli.build_parser().parse_args(["sweep", "--config", "c.json",
+                                                  "--out", "o", "--workers", "2"])
+    assert args.workers == 2
+
+
 def test_version_string():
     major, minor, patch = mtlearn.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))

@@ -148,10 +148,28 @@ def schedules(draw):
     return make_schedule(sum(sizes), levels, cluster_sizes=sizes, s=period)
 
 
+def walked_levels(sched, t):
+    """Each agent's level index at step ``t``, by brute force: the layout
+    has rotated ``t // s`` times, and agent i sits at position (i - rotation)
+    mod n, whose level is found by walking the clusters in order."""
+    rotation = 0 if sched.switch_period == INFINITE else t // int(sched.switch_period)
+    levels = []
+    for agent in range(sched.n):
+        pos = (agent - rotation) % sched.n
+        for h in range(len(sched.cluster_sizes)):
+            if pos < sum(sched.cluster_sizes[:h + 1]):
+                levels.append(h)
+                break
+    return levels
+
+
 class TestRatesAt:
     @given(sched=schedules(), t=st.integers(0, 10 ** 6))
     def test_matches_learning_rate(self, sched, t):
+        levels = walked_levels(sched, t)
+        assert assignment(sched, t) == dict(enumerate(levels))
         rates = rates_at(sched, t)
+        assert rates == tuple(sched.levels[h] for h in levels)
         assert rates == tuple(learning_rate(sched, t, i) for i in range(sched.n))
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "-1"])

@@ -54,8 +54,6 @@ from .learners import (
     EpsilonSchedule,
     QLearnerConfig,
     RunLog,
-    q_update,
-    select_action,
     train,
     train_estimation,
 )

@@ -490,11 +490,11 @@ class TransitionTable:
     - ``next[s, j]`` is the successor's id, or -1 while the entry is not filled;
     - ``reward[s, j]`` is the step's reward;
     - ``term[s, j]`` is the step's ``done`` taken from step counter 0;
-    - ``obs[s, i]`` is agent ``i``'s observation as a dense per-agent id,
-      numbered in state-id order, and ``observations[s]`` is the env's own
-      observation tuple. Both are encoded on first read (of either, or of
-      ``obs_count``), so the planner, which reads none, encodes none. Bind
-      them once the table stops growing: neither holds states added after a read.
+    - ``obs[s][i]`` is agent ``i``'s observation as a dense per-agent id,
+      numbered in state-id order; ``_obs_ids[i]`` maps the env's own
+      observations to these ids. ``obs`` is one list, appended in place as
+      states are encoded: on first read (of ``obs`` or ``obs_count``), so the
+      planner, which reads neither, encodes none.
 
     Flattened, ``s * len(joint_actions) + j`` is the entry's offset; an
     entry not filled holds reward 0 and ``term`` False. States are keyed by
@@ -521,23 +521,16 @@ class TransitionTable:
         self._keys: list[tuple[int, ...]] = []  # each state's row
         self._index: dict[tuple[int, ...], int] = {}  # row -> id
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
-        self._observations: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
+        self._obs: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
         self._start: int | None = None
         shape = (64, len(self.joint_actions))  # rows double as states are seen
         self.next = np.full(shape, -1, dtype=np.intp)
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
-        self._obs = np.zeros((shape[0], self.n), dtype=np.intp)
 
     @property
-    def observations(self) -> list[tuple[int, ...]]:
-        """Each state's observation tuple, by state id."""
-        self._encode_pending()
-        return self._observations
-
-    @property
-    def obs(self) -> np.ndarray:
-        """Each state's dense per-agent observation ids, one row per state."""
+    def obs(self) -> list[tuple[int, ...]]:
+        """Each state's dense per-agent observation ids, by state id."""
         self._encode_pending()
         return self._obs
 
@@ -668,21 +661,19 @@ class TransitionTable:
             self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
             self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
             self.term = np.concatenate([self.term, np.zeros_like(self.term)])
-            self._obs = np.concatenate([self._obs, np.zeros_like(self._obs)])
         return state
 
     def _encode_pending(self) -> None:
         """Encode every pending state in state-id order, from the env itself."""
         env = self.env
-        for row in self._keys[len(self._observations):]:
+        for row in self._keys[len(self._obs):]:
             env.set_state((0, row))
             self._encode(env._observations())
 
     def _encode(self, observations: Sequence[int]) -> None:
         """Encode the next state; an agent's new observation takes its next id."""
-        self._obs[len(self._observations)] = [ids.setdefault(o, len(ids))
-                                              for ids, o in zip(self._obs_ids, observations)]
-        self._observations.append(tuple(observations))
+        self._obs.append(tuple([ids.setdefault(o, len(ids))
+                                for ids, o in zip(self._obs_ids, observations)]))
 
 
 def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
@@ -699,8 +690,10 @@ def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     reached at the last depth is one step from the end wherever it occurs,
     so only its rewards reach the result. The env is put back in the state
     it was passed in. Raises :class:`SearchBudgetError` once more than
-    ``budget`` joint actions would be expanded.
+    ``budget`` joint actions would be expanded, and ``ValueError`` before
+    any work if ``seed`` is not an integer >= 0 or ``budget`` one >= 1.
     """
+    seed, budget = parse_count(seed, "seed", minimum=0), parse_count(budget, "budget")
     saved = env.get_state()
     try:
         table = TransitionTable(env)

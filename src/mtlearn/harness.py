@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .config import ExperimentConfig, load_experiment_config  # noqa: F401
 from .envs import env_from_config
 from .learners import RunLog
-from .schedule import Schedule, make_schedule
+from .schedule import Schedule, make_schedule, parse_count
 
 
 class DegenerateRangeError(ValueError):
@@ -279,8 +279,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     reassembled in deterministic grid order, so the outcome does not
     depend on the worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = parse_count(workers, "workers")
     digest = config.digest
 
     # Each cell's jobs; equal-rate cells do not depend on the switching period,

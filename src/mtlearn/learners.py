@@ -4,9 +4,9 @@ Each agent owns a Q-table over its private observation ids and updates
 it online with whatever learning rate the schedule assigns at that
 update step, so independent, sequential, two-timescale, and rotating
 multi-timescale training are all the same loop. It steps through one
-:class:`envs.TransitionTable` of the env, with exploration drawn ahead and
-the per-step rules of ``select_action``, ``q_update`` and ``greedy_action``
-inlined. A stochastic-gradient learner covers the linear estimation problem.
+:class:`envs.TransitionTable` of the env, built by ``_setup`` as for
+``lockstep.train_lockstep``, with exploration drawn ahead and the per-step
+rules inlined. A stochastic-gradient learner covers the estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
 (episode seeds, per-agent exploration, evaluation), so evaluation never
@@ -17,6 +17,7 @@ episode stream.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,9 +26,14 @@ import numpy as np
 
 from .envs import SEARCH_BUDGET, TransitionTable
 from .estimation import TeamEstimationProblem, team_mse, team_mse_gradient
-from .schedule import Schedule, rates_at
+from .schedule import Schedule, parse_count, rates_at
 
 QTable = dict[int, list[float]]
+
+
+def _in_unit_interval(value) -> bool:
+    """Whether ``value`` is a real number in [0, 1], a bool not counting."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,9 @@ class EpsilonSchedule:
     decay_steps: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.start <= 1.0 and 0.0 <= self.end <= 1.0):
+        if not (_in_unit_interval(self.start) and _in_unit_interval(self.end)):
             raise ValueError("epsilon bounds must lie in [0, 1]")
-        if self.decay_steps < 1:
-            raise ValueError("decay_steps must be >= 1")
+        parse_count(self.decay_steps, "decay_steps")
 
     def value(self, t: int) -> float:
         if t >= self.decay_steps:
@@ -56,7 +61,7 @@ class QLearnerConfig:
     discount: float = 0.95
 
     def __post_init__(self):
-        if not 0.0 <= self.discount <= 1.0:
+        if not _in_unit_interval(self.discount):
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
 
 
@@ -87,58 +92,22 @@ def _final_window_mean(values: list[float], window: int = 5) -> float:
     return sum(tail) / len(tail)
 
 
+def _run_log(seed: int, eval_points, eval_episodes: int, config_digest: str,
+             **gains) -> RunLog:
+    """The :class:`RunLog` of ``(step, value)`` eval points, its final
+    return the mean of the last five values."""
+    eval_points = tuple(eval_points)
+    return RunLog(seed=seed, eval_points=eval_points,
+                  final_return=_final_window_mean([value for _, value in eval_points]),
+                  eval_episodes=eval_episodes, config_digest=config_digest, **gains)
+
+
 def runlog_to_csv(log: RunLog) -> str:
     lines = ["step,mean_eval_return"]
     for step, value in log.eval_points:
         lines.append(f"{step},{value!r}")
     lines.append(f"final,{log.final_return!r}")
     return "\n".join(lines) + "\n"
-
-
-def q_update(table: QTable, obs: int, action: int, reward: float, next_obs: int,
-             done: bool, lr: float, discount: float, n_actions: int) -> float:
-    """One tabular Q-learning update; returns the new entry.
-
-    A zero learning rate is an exact no-op: the table is not touched,
-    not even to materialize a missing row.
-    """
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if lr == 0.0:
-        row = table.get(obs)
-        return row[action] if row is not None else 0.0
-    row = table.get(obs)
-    if row is None:
-        row = [0.0] * n_actions
-        table[obs] = row
-    if done:
-        target = reward
-    else:
-        nxt = table.get(next_obs)
-        target = reward + discount * (max(nxt) if nxt is not None else 0.0)
-    row[action] += lr * (target - row[action])
-    return row[action]
-
-
-def greedy_action(table: QTable, obs: int, n_actions: int) -> int:
-    row = table.get(obs)
-    if row is None:
-        return 0
-    best = 0
-    for a in range(1, n_actions):
-        if row[a] > row[best]:
-            best = a
-    return best
-
-
-def select_action(table: QTable, obs: int, epsilon: float, rng: random.Random,
-                  n_actions: int) -> int:
-    """Epsilon-greedy action; greedy ties break to the lowest action id."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return rng.randrange(n_actions)
-    return greedy_action(table, obs, n_actions)
 
 
 def _spawn_streams(seed: int, n_agents: int):
@@ -155,10 +124,11 @@ def _spawn_streams(seed: int, n_agents: int):
 def _exploration(rng: random.Random, epsilon: EpsilonSchedule, n_actions: int,
                  steps: int) -> list[int]:
     """One agent's exploration over a run: each step's random action, or -1
-    where it acts greedily. Draws from ``rng`` as ``select_action`` does with
-    ``epsilon.value(t)``: ``random()`` while epsilon is positive, then, only
-    when exploring, ``randrange(n_actions)``, computed as the standard library
-    does (``getrandbits`` of the count's bit length until one is below it)."""
+    where it acts greedily. Draws from ``rng`` as an epsilon-greedy choice
+    with ``epsilon.value(t)`` does (the reference learner's ``select_action``
+    in ``tests/``): ``random()`` while epsilon is positive, then, only when
+    exploring, ``randrange(n_actions)``, computed as the standard library does
+    (``getrandbits`` of the count's bit length until one is below it)."""
     rnd, getrandbits = rng.random, rng.getrandbits
     bits = n_actions.bit_length()
     first, last, decay = epsilon.start, epsilon.end, epsilon.decay_steps
@@ -189,8 +159,9 @@ def _seed_streams(seeds: Sequence[int], n: int, epsilon: EpsilonSchedule, steps:
 def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int,
                      eval_rng: random.Random) -> float:
     """Mean greedy return over ``episodes`` episodes, each from a reset seeded
-    by ``eval_rng``; each distinct start state's episode is played once."""
-    strides, observations = table.strides.tolist(), table.observations
+    by ``eval_rng``; each distinct start state's episode is played once.
+    ``tables`` are keyed by the table's dense observation ids."""
+    strides, observations = table.strides.tolist(), table.obs
     returns: dict[int, float] = {}  # start state -> its episode's return
     total = 0.0
     for _ in range(episodes):
@@ -211,41 +182,55 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
     return total / episodes
 
 
-def _validate_train_args(total_steps: int, eval_every: int, eval_episodes: int) -> None:
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    if eval_every < 1:
-        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-    if eval_episodes < 1:
-        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
+def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
+           total_steps: int, eval_every: int, eval_episodes: int
+           ) -> tuple[TransitionTable, list[int]]:
+    """The set-up of ``train_with_tables`` and ``lockstep.train_lockstep``.
+
+    Checks the counts and seeds with :func:`schedule.parse_count` before
+    ``env_factory`` is called, then each schedule against the env's agent
+    count, and expands a fixed-start table from its start (raising
+    :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`). Returns
+    the table and each run's rotation period; one that never switches has
+    ``total_steps``.
+    """
+    for value, name in ((total_steps, "total_steps"), (eval_every, "eval_every"),
+                        (eval_episodes, "eval_episodes")):
+        parse_count(value, name)
+    for seed in seeds:
+        parse_count(seed, "seed", minimum=0)
+    if len(schedules) != len(seeds):
+        raise ValueError(f"{len(schedules)} schedules but {len(seeds)} seeds")
+    table = TransitionTable(env_factory())
+    for schedule in schedules:
+        if schedule.n != table.n:
+            raise ValueError(f"schedule is for {schedule.n} agents, environment has {table.n}")
+    if table.fixed_start:
+        table.expand_reachable(table.reset(0), SEARCH_BUDGET)
+    return table, [int(s.switch_period) if s.is_switching else total_steps for s in schedules]
 
 
 def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                       total_steps: int, eval_every: int, eval_episodes: int,
                       seed: int, config_digest: str = "") -> tuple[RunLog, list[QTable]]:
-    """Scheduled decentralized Q-learning; also returns the learned tables.
+    """Scheduled decentralized Q-learning; also returns the learned tables,
+    keyed by the env's own observations.
 
     The env comes from one ``env_factory()`` call, and training and greedy
-    evaluation both step through one :class:`TransitionTable` of it, which
-    a fixed-start env expands before the first step, raising
-    :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`. The
-    inputs are ``lockstep.train_lockstep``'s; only the step kernel differs.
+    evaluation both step through one :class:`TransitionTable` of it, set up
+    by ``_setup`` as for ``lockstep.train_lockstep``; only the step kernel
+    differs. Training keys the Q-tables by the table's dense observation ids.
     """
-    _validate_train_args(total_steps, eval_every, eval_episodes)
-    table = TransitionTable(env_factory())
+    table, (period,) = _setup(env_factory, [schedule], [seed], total_steps, eval_every,
+                              eval_episodes)
     n = table.n
-    if schedule.n != n:
-        raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, _ = _spawn_streams(seed, n)
     state = table.reset(env_rng.getrandbits(32))
-    if table.fixed_start:
-        table.expand_reachable(state, SEARCH_BUDGET)
-    action_counts, observations, horizon = table.action_counts, table.observations, table.horizon
+    action_counts, observations, horizon = table.action_counts, table.obs, table.horizon
 
     discount = q_config.discount
     rates_by_rotation = schedule.rates_by_rotation
-    period = int(schedule.switch_period) if schedule.is_switching else total_steps
     switch = 0  # the next step where the rates rotate
     agent_ids, strides = range(n), table.strides.tolist()
 
@@ -260,7 +245,7 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                 switch += period
             obs = observations[state]
             joint = 0
-            for i in agent_ids:  # a greedy agent's -1 becomes greedy_action's choice
+            for i in agent_ids:  # a greedy agent's -1 becomes its first-max action
                 a = actions[i]
                 if a < 0:
                     row = tables[i].get(obs[i])
@@ -289,10 +274,9 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                 episode_steps = 0
         eval_points.append((hi, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
 
-    log = RunLog(seed=seed, eval_points=tuple(eval_points),
-                 final_return=_final_window_mean([value for _, value in eval_points]),
-                 eval_episodes=eval_episodes, config_digest=config_digest)
-    return log, tables
+    own = [list(ids) for ids in table._obs_ids]  # dense id -> the env's observation
+    return (_run_log(seed, eval_points, eval_episodes, config_digest),
+            [{ids[o]: row for o, row in q.items()} for q, ids in zip(tables, own)])
 
 
 def train(env_factory, schedule: Schedule, q_config: QLearnerConfig,
@@ -343,15 +327,14 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
 
     The log records the exact team error at evaluation points.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    batch_size = parse_count(batch_size, "batch_size")
+    total_steps = parse_count(total_steps, "total_steps")
+    seed = parse_count(seed, "seed", minimum=0)
+    eval_every = parse_count(max(1, total_steps // 50) if eval_every is None else eval_every,
+                             "eval_every")
     n = problem.n
     if schedule.n != n:
         raise ValueError(f"schedule is for {schedule.n} agents, problem has {n}")
-    if eval_every is None:
-        eval_every = max(1, total_steps // 50)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     gains = np.zeros(n)
@@ -379,10 +362,6 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
                 eval_steps.append(done_steps)
                 eval_values.append(_safe_mse(problem, gains))
 
-    return RunLog(seed=seed,
-                  eval_points=tuple(zip(eval_steps, eval_values)),
-                  final_return=_final_window_mean(eval_values),
-                  eval_episodes=0,
-                  config_digest=config_digest,
-                  final_gains=tuple(float(g) for g in gains),
-                  gains_trace=tuple(trace) if trace is not None else None)
+    return _run_log(seed, zip(eval_steps, eval_values), 0, config_digest,
+                    final_gains=tuple(float(g) for g in gains),
+                    gains_trace=tuple(trace) if trace is not None else None)

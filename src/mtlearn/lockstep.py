@@ -2,9 +2,10 @@
 
 ``train_lockstep`` returns, run for run, the logs that ``learners.train``
 returns, bit for bit, while paying the per-step interpreter cost once for
-every run. Its inputs are ``train``'s: a :class:`TransitionTable` of the
-env expanded before the first step, exploration drawn ahead by
-``learners._seed_streams`` and rates looked up once per switching period.
+every run. Its inputs are ``train``'s: ``learners._setup``'s
+:class:`TransitionTable` of the env, expanded before the first step,
+exploration drawn ahead by ``learners._seed_streams`` and rates looked up
+once per switching period.
 Sweeps use it (``harness.run_sweep``); it is a module of its own, imported
 on first use, so importing the package does not load it.
 """
@@ -16,22 +17,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .envs import SEARCH_BUDGET, TransitionTable
-from .learners import (
-    QLearnerConfig,
-    RunLog,
-    _final_window_mean,
-    _seed_streams,
-    _validate_train_args,
-)
+from .envs import TransitionTable
+from .learners import QLearnerConfig, RunLog, _run_log, _seed_streams, _setup
 from .schedule import Schedule
 
 
 def _first_max(rows: np.ndarray, finite: bool) -> np.ndarray:
-    """Index of each row's maximum over the last axis, found as
-    ``greedy_action`` and builtin ``max`` find it: the first strictly
-    greater value wins, so a NaN is never picked after the first entry and
-    a NaN first entry is never replaced. ``np.argmax`` agrees while every
+    """Index of each row's maximum over the last axis, found as the scalar
+    loop's ``row.index(max(row))`` finds it: the first strictly greater
+    value wins, so a NaN is never picked after the first entry and a NaN
+    first entry is never replaced. ``np.argmax`` agrees while every
     value is finite or a -inf pad."""
     if finite:
         return rows.argmax(-1)
@@ -44,10 +39,11 @@ def _first_max(rows: np.ndarray, finite: bool) -> np.ndarray:
     return best
 
 
-def _evaluate_lockstep(table: TransitionTable, q_rows: np.ndarray, base: np.ndarray,
-                       episodes: int, finite: bool) -> list[float]:
+def _evaluate_lockstep(table: TransitionTable, obs: np.ndarray, q_rows: np.ndarray,
+                       base: np.ndarray, episodes: int, finite: bool) -> list[float]:
     """``_evaluate_greedy`` for every run at once: from the env's fixed start
-    the runs play their one greedy episode together."""
+    the runs play their one greedy episode together. ``obs`` is
+    ``table.obs`` as an array."""
     runs = len(base)
     live = np.arange(runs)
     state = np.full(runs, table.reset(0), dtype=np.intp)
@@ -55,7 +51,7 @@ def _evaluate_lockstep(table: TransitionTable, q_rows: np.ndarray, base: np.ndar
     n_joint = len(table.joint_actions)
     steps = 0
     while live.size:
-        rows = base[live] + table.obs.take(state, axis=0)
+        rows = base[live] + obs.take(state, axis=0)
         joint = _first_max(q_rows.take(rows, axis=0), finite) @ table.strides
         entry = state * n_joint + joint
         returns[live] += table.reward.take(entry)
@@ -89,33 +85,23 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     fixed start (every env ``env_from_config`` builds has one); any other
     raises ``ValueError``. All runs advance together through the complete
     table, so a step is a few numpy calls over every run. Greedy choices
-    and the bootstrap maximum follow ``greedy_action``'s first-max fold, a
+    and the bootstrap maximum follow the scalar loop's first-max fold, a
     zero rate leaves a table untouched, and every update does ``train``'s
     float operations in its order.
     """
-    _validate_train_args(total_steps, eval_every, eval_episodes)
-    if len(schedules) != len(seeds):
-        raise ValueError(f"{len(schedules)} schedules but {len(seeds)} seeds")
-    table = TransitionTable(env_factory())
+    table, periods = _setup(env_factory, schedules, seeds, total_steps, eval_every,
+                            eval_episodes)
     if not table.fixed_start:
         raise ValueError("lockstep training needs an environment with a fixed start")
-    n = table.n
-    for schedule in schedules:
-        if schedule.n != n:
-            raise ValueError(f"schedule is for {schedule.n} agents, environment has {n}")
-    runs = len(seeds)
+    runs, n = len(seeds), table.n
     if not runs:
         return []
     start = table.reset(0)
-    table.expand_reachable(start, SEARCH_BUDGET)
     explore = _seed_streams(seeds, n, q_config.epsilon, total_steps, table.action_counts)
     greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
-    # A run's rates change at multiples of its period; one that never
-    # switches stays at rotation 0 for every step.
-    periods = np.array([int(s.switch_period) if s.is_switching else total_steps
-                        for s in schedules])
+    periods = np.array(periods)
     rate_change = [False] * total_steps  # steps where some run rotates
     for period in set(periods.tolist()):
         rate_change[::period] = [True] * len(range(0, total_steps, period))
@@ -138,7 +124,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
     n_joint = len(table.joint_actions)
     strides = table.strides
-    next_flat, obs = table.next.reshape(-1), table.obs
+    next_flat, obs = table.next.reshape(-1), np.array(table.obs, dtype=np.intp)
     reward_col, term_flat = table.reward.reshape(-1, 1), table.term.reshape(-1)
     row_starts = np.arange(runs * n, dtype=np.intp).reshape(runs, n) * width
     start_off = start * n_joint
@@ -187,8 +173,8 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
 
             if t1 % eval_every == 0 or t1 == total_steps:
                 eval_steps.append(t1)
-                eval_returns.append(_evaluate_lockstep(table, q_rows, base, eval_episodes,
-                                                       finite))
+                eval_returns.append(_evaluate_lockstep(table, obs, q_rows, base,
+                                                       eval_episodes, finite))
             if ended:
                 np.copyto(ends, t1 + horizon, where=done)
                 if not any_term:
@@ -196,10 +182,5 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
                 np.copyto(state_off, start_off, where=done)
                 np.copyto(rows, start_rows, where=done[:, None])
 
-    logs = []
-    for r, seed in enumerate(seeds):
-        values = [returns[r] for returns in eval_returns]
-        logs.append(RunLog(seed=seed, eval_points=tuple(zip(eval_steps, values)),
-                           final_return=_final_window_mean(values),
-                           eval_episodes=eval_episodes, config_digest=config_digest))
-    return logs
+    return [_run_log(seed, zip(eval_steps, [returns[r] for returns in eval_returns]),
+                     eval_episodes, config_digest) for r, seed in enumerate(seeds)]

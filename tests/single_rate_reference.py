@@ -2,10 +2,11 @@
 
 ``learners.train`` steps through a ``TransitionTable`` of the env, with
 exploration drawn ahead and its per-step rules inlined. This learner is
-deliberately kept as its own plain loop: it calls ``select_action``,
-``q_update`` and ``greedy_action`` on every step, reads each step's rates
-with ``schedule.rates_at`` (or uses one fixed rate for every agent), and
-steps and evaluates on live env instances, with no table. Criterion 6's
+deliberately kept as its own plain loop: it calls the per-step rules
+defined here, ``select_action``, ``q_update`` and ``greedy_action``, on
+every step, reads each step's rates with ``schedule.rates_at`` (or uses one
+fixed rate for every agent), and steps and evaluates on live env instances,
+with no table. Criterion 6's
 reduction runs it with one rate; ``tests/test_train_reference.py`` runs it
 with schedules.
 """
@@ -14,17 +15,54 @@ from __future__ import annotations
 
 import random
 
-from mtlearn.learners import (
-    QLearnerConfig,
-    RunLog,
-    _final_window_mean,
-    _spawn_streams,
-    _validate_train_args,
-    greedy_action,
-    q_update,
-    select_action,
-)
-from mtlearn.schedule import Schedule, rates_at
+from mtlearn.learners import QLearnerConfig, QTable, RunLog, _final_window_mean, _spawn_streams
+from mtlearn.schedule import Schedule, parse_count, rates_at
+
+
+def q_update(table: QTable, obs: int, action: int, reward: float, next_obs: int,
+             done: bool, lr: float, discount: float, n_actions: int) -> float:
+    """One tabular Q-learning update; returns the new entry.
+
+    A zero learning rate is an exact no-op: the table is not touched,
+    not even to materialize a missing row.
+    """
+    if lr < 0:
+        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    if lr == 0.0:
+        row = table.get(obs)
+        return row[action] if row is not None else 0.0
+    row = table.get(obs)
+    if row is None:
+        row = [0.0] * n_actions
+        table[obs] = row
+    if done:
+        target = reward
+    else:
+        nxt = table.get(next_obs)
+        target = reward + discount * (max(nxt) if nxt is not None else 0.0)
+    row[action] += lr * (target - row[action])
+    return row[action]
+
+
+def greedy_action(table: QTable, obs: int, n_actions: int) -> int:
+    row = table.get(obs)
+    if row is None:
+        return 0
+    best = 0
+    for a in range(1, n_actions):
+        if row[a] > row[best]:
+            best = a
+    return best
+
+
+def select_action(table: QTable, obs: int, epsilon: float, rng: random.Random,
+                  n_actions: int) -> int:
+    """Epsilon-greedy action; greedy ties break to the lowest action id."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return rng.randrange(n_actions)
+    return greedy_action(table, obs, n_actions)
 
 
 def evaluate_greedy_on_env(env, tables, action_counts, episodes: int,
@@ -52,7 +90,9 @@ def train_reference(env_factory, rates: float | Schedule, q_config: QLearnerConf
     """Reference learner, returning the log and the Q-tables. ``rates`` is a
     schedule, read with ``rates_at`` on every step, or one rate that every
     agent always updates with."""
-    _validate_train_args(total_steps, eval_every, eval_episodes)
+    for value, name in ((total_steps, "total_steps"), (eval_every, "eval_every"),
+                        (eval_episodes, "eval_episodes")):
+        parse_count(value, name)
     if not isinstance(rates, Schedule) and rates < 0:
         raise ValueError(f"learning rate must be >= 0, got {rates}")
     env = env_factory()

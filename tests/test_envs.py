@@ -588,12 +588,13 @@ def assert_same_tables(a, b):
     """``a`` and ``b`` hold the same states, entries and observation ids."""
     size = len(a._keys)
     assert a._keys == b._keys
-    assert a.observations == b.observations and len(a.observations) == size
+    assert a.obs == b.obs and len(a.obs) == size
+    assert a._obs_ids == b._obs_ids
     assert a.obs_count == b.obs_count
-    for name in ("next", "reward", "term", "obs"):
+    for name in ("next", "reward", "term"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for i in range(a.n):  # each agent's ids first appear in state order: 0, 1, 2, ...
-        firsts = list(dict.fromkeys(a.obs[:size, i].tolist()))
+        firsts = list(dict.fromkeys(ids[i] for ids in a.obs))
         assert firsts == list(range(len(firsts)))
 
 
@@ -615,9 +616,10 @@ class TestTransitionMemo:
 
         def check_observations(state, observations):
             assert table._keys[state] == live.get_state()[1]  # keyed by the env's own row
-            assert table.observations[state] == observations
+            ids = table.obs[state]
+            assert ids == tuple(table._obs_ids[i][o] for i, o in enumerate(observations))
             for i, o in enumerate(observations):
-                assert dense[i].setdefault(o, table.obs[state, i]) == table.obs[state, i]
+                assert dense[i].setdefault(o, ids[i]) == ids[i]
 
         for seed in seeds:
             state = table.reset(seed)
@@ -633,6 +635,22 @@ class TestTransitionMemo:
                     break
         for i in range(env.n):  # dense ids are one-to-one
             assert len(set(dense[i].values())) == len(dense[i])
+
+    def test_obs_grows_in_place(self):
+        # A seeded env's table grows as it is stepped: the list read before
+        # a step into a new state holds that state's ids after it.
+        config = ForagingConfig(width=5, height=5, agent_levels=(1, 1), food_levels=(1, 2),
+                                view_radius=1)
+        table, live = TransitionTable(ForagingEnv(config)), ForagingEnv(config)
+        assert not table.fixed_start
+        state = table.reset(0)
+        obs = table.obs
+        assert obs == [tuple(ids[o] for ids, o in zip(table._obs_ids, live.reset(0)))]
+        joint = next(j for j in range(len(table.joint_actions))
+                     if table.step(state, j)[0] != state)
+        res = live.step(table.joint_actions[joint])
+        assert table.obs is obs and len(obs) == 2
+        assert obs[1] == tuple(ids[o] for ids, o in zip(table._obs_ids, res.observations))
 
     def test_invalid_actions_raise_after_state_is_memoised(self):
         env = ForagingEnv(two_agent_config())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mtlearn import lockstep
+from mtlearn import learners
 from mtlearn.harness import (
     DegenerateGapError,
     DegenerateRangeError,
@@ -281,11 +281,11 @@ class TestRunSweep:
                       "cooperative_only": True}
         cfg = load_experiment_config(raw)
         jobs = [Job((0.5, 0.1), 5.0, 0), Job((0.1, 0.1), 5.0, 1)]
-        monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36 - 1)
+        monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36 - 1)
         assert _run_batch(cfg, jobs) == [
             (None, "SearchBudgetError: reachable-state search exceeded 19871 "
                    "expansions; the environment has too many states")] * 2
-        monkeypatch.setattr(lockstep, "SEARCH_BUDGET", 552 * 36)
+        monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36)
         assert all(log is not None and error is None for log, error in _run_batch(cfg, jobs))
 
     def test_stderr_over_seeds(self):

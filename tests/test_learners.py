@@ -11,17 +11,14 @@ from mtlearn.learners import (
     EpsilonSchedule,
     QLearnerConfig,
     estimation_gradient,
-    greedy_action,
-    q_update,
     runlog_to_csv,
-    select_action,
     train,
     train_estimation,
     train_with_tables,
 )
 
 from conftest import MATCH_PAYOFF, fixture_env_factory
-from single_rate_reference import train_single_rate
+from single_rate_reference import greedy_action, q_update, select_action, train_single_rate
 
 
 def match_env_factory():

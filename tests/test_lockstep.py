@@ -22,11 +22,12 @@ from mtlearn.learners import (
     QLearnerConfig,
     _exploration,
     runlog_to_csv,
-    select_action,
     train,
     train_with_tables,
 )
 from mtlearn.lockstep import train_lockstep
+
+from single_rate_reference import select_action
 
 from conftest import CLIMBING_PAYOFF, ascii_layouts, fixture_env_factory
 

@@ -1,12 +1,18 @@
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import mtlearn
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURE_ROWS
+import mtlearn
+from mtlearn.lockstep import train_lockstep
+
+from conftest import FIXTURE_ROWS, MATCH_PAYOFF
 
 
 def test_public_surface_importable():
@@ -19,7 +25,7 @@ def test_public_surface_importable():
         "Schedule", "ScheduleKind", "INFINITE",
         "MatrixGameEnv", "ForagingEnv", "ForagingConfig", "StepResult",
         "env_from_config", "foraging_config_from_ascii", "optimal_return",
-        "q_update", "select_action", "train",
+        "train",
         "train_estimation", "RunLog", "QLearnerConfig", "EpsilonSchedule",
         "normalize_returns", "aggregate", "gap_recovered", "smooth",
         "run_sweep", "load_experiment_config", "ExperimentConfig", "SweepResult",
@@ -89,3 +95,75 @@ def test_oracle_kernels_call_no_lapack():
         for banned in ("np.linalg", "numpy.linalg", "scipy"):
             assert banned not in text, f"{name} references {banned}"
         assert not re.search(r"from\s+numpy\s+import[^\n]*\blinalg\b", text), name
+
+
+def env_factory_never_called():
+    raise AssertionError("env_factory was called")
+
+
+def call_entry_point(entry, argument, value):
+    """Call one library entry point with valid arguments, except ``argument``."""
+    q = mtlearn.QLearnerConfig()
+    if entry in ("train", "train_lockstep"):
+        kwargs = {"total_steps": 10, "eval_every": 5, "eval_episodes": 1, "seed": 0,
+                  argument: value}
+        schedule = mtlearn.make_schedule(2, (0.3, 0.05), s=5)
+        if entry == "train":
+            return mtlearn.train(env_factory_never_called, schedule, q, **kwargs)
+        seed = kwargs.pop("seed")
+        return train_lockstep(env_factory_never_called, [schedule], [seed], q, **kwargs)
+    if entry == "train_estimation":
+        kwargs = {"batch_size": 1, "total_steps": 5, "seed": 0, "eval_every": None,
+                  argument: value}
+        return mtlearn.train_estimation(mtlearn.build_problem(1.0, 1.0, 0.5, 3),
+                                        mtlearn.make_schedule(3, (0.5, 0.1), s=2), **kwargs)
+    if entry == "run_sweep":
+        config = mtlearn.load_experiment_config({
+            "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF},
+            "grid": {"lr0": [0.5], "lr1": [0.1], "switch_periods": [5]},
+            "seeds": [0], "total_steps": 10})
+        return mtlearn.run_sweep(config, workers=value)
+    if entry == "optimal_return":
+        env = mtlearn.MatrixGameEnv(mtlearn.make_game(MATCH_PAYOFF))
+        return mtlearn.optimal_return(env, **{"seed": 0, "budget": 100, argument: value})
+    if entry == "EpsilonSchedule":
+        return mtlearn.EpsilonSchedule(**{"start": 1.0, "end": 0.1, "decay_steps": 10,
+                                          argument: value})
+    return mtlearn.QLearnerConfig(discount=value)
+
+
+BAD_COUNTS = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not math.isfinite(x) or x != int(x)),
+    st.integers(max_value=-1),
+    st.text(max_size=4))
+BAD_UNIT_REALS = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not 0.0 <= x <= 1.0),
+    st.integers(max_value=-1),
+    st.text(max_size=4))
+
+
+@pytest.mark.parametrize("entry, argument, named, values", [
+    *[("train", arg, arg, BAD_COUNTS)
+      for arg in ("total_steps", "eval_every", "eval_episodes", "seed")],
+    *[("train_lockstep", arg, arg, BAD_COUNTS)
+      for arg in ("total_steps", "eval_every", "eval_episodes", "seed")],
+    *[("train_estimation", arg, arg, BAD_COUNTS)
+      for arg in ("batch_size", "total_steps", "seed", "eval_every")],
+    ("run_sweep", "workers", "workers", BAD_COUNTS),
+    ("optimal_return", "seed", "seed", BAD_COUNTS),
+    ("optimal_return", "budget", "budget", BAD_COUNTS),
+    ("EpsilonSchedule", "decay_steps", "decay_steps", BAD_COUNTS),
+    ("EpsilonSchedule", "start", "epsilon", BAD_UNIT_REALS),
+    ("EpsilonSchedule", "end", "epsilon", BAD_UNIT_REALS),
+    ("QLearnerConfig", "discount", "discount", BAD_UNIT_REALS),
+])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_entry_points_reject_bad_counts(entry, argument, named, values, data):
+    # One rule at every library entry point, checked before any work: the
+    # training calls fail before they build the env.
+    value = data.draw(values)
+    with pytest.raises(ValueError, match=named):
+        call_entry_point(entry, argument, value)

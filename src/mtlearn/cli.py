@@ -91,7 +91,7 @@ def _cmd_train(args) -> int:
     cfg = config.load_train_config(_load_json(args.config), seed=args.seed)
     log = learners.train(functools.partial(envs.env_from_config, cfg.env), cfg.schedule,
                          cfg.q_config, cfg.total_steps, cfg.eval_every, cfg.eval_episodes,
-                         cfg.seed, config_digest=cfg.digest)
+                         cfg.seed)
     _print_or_write(learners.runlog_to_csv(log), args.out,
                     f"runlog_{cfg.digest}_seed{cfg.seed}.csv")
     return 0

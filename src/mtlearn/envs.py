@@ -1,11 +1,11 @@
 """Desk-scale cooperative environments with a shared episodic contract.
 
 Both environments expose ``reset(seed) -> observations`` and
-``step(joint_action) -> StepResult`` plus the per-agent action and
-observation space sizes, so learners can treat them uniformly. The
-matrix-game environment replays a fixed team game for a set horizon;
-the foraging environment is a small gridworld where agents must stand
-next to a food item and load it together.
+``step(joint_action) -> StepResult`` plus the per-agent action counts,
+so learners can treat them uniformly. The matrix-game environment
+replays a fixed team game for a set horizon; the foraging environment
+is a small gridworld where agents must stand next to a food item and
+load it together.
 """
 
 from __future__ import annotations
@@ -38,20 +38,14 @@ class MatrixGameEnv:
     """Repeated shared-payoff matrix game; all agents observe state id 0."""
 
     def __init__(self, game: TeamGame, horizon: int = 1):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.game = game
-        self.horizon = horizon
+        self.horizon = parse_count(horizon, "horizon")
         self.n = game.n
         self._t = 0
 
     @property
     def action_counts(self) -> tuple[int, ...]:
         return self.game.action_counts
-
-    @property
-    def observation_space_sizes(self) -> tuple[int, ...]:
-        return (1,) * self.n
 
     @property
     def fixed_start(self) -> bool:
@@ -112,7 +106,8 @@ class ForagingConfig:
     ``view_radius`` of None means full observability (every agent sees
     the complete state id); otherwise an agent only resolves entities
     within the given Chebyshev radius. With ``cooperative_only`` set,
-    every food must be too heavy for any single agent.
+    every food must be too heavy for any single agent. ``horizon`` and
+    ``view_radius`` are counts (:func:`schedule.parse_count`), stored as ints.
     """
 
     width: int
@@ -128,8 +123,10 @@ class ForagingConfig:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", parse_count(self.horizon, "horizon"))
+        if self.view_radius is not None:
+            object.__setattr__(self, "view_radius",
+                               parse_count(self.view_radius, "view_radius", minimum=0))
         if not self.agent_levels or any(l < 1 for l in self.agent_levels):
             raise ValueError("agent levels must be positive integers")
         if not self.food_levels or any(l < 1 for l in self.food_levels):
@@ -155,8 +152,6 @@ class ForagingConfig:
         total_cells = self.width * self.height
         if len(self.agent_levels) + len(self.food_levels) > total_cells:
             raise ValueError("more entities than grid cells")
-        if self.view_radius is not None and self.view_radius < 0:
-            raise ValueError("view radius must be >= 0")
 
     @property
     def n(self) -> int:
@@ -242,18 +237,6 @@ class ForagingEnv:
     @property
     def action_counts(self) -> tuple[int, ...]:
         return (6,) * self.n
-
-    @property
-    def observation_space_sizes(self) -> tuple[int, ...]:
-        cfg = self.config
-        cells = cfg.width * cfg.height
-        m = len(cfg.food_levels)
-        if cfg.view_radius is None:
-            size = cells ** self.n * (2 ** m)
-            return (size,) * self.n
-        base = (2 * cfg.view_radius + 1) ** 2 + 1
-        size = cells * base ** (self.n - 1 + m)
-        return (size,) * self.n
 
     @property
     def fixed_start(self) -> bool:
@@ -740,17 +723,13 @@ def env_from_config(cfg: dict):
     if keys[1] not in cfg:
         raise ValueError(f"config is missing required key 'env.{keys[1]}'")
     if kind == "matrix_game":
-        return MatrixGameEnv(make_game(cfg["payoff"]),
-                             horizon=parse_count(cfg.get("horizon", 1), "horizon"))
+        return MatrixGameEnv(make_game(cfg["payoff"]), horizon=cfg.get("horizon", 1))
     grid = cfg["grid"]
     if not (isinstance(grid, (list, tuple)) and grid and all(isinstance(row, str) for row in grid)):
         raise ValueError(f"env.grid must be a non-empty list of strings, got {grid!r}")
     cooperative_only = cfg.get("cooperative_only", False)
     if not isinstance(cooperative_only, bool):
         raise ValueError(f"cooperative_only must be true or false, got {cooperative_only!r}")
-    view_radius = cfg.get("view_radius")
-    if view_radius is not None:
-        view_radius = parse_count(view_radius, "view_radius", minimum=0)
     return ForagingEnv(foraging_config_from_ascii(
-        grid, horizon=parse_count(cfg.get("horizon", 50), "horizon"),
-        cooperative_only=cooperative_only, view_radius=view_radius))
+        grid, horizon=cfg.get("horizon", 50), cooperative_only=cooperative_only,
+        view_radius=cfg.get("view_radius")))

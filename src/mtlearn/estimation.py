@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .schedule import parse_count
 
 
 class InvalidProblemError(ValueError):
@@ -208,8 +209,7 @@ def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be nonnegative, got {max_sweeps}")
+    max_sweeps = parse_count(max_sweeps, "max_sweeps", minimum=0)
     k = np.asarray(k0, dtype=float).copy()
     if k.shape != (problem.n,):
         raise ValueError(f"initial gains must have shape ({problem.n},), got {k.shape}")

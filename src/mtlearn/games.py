@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimation import Mode
+from .schedule import parse_count
 
 
 class TieBreak(enum.Enum):
@@ -160,8 +161,7 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
     of an earlier joint action ends it as a cycle (detected by exact
     profile hashing).
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    max_rounds = parse_count(max_rounds, "max_rounds")
     cur = _check_profile(game, initial)
     profiles = [cur]
     payoffs = [team_payoff(game, cur)]

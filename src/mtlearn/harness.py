@@ -1,13 +1,12 @@
 """Experiment orchestration: metrics, grid sweeps, seed replication.
 
 A sweep runs scheduled Q-learning over the full (fast rate, slow rate,
-switching period) grid for every seed, then aggregates per-cell means
-and standard errors of the final return and of the area under the
-smoothed evaluation curve. Cells partition into regimes by their rate
-pair: equal rates are independent learning, a zero rate is sequential
-learning, and the remaining off-diagonal cells are multi-timescale.
-Equal-rate cells do not depend on the switching period, so they are
-executed once and shared across periods.
+switching period) grid for every seed, then aggregates the per-cell mean
+and standard error of the final return. Cells partition into regimes by
+their rate pair: equal rates are independent learning, a zero rate is
+sequential learning, and the remaining off-diagonal cells are
+multi-timescale. Equal-rate cells do not depend on the switching period,
+so they are executed once and shared across periods.
 """
 
 from __future__ import annotations
@@ -92,23 +91,6 @@ def smooth(curve: Sequence[float], window: int = 5) -> list[float]:
     return out
 
 
-def curve_auc(points: Sequence[tuple[int, float]], window: int = 5) -> float:
-    """Average height of the smoothed eval curve (trapezoidal integral
-    over training steps, divided by the covered step span)."""
-    if not points:
-        raise ValueError("empty curve")
-    steps = [p[0] for p in points]
-    vals = smooth([p[1] for p in points], window)
-    if len(points) == 1:
-        return vals[0]
-    span = steps[-1] - steps[0]
-    if span <= 0:
-        raise ValueError("eval steps must be increasing")
-    integral = sum((vals[i] + vals[i + 1]) * 0.5 * (steps[i + 1] - steps[i])
-                   for i in range(len(steps) - 1))
-    return integral / span
-
-
 def _stderr(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -168,7 +150,7 @@ def _run_batch(config: ExperimentConfig,
         logs = train_lockstep(functools.partial(env_from_config, config.env),
                               list(schedules.values()), [jobs[k].seed for k in schedules],
                               config.q_config, config.total_steps, config.eval_every,
-                              config.eval_episodes, config_digest=config.digest)
+                              config.eval_episodes)
         results = [(log, None) for log in logs]
     except Exception as exc:  # noqa: BLE001 - the batch's jobs fail, not the sweep
         results = [(None, _error_text(exc))] * len(schedules)
@@ -214,12 +196,8 @@ class CellResult:
     regime: str
     runs: tuple[RunLog | None, ...]
     errors: tuple[str | None, ...]
-    per_seed_final: tuple[float, ...]
-    per_seed_auc: tuple[float, ...]
     final_mean: float
     final_stderr: float
-    auc_mean: float
-    auc_stderr: float
 
     @property
     def ok(self) -> bool:
@@ -296,16 +274,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     for lr0, lr1, period, cell_jobs in grid:
         runs = tuple(outcomes[job][0] for job in cell_jobs)
         finals = [r.final_return for r in runs if r is not None]
-        aucs = [curve_auc(r.eval_points) for r in runs if r is not None]
         cells.append(CellResult(
             lr0=lr0, lr1=lr1, period=period,
             regime=cell_regime(lr0, lr1),
             runs=runs, errors=tuple(outcomes[job][1] for job in cell_jobs),
-            per_seed_final=tuple(finals), per_seed_auc=tuple(aucs),
             final_mean=sum(finals) / len(finals) if finals else math.nan,
             final_stderr=_stderr(finals),
-            auc_mean=sum(aucs) / len(aucs) if aucs else math.nan,
-            auc_stderr=_stderr(aucs),
         ))
 
     return SweepResult(

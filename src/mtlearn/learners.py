@@ -80,7 +80,6 @@ class RunLog:
     eval_points: tuple[tuple[int, float], ...]
     final_return: float
     eval_episodes: int
-    config_digest: str = ""
     final_gains: tuple[float, ...] | None = None
     gains_trace: tuple[tuple[float, ...], ...] | None = None
 
@@ -92,14 +91,13 @@ def _final_window_mean(values: list[float], window: int = 5) -> float:
     return sum(tail) / len(tail)
 
 
-def _run_log(seed: int, eval_points, eval_episodes: int, config_digest: str,
-             **gains) -> RunLog:
+def _run_log(seed: int, eval_points, eval_episodes: int, **gains) -> RunLog:
     """The :class:`RunLog` of ``(step, value)`` eval points, its final
     return the mean of the last five values."""
     eval_points = tuple(eval_points)
     return RunLog(seed=seed, eval_points=eval_points,
                   final_return=_final_window_mean([value for _, value in eval_points]),
-                  eval_episodes=eval_episodes, config_digest=config_digest, **gains)
+                  eval_episodes=eval_episodes, **gains)
 
 
 def runlog_to_csv(log: RunLog) -> str:
@@ -184,21 +182,20 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
 
 def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
            total_steps: int, eval_every: int, eval_episodes: int
-           ) -> tuple[TransitionTable, list[int]]:
+           ) -> tuple[TransitionTable, list[int], list[int], tuple[int, int, int]]:
     """The set-up of ``train_with_tables`` and ``lockstep.train_lockstep``.
 
-    Checks the counts and seeds with :func:`schedule.parse_count` before
-    ``env_factory`` is called, then each schedule against the env's agent
-    count, and expands a fixed-start table from its start (raising
+    Parses the counts and seeds with :func:`schedule.parse_count` before
+    ``env_factory`` is called, then checks each schedule against the env's
+    agent count, and expands a fixed-start table from its start (raising
     :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`). Returns
-    the table and each run's rotation period; one that never switches has
-    ``total_steps``.
+    the table, each run's rotation period (one that never switches has
+    ``total_steps``), the seeds as ints and ``(total_steps, eval_every,
+    eval_episodes)`` as ints.
     """
-    for value, name in ((total_steps, "total_steps"), (eval_every, "eval_every"),
-                        (eval_episodes, "eval_episodes")):
-        parse_count(value, name)
-    for seed in seeds:
-        parse_count(seed, "seed", minimum=0)
+    counts = (parse_count(total_steps, "total_steps"), parse_count(eval_every, "eval_every"),
+              parse_count(eval_episodes, "eval_episodes"))
+    seeds = [parse_count(seed, "seed", minimum=0) for seed in seeds]
     if len(schedules) != len(seeds):
         raise ValueError(f"{len(schedules)} schedules but {len(seeds)} seeds")
     table = TransitionTable(env_factory())
@@ -207,12 +204,13 @@ def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
             raise ValueError(f"schedule is for {schedule.n} agents, environment has {table.n}")
     if table.fixed_start:
         table.expand_reachable(table.reset(0), SEARCH_BUDGET)
-    return table, [int(s.switch_period) if s.is_switching else total_steps for s in schedules]
+    periods = [int(s.switch_period) if s.is_switching else counts[0] for s in schedules]
+    return table, periods, seeds, counts
 
 
 def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                       total_steps: int, eval_every: int, eval_episodes: int,
-                      seed: int, config_digest: str = "") -> tuple[RunLog, list[QTable]]:
+                      seed: int) -> tuple[RunLog, list[QTable]]:
     """Scheduled decentralized Q-learning; also returns the learned tables,
     keyed by the env's own observations.
 
@@ -221,8 +219,8 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     by ``_setup`` as for ``lockstep.train_lockstep``; only the step kernel
     differs. Training keys the Q-tables by the table's dense observation ids.
     """
-    table, (period,) = _setup(env_factory, [schedule], [seed], total_steps, eval_every,
-                              eval_episodes)
+    table, (period,), (seed,), (total_steps, eval_every, eval_episodes) = _setup(
+        env_factory, [schedule], [seed], total_steps, eval_every, eval_episodes)
     n = table.n
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, _ = _spawn_streams(seed, n)
@@ -275,16 +273,16 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
         eval_points.append((hi, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
 
     own = [list(ids) for ids in table._obs_ids]  # dense id -> the env's observation
-    return (_run_log(seed, eval_points, eval_episodes, config_digest),
+    return (_run_log(seed, eval_points, eval_episodes),
             [{ids[o]: row for o, row in q.items()} for q, ids in zip(tables, own)])
 
 
 def train(env_factory, schedule: Schedule, q_config: QLearnerConfig,
           total_steps: int, eval_every: int, eval_episodes: int,
-          seed: int, config_digest: str = "") -> RunLog:
+          seed: int) -> RunLog:
     """Scheduled decentralized Q-learning, returning the evaluation log."""
     return train_with_tables(env_factory, schedule, q_config, total_steps, eval_every,
-                             eval_episodes, seed, config_digest)[0]
+                             eval_episodes, seed)[0]
 
 
 def _safe_mse(problem: TeamEstimationProblem, gains: np.ndarray) -> float:
@@ -313,7 +311,7 @@ def estimation_gradient(problem: TeamEstimationProblem, gains: np.ndarray,
 def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
                      batch_size: int, total_steps: int, seed: int,
                      eval_every: int | None = None, exact_gradient: bool = False,
-                     record_gains: bool = False, config_digest: str = "") -> RunLog:
+                     record_gains: bool = False) -> RunLog:
     """Stochastic-gradient learning of the estimation gains.
 
     Every agent holds one gain, starting from zero. Each update step
@@ -343,8 +341,7 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
     noise_std = math.sqrt(problem.sigma2)
 
     trace = [tuple(gains)] if record_gains else None
-    eval_steps: list[int] = []
-    eval_values: list[float] = []
+    eval_points: list[tuple[int, float]] = []
     for t in range(total_steps):
         if exact_gradient:
             grad = team_mse_gradient(problem, gains)
@@ -358,10 +355,8 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
             trace.append(tuple(gains))
         done_steps = t + 1
         if done_steps % eval_every == 0 or done_steps == total_steps:
-            if not eval_steps or eval_steps[-1] != done_steps:
-                eval_steps.append(done_steps)
-                eval_values.append(_safe_mse(problem, gains))
+            eval_points.append((done_steps, _safe_mse(problem, gains)))
 
-    return _run_log(seed, zip(eval_steps, eval_values), 0, config_digest,
+    return _run_log(seed, eval_points, 0,
                     final_gains=tuple(float(g) for g in gains),
                     gains_trace=tuple(trace) if trace is not None else None)

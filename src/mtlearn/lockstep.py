@@ -76,21 +76,21 @@ _NO_OVERFLOW = 2.0 ** 1000
 
 def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
                    q_config: QLearnerConfig, total_steps: int, eval_every: int,
-                   eval_episodes: int, config_digest: str = "") -> list[RunLog]:
+                   eval_episodes: int) -> list[RunLog]:
     """``train`` for many (schedule, seed) runs at once, as one numpy loop.
 
     Returns, for each run r, the log that ``train(env_factory,
     schedules[r], q_config, total_steps, eval_every, eval_episodes,
-    seeds[r], config_digest)`` returns, bit for bit. The env must have a
-    fixed start (every env ``env_from_config`` builds has one); any other
-    raises ``ValueError``. All runs advance together through the complete
+    seeds[r])`` returns, bit for bit. The env must have a fixed start
+    (every env ``env_from_config`` builds has one); any other raises
+    ``ValueError``. All runs advance together through the complete
     table, so a step is a few numpy calls over every run. Greedy choices
     and the bootstrap maximum follow the scalar loop's first-max fold, a
     zero rate leaves a table untouched, and every update does ``train``'s
     float operations in its order.
     """
-    table, periods = _setup(env_factory, schedules, seeds, total_steps, eval_every,
-                            eval_episodes)
+    table, periods, seeds, (total_steps, eval_every, eval_episodes) = _setup(
+        env_factory, schedules, seeds, total_steps, eval_every, eval_episodes)
     if not table.fixed_start:
         raise ValueError("lockstep training needs an environment with a fixed start")
     runs, n = len(seeds), table.n
@@ -183,4 +183,4 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
                 np.copyto(rows, start_rows, where=done[:, None])
 
     return [_run_log(seed, zip(eval_steps, [returns[r] for returns in eval_returns]),
-                     eval_episodes, config_digest) for r, seed in enumerate(seeds)]
+                     eval_episodes) for r, seed in enumerate(seeds)]

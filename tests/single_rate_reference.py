@@ -86,7 +86,7 @@ def evaluate_greedy_on_env(env, tables, action_counts, episodes: int,
 
 def train_reference(env_factory, rates: float | Schedule, q_config: QLearnerConfig,
                     total_steps: int, eval_every: int, eval_episodes: int,
-                    seed: int, config_digest: str = "") -> tuple[RunLog, list[dict]]:
+                    seed: int) -> tuple[RunLog, list[dict]]:
     """Reference learner, returning the log and the Q-tables. ``rates`` is a
     schedule, read with ``rates_at`` on every step, or one rate that every
     agent always updates with."""
@@ -129,15 +129,14 @@ def train_reference(env_factory, rates: float | Schedule, q_config: QLearnerConf
     log = RunLog(seed=seed,
                  eval_points=tuple(zip(eval_steps, eval_returns)),
                  final_return=_final_window_mean(eval_returns),
-                 eval_episodes=eval_episodes,
-                 config_digest=config_digest)
+                 eval_episodes=eval_episodes)
     return log, tables
 
 
 def train_single_rate(env_factory, lr: float, q_config: QLearnerConfig,
                       total_steps: int, eval_every: int, eval_episodes: int,
-                      seed: int, config_digest: str = "") -> RunLog:
+                      seed: int) -> RunLog:
     """Reference learner: every agent always updates with the same rate."""
     log, _ = train_reference(env_factory, lr, q_config, total_steps, eval_every,
-                             eval_episodes, seed, config_digest)
+                             eval_episodes, seed)
     return log

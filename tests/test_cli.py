@@ -92,7 +92,6 @@ class TestTrainCommand:
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         import mtlearn
-        from mtlearn.config import config_digest
         from mtlearn.learners import runlog_to_csv, train
 
         cfg = train_config(tmp_path)
@@ -110,7 +109,7 @@ class TestTrainCommand:
         q = mtlearn.QLearnerConfig(
             epsilon=mtlearn.EpsilonSchedule(1.0, 0.1, 200), discount=0.9)
         expected = train(lambda: mtlearn.env_from_config(raw["env"]), sched, q,
-                         400, 100, 2, seed=5, config_digest=config_digest(raw))
+                         400, 100, 2, seed=5)
         assert overridden == runlog_to_csv(expected)
 
     @pytest.mark.parametrize("key, bad", [("total_steps", 100.7), ("eval_every", 100.7),
@@ -511,16 +510,20 @@ def test_parser_takes_each_flag_the_subcommand_reads(command):
 
 
 class TestModuleEntryPoint:
+    # The package's src on PYTHONPATH, so ``-m mtlearn`` runs in an
+    # uninstalled checkout too.
+    ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(learners.__file__))}
+
     def test_python_dash_m_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "mtlearn", "oracle"],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env=self.ENV)
         assert proc.returncode == 0
         assert "spectral_radius_sibr" in proc.stdout
 
     def test_missing_config_file_nonzero_exit(self):
         proc = subprocess.run([sys.executable, "-m", "mtlearn", "train",
                                "--config", "/nonexistent.json"],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env=self.ENV)
         assert proc.returncode == 1
         payload = json.loads(proc.stderr.strip().split("\n")[-1])
         assert payload["error"]["type"] == "FileNotFoundError"

@@ -35,7 +35,6 @@ class TestMatrixGameEnv:
     def test_single_shared_observation(self, match_game):
         env = MatrixGameEnv(match_game, horizon=4)
         assert env.reset(123) == (0, 0)
-        assert env.observation_space_sizes == (1, 1)
         assert env.action_counts == (2, 2)
 
     def test_reward_is_payoff_lookup(self, match_game):
@@ -226,8 +225,6 @@ class TestObservations:
         env = ForagingEnv(two_agent_config())
         obs = env.reset(0)
         assert obs[0] == obs[1]
-        assert 0 <= obs[0] < env.observation_space_sizes[0]
-        assert env.observation_space_sizes[0] == 25 * 25 * 2
 
     def test_observation_changes_with_food_state(self):
         env = ForagingEnv(two_agent_config())
@@ -250,13 +247,6 @@ class TestObservations:
         # Move it next door: in-view change.
         env.set_state((t, (cell(0, 0, 7), cell(1, 1, 7)) + row[2:]))
         assert env._observations()[0] != base_obs[0]
-
-    def test_partial_view_sizes(self):
-        cfg = ForagingConfig(width=4, height=4, agent_levels=(1, 1), food_levels=(1,),
-                             horizon=5, view_radius=1)
-        env = ForagingEnv(cfg)
-        base = (2 * 1 + 1) ** 2 + 1
-        assert env.observation_space_sizes == (16 * base ** 2,) * 2
 
 
 class TestOptimalReturn:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mtlearn
 from mtlearn.lockstep import train_lockstep
 
-from conftest import FIXTURE_ROWS, MATCH_PAYOFF
+from conftest import FIXTURE_ROWS, MATCH_PAYOFF, fixture_env_factory
 
 
 def test_public_surface_importable():
@@ -126,6 +126,17 @@ def call_entry_point(entry, argument, value):
     if entry == "optimal_return":
         env = mtlearn.MatrixGameEnv(mtlearn.make_game(MATCH_PAYOFF))
         return mtlearn.optimal_return(env, **{"seed": 0, "budget": 100, argument: value})
+    if entry == "run_br_iteration":
+        return mtlearn.run_br_iteration(mtlearn.build_problem(1.0, 0.5, 0.5, 3),
+                                        mtlearn.Mode.IIBR, [0.0] * 3, max_sweeps=value)
+    if entry == "run_dynamics":
+        return mtlearn.run_dynamics(mtlearn.make_game(MATCH_PAYOFF), mtlearn.Mode.IIBR,
+                                    (0, 0), max_rounds=value)
+    if entry == "MatrixGameEnv":
+        return mtlearn.MatrixGameEnv(mtlearn.make_game(MATCH_PAYOFF), horizon=value)
+    if entry == "ForagingConfig":
+        return mtlearn.ForagingConfig(**{"width": 3, "height": 3, "agent_levels": (1, 1),
+                                         "food_levels": (1,), argument: value})
     if entry == "EpsilonSchedule":
         return mtlearn.EpsilonSchedule(**{"start": 1.0, "end": 0.1, "decay_steps": 10,
                                           argument: value})
@@ -158,6 +169,11 @@ BAD_UNIT_REALS = st.one_of(
     ("EpsilonSchedule", "start", "epsilon", BAD_UNIT_REALS),
     ("EpsilonSchedule", "end", "epsilon", BAD_UNIT_REALS),
     ("QLearnerConfig", "discount", "discount", BAD_UNIT_REALS),
+    ("run_br_iteration", "max_sweeps", "max_sweeps", BAD_COUNTS),
+    ("run_dynamics", "max_rounds", "max_rounds", BAD_COUNTS),
+    ("MatrixGameEnv", "horizon", "horizon", BAD_COUNTS),
+    ("ForagingConfig", "horizon", "horizon", BAD_COUNTS),
+    ("ForagingConfig", "view_radius", "view_radius", BAD_COUNTS),
 ])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -167,3 +183,20 @@ def test_entry_points_reject_bad_counts(entry, argument, named, values, data):
     value = data.draw(values)
     with pytest.raises(ValueError, match=named):
         call_entry_point(entry, argument, value)
+
+
+@pytest.mark.parametrize("kernel", ["train", "train_lockstep"])
+def test_integral_float_counts_run_as_the_integers(kernel):
+    # 100.0 steps and seed 1.0 are the counts 100 and 1 (the count rule), for
+    # the scalar and the lockstep kernel alike.
+    schedule, q = mtlearn.make_schedule(2, (0.3, 0.05), s=20), mtlearn.QLearnerConfig()
+
+    def run(total_steps, eval_every, eval_episodes, seed):
+        if kernel == "train":
+            return mtlearn.train(fixture_env_factory, schedule, q, total_steps, eval_every,
+                                 eval_episodes, seed)
+        return train_lockstep(fixture_env_factory, [schedule], [seed], q, total_steps,
+                              eval_every, eval_episodes)[0]
+
+    expected = mtlearn.learners.runlog_to_csv(run(100, 50, 2, 1))
+    assert mtlearn.learners.runlog_to_csv(run(100.0, 50.0, 2.0, 1.0)) == expected

@@ -106,8 +106,9 @@ class ForagingConfig:
     ``view_radius`` of None means full observability (every agent sees
     the complete state id); otherwise an agent only resolves entities
     within the given Chebyshev radius. With ``cooperative_only`` set,
-    every food must be too heavy for any single agent. ``horizon`` and
-    ``view_radius`` are counts (:func:`schedule.parse_count`), stored as ints.
+    every food must be too heavy for any single agent. ``width``, ``height``,
+    ``horizon``, ``view_radius`` and each level are counts
+    (:func:`schedule.parse_count`), stored as ints.
     """
 
     width: int
@@ -121,16 +122,18 @@ class ForagingConfig:
     view_radius: int | None = None
 
     def __post_init__(self):
+        for name, minimum in (("width", 0), ("height", 0), ("horizon", 1)):
+            object.__setattr__(self, name, parse_count(getattr(self, name), name, minimum))
         if self.width < 1 or self.height < 1:
             raise ValueError("grid must be at least 1x1")
-        object.__setattr__(self, "horizon", parse_count(self.horizon, "horizon"))
         if self.view_radius is not None:
             object.__setattr__(self, "view_radius",
                                parse_count(self.view_radius, "view_radius", minimum=0))
-        if not self.agent_levels or any(l < 1 for l in self.agent_levels):
-            raise ValueError("agent levels must be positive integers")
-        if not self.food_levels or any(l < 1 for l in self.food_levels):
-            raise ValueError("food levels must be positive integers")
+        for name in ("agent_levels", "food_levels"):
+            levels = tuple(parse_count(level, name) for level in getattr(self, name))
+            if not levels:
+                raise ValueError(f"{name.replace('_', ' ')} must be positive integers")
+            object.__setattr__(self, name, levels)
         if max(self.food_levels) > sum(self.agent_levels):
             raise ValueError("unsolvable layout: a food exceeds the combined agent level")
         if self.cooperative_only and min(self.food_levels) <= max(self.agent_levels):

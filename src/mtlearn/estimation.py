@@ -42,6 +42,13 @@ class Mode(enum.Enum):
     SIBR = "sibr"
 
 
+def check_member(value, enum_type: type[enum.Enum], name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an ``enum_type`` member:
+    an update order or tie rule given as a string would run the other branch."""
+    if not isinstance(value, enum_type):
+        raise ValueError(f"{name} must be a {enum_type.__name__} member, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TeamEstimationProblem:
     """Instance data for the n-agent estimation problem.
@@ -107,14 +114,15 @@ def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationPr
     Raises
     ------
     InvalidProblemError
-        If ``sigma2 <= 0``, ``n < 2``, a parameter is not finite, the
+        If ``sigma2 <= 0``, ``n`` is not an integer >= 2 (the
+        :func:`schedule.parse_count` rule), a parameter is not finite, the
         diagonal weight ``p * (1 + sigma2)`` vanishes, or it or the
         right-hand side ``p + (n - 1) * q`` overflows.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidProblemError(f"agent count must be an integer, got {n!r}")
-    if n < 2:
-        raise InvalidProblemError(f"need at least 2 agents, got {n}")
+    try:
+        n = parse_count(n, "n", minimum=2)
+    except ValueError as err:
+        raise InvalidProblemError(str(err)) from None
     if not (sigma2 > 0):
         raise InvalidProblemError(f"noise variance must be positive, got {sigma2}")
     diag = p * (1.0 + sigma2)
@@ -122,7 +130,6 @@ def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationPr
         raise InvalidProblemError("zero diagonal: p * (1 + sigma2) must be nonzero")
     if not np.all(np.isfinite([p, q, sigma2])):
         raise InvalidProblemError("parameters must be finite")
-    n = int(n)
     rhs = float(p) + (n - 1) * float(q)
     if not np.isfinite([diag, rhs]).all():
         raise InvalidProblemError(f"system overflows: p * (1 + sigma2) = {diag}, "
@@ -153,6 +160,7 @@ def iteration_matrix(problem: TeamEstimationProblem, mode: Mode) -> np.ndarray:
     With ``gamma = D + L + U`` (diagonal / strict lower / strict upper),
     IIBR yields ``-D^{-1} (L + U)`` and SIBR yields ``-(D + L)^{-1} U``.
     """
+    check_member(mode, Mode, "mode")
     gamma = problem.gamma
     d = np.diag(gamma)
     if np.any(d == 0.0):
@@ -207,6 +215,7 @@ def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
     ``1e6 * (1 + initial error)`` or turns non-finite (diverged), or the
     sweep budget runs out.
     """
+    check_member(mode, Mode, "mode")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     max_sweeps = parse_count(max_sweeps, "max_sweeps", minimum=0)

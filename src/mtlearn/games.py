@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimation import Mode
+from .estimation import Mode, check_member
 from .schedule import parse_count
 
 
@@ -91,15 +91,18 @@ class DynamicsTrace:
         return self.payoffs[-1]
 
 
-def _check_profile(game: TeamGame, profile: Sequence[int]) -> tuple[int, ...]:
-    prof = tuple(int(a) for a in profile)
+def _check_profile(game: TeamGame, profile: Sequence[int],
+                   name: str = "profile") -> tuple[int, ...]:
+    """``profile`` as ints. A non-integer action fails the count rule
+    (ValueError); an integer one out of range raises IndexError."""
+    # Plain ints first and without a parse: the dynamics re-check every profile they build.
+    prof = tuple(a if type(a) is int else int(a) if isinstance(a, np.integer)
+                 else parse_count(a, name, minimum=0) for a in profile)
     if len(prof) != game.n:
         raise IndexError(f"profile length {len(prof)} != agent count {game.n}")
     for i, a in enumerate(prof):
         if not 0 <= a < game.action_counts[i]:
-            raise IndexError(
-                f"action {a} out of range [0, {game.action_counts[i]}) for agent {i}"
-            )
+            raise IndexError(f"action {a} out of range [0, {game.action_counts[i]}) for agent {i}")
     return prof
 
 
@@ -110,29 +113,23 @@ def team_payoff(game: TeamGame, profile: Sequence[int]) -> float:
 
 def best_response(game: TeamGame, profile: Sequence[int], agent: int,
                   tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> int:
-    """Action maximizing the shared payoff with all other agents fixed."""
+    """Action maximizing the shared payoff with all other agents fixed. Of equal
+    payoffs ``argmax`` keeps the lowest action id (payoffs are finite, see :class:`TeamGame`)."""
+    check_member(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     if not 0 <= agent < game.n:
         raise IndexError(f"agent {agent} out of range [0, {game.n})")
-    idx = list(prof)
-    best_a = 0
-    best_v = -np.inf
-    for a in range(game.action_counts[agent]):
-        idx[agent] = a
-        v = float(game.payoff[tuple(idx)])
-        if v > best_v:
-            best_v = v
-            best_a = a
-    if tie_break is TieBreak.KEEP_CURRENT:
-        idx[agent] = prof[agent]
-        if float(game.payoff[tuple(idx)]) == best_v:
-            return prof[agent]
-    return best_a
+    line = game.payoff[prof[:agent] + (slice(None),) + prof[agent + 1:]]
+    best = int(line.argmax())
+    if tie_break is TieBreak.KEEP_CURRENT and line[prof[agent]] == line[best]:
+        return prof[agent]
+    return best
 
 
 def iibr_step(game: TeamGame, profile: Sequence[int],
               tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> tuple[int, ...]:
     """Every agent switches to its best response against the input profile."""
+    check_member(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     return tuple(best_response(game, prof, i, tie_break) for i in range(game.n))
 
@@ -140,14 +137,10 @@ def iibr_step(game: TeamGame, profile: Sequence[int],
 def sibr_step(game: TeamGame, profile: Sequence[int], agent: int,
               tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> tuple[int, ...]:
     """Only ``agent`` switches to its best response; everyone else is copied."""
+    check_member(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     br = best_response(game, prof, agent, tie_break)
     return prof[:agent] + (br,) + prof[agent + 1:]
-
-
-def _is_fixed_point(game: TeamGame, profile: tuple[int, ...], tie_break: TieBreak) -> bool:
-    return all(best_response(game, profile, i, tie_break) == profile[i]
-               for i in range(game.n))
 
 
 def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
@@ -161,8 +154,10 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
     of an earlier joint action ends it as a cycle (detected by exact
     profile hashing).
     """
+    check_member(mode, Mode, "mode")
+    check_member(tie_break, TieBreak, "tie_break")
     max_rounds = parse_count(max_rounds, "max_rounds")
-    cur = _check_profile(game, initial)
+    cur = _check_profile(game, initial, "initial")
     profiles = [cur]
     payoffs = [team_payoff(game, cur)]
     seen = {cur: 0}
@@ -177,7 +172,7 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
                 cur = sibr_step(game, cur, agent, tie_break)
         profiles.append(cur)
         payoffs.append(team_payoff(game, cur))
-        if _is_fixed_point(game, cur, tie_break):
+        if iibr_step(game, cur, tie_break) == cur:
             status, round_ = "converged", r
             break
         if cur in seen:
@@ -194,14 +189,6 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
 def is_agent_by_agent_optimal(game: TeamGame, profile: Sequence[int]) -> bool:
     """True iff no single-agent deviation strictly improves the payoff."""
     prof = _check_profile(game, profile)
-    base = team_payoff(game, prof)
-    idx = list(prof)
-    for i in range(game.n):
-        for a in range(game.action_counts[i]):
-            if a == prof[i]:
-                continue
-            idx[i] = a
-            if float(game.payoff[tuple(idx)]) > base:
-                return False
-        idx[i] = prof[i]
-    return True
+    base = game.payoff[prof]
+    return all(game.payoff[prof[:i] + (slice(None),) + prof[i + 1:]].max() <= base
+               for i in range(game.n))

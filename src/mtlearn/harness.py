@@ -76,8 +76,7 @@ def gap_recovered(dt: float, mdt: float, ctde: float) -> float:
 
 def smooth(curve: Sequence[float], window: int = 5) -> list[float]:
     """Trailing moving average; early points average the available prefix."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = parse_count(window, "window")
     values = list(curve)
     if not values:
         raise ValueError("cannot smooth an empty curve")

@@ -82,12 +82,16 @@ def make_schedule(n: int, levels: Sequence[float],
     Raises
     ------
     ScheduleError
-        If a size is not an integer >= 1 (the :func:`parse_count` rule),
+        If ``n`` or a size is not an integer >= 1 (the :func:`parse_count` rule),
         the sizes do not sum to ``n``, a rate is negative or not finite, or
         the switching period is not a positive integer (or infinity).
     """
-    if n < 1:
-        raise ScheduleError(f"agent count must be positive, got {n}")
+    try:
+        n = parse_count(n, "n")
+        if cluster_sizes is not None:
+            cluster_sizes = tuple(parse_count(c, "cluster sizes") for c in cluster_sizes)
+    except ValueError as err:
+        raise ScheduleError(str(err)) from None
     levels = tuple(parse_rate(v) for v in levels)
     if not levels:
         raise ScheduleError("need at least one rate level")
@@ -99,10 +103,6 @@ def make_schedule(n: int, levels: Sequence[float],
             cluster_sizes = (1, n - 1)
         else:
             raise ScheduleError("cluster_sizes required for this levels/n combination")
-    try:
-        cluster_sizes = tuple(parse_count(c, "cluster sizes") for c in cluster_sizes)
-    except ValueError as err:
-        raise ScheduleError(str(err)) from None
     if len(cluster_sizes) != len(levels):
         raise ScheduleError(
             f"{len(levels)} levels but {len(cluster_sizes)} cluster sizes"

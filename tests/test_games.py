@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlearn.estimation import Mode
 from mtlearn.games import (
@@ -194,3 +196,53 @@ class TestRelabelingInvariance:
             assert team_payoff(new_game, to_new(profile)) == team_payoff(game, profile)
             stepped = iibr_step(game, profile, TieBreak.LOWEST_INDEX)
             assert iibr_step(new_game, to_new(profile), TieBreak.LOWEST_INDEX) == to_new(stepped)
+
+
+def deviation_payoffs(game, profile, agent):
+    """The payoff of each of ``agent``'s actions, the others held at ``profile``."""
+    values = []
+    for a in range(game.action_counts[agent]):
+        deviation = list(profile)
+        deviation[agent] = a
+        values.append(float(game.payoff[tuple(deviation)]))
+    return values
+
+
+def brute_best_response(game, profile, agent, tie_break):
+    best_a, best_v = 0, -np.inf
+    for a, v in enumerate(deviation_payoffs(game, profile, agent)):
+        if v > best_v:
+            best_a, best_v = a, v
+    if tie_break is TieBreak.KEEP_CURRENT and game.payoff[tuple(profile)] == best_v:
+        return profile[agent]
+    return best_a
+
+
+def brute_is_optimal(game, profile):
+    base = float(game.payoff[tuple(profile)])
+    return all(v <= base for agent in range(game.n)
+               for v in deviation_payoffs(game, profile, agent))
+
+
+@st.composite
+def games_and_profiles(draw):
+    # Few distinct payoffs, signed zeros among them, so ties are common.
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                           min_size=int(np.prod(counts)), max_size=int(np.prod(counts))))
+    profile = tuple(draw(st.integers(0, c - 1)) for c in counts)
+    return make_game(np.array(values).reshape(counts)), profile
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=games_and_profiles())
+def test_payoff_line_reads_match_the_action_loops(case):
+    # One payoff-line read gives what a loop over each agent's actions does,
+    # including which of equal payoffs (0.0 and -0.0 among them) is kept.
+    game, profile = case
+    for agent in range(game.n):
+        for tie_break in TieBreak:
+            got = best_response(game, profile, agent, tie_break)
+            assert type(got) is int
+            assert got == brute_best_response(game, profile, agent, tie_break)
+    assert is_agent_by_agent_optimal(game, profile) == brute_is_optimal(game, profile)

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -129,14 +130,29 @@ def call_entry_point(entry, argument, value):
     if entry == "run_br_iteration":
         return mtlearn.run_br_iteration(mtlearn.build_problem(1.0, 0.5, 0.5, 3),
                                         mtlearn.Mode.IIBR, [0.0] * 3, max_sweeps=value)
-    if entry == "run_dynamics":
+    if entry == "run_dynamics" and argument == "max_rounds":
         return mtlearn.run_dynamics(mtlearn.make_game(MATCH_PAYOFF), mtlearn.Mode.IIBR,
                                     (0, 0), max_rounds=value)
     if entry == "MatrixGameEnv":
         return mtlearn.MatrixGameEnv(mtlearn.make_game(MATCH_PAYOFF), horizon=value)
     if entry == "ForagingConfig":
+        if argument.endswith("_levels"):
+            value = (value,)
         return mtlearn.ForagingConfig(**{"width": 3, "height": 3, "agent_levels": (1, 1),
                                          "food_levels": (1,), argument: value})
+    if entry == "make_schedule":
+        return mtlearn.make_schedule(value, (0.3,))
+    if entry == "smooth":
+        return mtlearn.smooth([0.0, 1.0], window=value)
+    if entry == "build_problem":
+        return mtlearn.build_problem(1.0, 1.0, 0.5, value)
+    if entry in ("team_payoff", "is_agent_by_agent_optimal", "iibr_step"):
+        return getattr(mtlearn, entry)(mtlearn.make_game(MATCH_PAYOFF), (value, 0))
+    if entry in ("best_response", "sibr_step"):
+        return getattr(mtlearn, entry)(mtlearn.make_game(MATCH_PAYOFF), (value, 0), 0)
+    if entry == "run_dynamics" and argument == "initial":
+        return mtlearn.run_dynamics(mtlearn.make_game(MATCH_PAYOFF), mtlearn.Mode.SIBR,
+                                    (value, 0))
     if entry == "EpsilonSchedule":
         return mtlearn.EpsilonSchedule(**{"start": 1.0, "end": 0.1, "decay_steps": 10,
                                           argument: value})
@@ -147,6 +163,11 @@ BAD_COUNTS = st.one_of(
     st.booleans(),
     st.floats().filter(lambda x: not math.isfinite(x) or x != int(x)),
     st.integers(max_value=-1),
+    st.text(max_size=4))
+# An action id is an integer; an integer one out of range raises IndexError.
+BAD_ACTIONS = st.one_of(
+    st.booleans(),
+    st.floats().filter(lambda x: not math.isfinite(x) or x != int(x)),
     st.text(max_size=4))
 BAD_UNIT_REALS = st.one_of(
     st.booleans(),
@@ -174,6 +195,15 @@ BAD_UNIT_REALS = st.one_of(
     ("MatrixGameEnv", "horizon", "horizon", BAD_COUNTS),
     ("ForagingConfig", "horizon", "horizon", BAD_COUNTS),
     ("ForagingConfig", "view_radius", "view_radius", BAD_COUNTS),
+    ("make_schedule", "n", "^n must", BAD_COUNTS),
+    *[("ForagingConfig", arg, arg, BAD_COUNTS)
+      for arg in ("width", "height", "agent_levels", "food_levels")],
+    ("smooth", "window", "window", BAD_COUNTS),
+    ("build_problem", "n", "^n must", BAD_COUNTS),
+    *[(entry, "profile", "profile", BAD_ACTIONS)
+      for entry in ("team_payoff", "best_response", "iibr_step", "sibr_step",
+                    "is_agent_by_agent_optimal")],
+    ("run_dynamics", "initial", "initial", BAD_ACTIONS),
 ])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -183,6 +213,56 @@ def test_entry_points_reject_bad_counts(entry, argument, named, values, data):
     value = data.draw(values)
     with pytest.raises(ValueError, match=named):
         call_entry_point(entry, argument, value)
+
+
+def call_with_enum_argument(entry, argument, value):
+    """Call one entry point with valid arguments, except ``argument`` (``mode``
+    or ``tie_break``), which is ``value``."""
+    if entry in ("iteration_matrix", "run_br_iteration"):
+        problem = mtlearn.build_problem(1.0, 1.0, 0.5, 3)
+        if entry == "iteration_matrix":
+            return mtlearn.iteration_matrix(problem, value)
+        return mtlearn.run_br_iteration(problem, value, [0.0] * 3)
+    game = mtlearn.make_game(MATCH_PAYOFF)
+    if entry == "run_dynamics":
+        kwargs = {"mode": mtlearn.Mode.IIBR, "tie_break": mtlearn.TieBreak.KEEP_CURRENT,
+                  argument: value}
+        return mtlearn.run_dynamics(game, initial=(0, 1), **kwargs)
+    if entry == "iibr_step":
+        return mtlearn.iibr_step(game, (0, 1), tie_break=value)
+    return getattr(mtlearn, entry)(game, (0, 1), 0, tie_break=value)
+
+
+@pytest.mark.parametrize("value", ["iibr", "sibr", "keep_current", "lowest_index", None, 0, 1])
+@pytest.mark.parametrize("entry, argument", [
+    ("iteration_matrix", "mode"), ("run_br_iteration", "mode"), ("run_dynamics", "mode"),
+    ("best_response", "tie_break"), ("iibr_step", "tie_break"), ("sibr_step", "tie_break"),
+    ("run_dynamics", "tie_break"),
+])
+def test_enum_arguments_take_only_members(entry, argument, value):
+    # A string, None or an int is not an update order or a tie rule: it fails
+    # by name, where a branch on the member would run the other rule.
+    with pytest.raises(ValueError, match=f"{argument} must be a"):
+        call_with_enum_argument(entry, argument, value)
+
+
+def test_readme_quick_start_runs_as_its_comments_say():
+    # Each bare expression in the block ends in a comment giving its value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    radius_iibr, radius_sibr, sweeps, cycle_status, final_payoff, final_return = values
+    assert radius_iibr == pytest.approx(4 / 3)
+    assert radius_sibr == pytest.approx(6 * math.sqrt(6) / 27)
+    assert sweeps == ("converged", 32)
+    assert (cycle_status, final_payoff) == ("cycle", 1.0)
+    assert final_return == 1.0
 
 
 @pytest.mark.parametrize("kernel", ["train", "train_lockstep"])

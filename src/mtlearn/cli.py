@@ -104,18 +104,12 @@ def _cmd_sweep(args) -> int:
     files = reports.emit_reports(result, out_dir, plots=not args.no_plots)
     print(f"sweep {result.digest}: {len(result.cells)} cells, "
           f"{len(result.seeds)} seeds, outputs in {out_dir}")
-    for regime in ("independent", "sequential", "multi_timescale"):
-        try:
-            best = result.best_cell(regime)
-        except ValueError:
-            continue
+    best_cells, gain = result.summary()
+    for regime, best in best_cells.items():
         print(f"  best {regime}: lr0={best.lr0} lr1={best.lr1} "
               f"s={best.period} final={best.final_mean:.4f} (+/- {best.final_stderr:.4f})")
-    try:
-        gain, err = result.performance_gain()
-        print(f"  gain multi_timescale vs independent: {gain:.4f} (+/- {err:.4f})")
-    except ValueError:
-        pass
+    if gain is not None:
+        print(f"  gain multi_timescale vs independent: {gain[0]:.4f} (+/- {gain[1]:.4f})")
     print(f"  files: {json.dumps(files, sort_keys=True)}")
     failures = result.failures()
     for cell, seed, err in failures:

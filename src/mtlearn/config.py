@@ -1,24 +1,25 @@
 """The config layer: the one place a subcommand's JSON config is read.
 
-Each loader turns one subcommand's config into a frozen dataclass before any
-work starts: :func:`load_oracle_config`, :func:`load_brdyn_config`,
-:func:`load_train_config` and :func:`load_experiment_config` (``sweep``).
-A key a config object does not have fails at any nesting level, with its
-path (``grid.lr00``) in the message; the ``env`` block is parsed, just as
-strictly, by :func:`envs.env_from_config`. Integer fields follow one rule,
-:func:`schedule.parse_count`: a count is an integer >= 1 and a seed an
-integer >= 0, given as ``10`` or ``10.0``. Real-valued fields must be JSON
-numbers. A loaded config keeps its input dict as ``raw``, and its
-``digest`` is taken from that dict.
-"""
+Each subcommand's config is a frozen dataclass built only from its raw dict,
+parsed when it is made, before any work starts: :class:`OracleConfig`,
+:class:`BrdynConfig`, :class:`TrainConfig` and :class:`ExperimentConfig`
+(``sweep``); the ``load_*`` names are these classes. A config keeps a deep
+copy of the dict as ``raw`` and takes its ``digest`` from that copy. Every
+parsed field is ``init=False``, so ``dataclasses.replace`` takes only
+``raw`` (and a train config's ``seed`` override) and parses again. A key a
+config object does not have fails at any nesting level, with its path
+(``grid.lr00``) in the message; the ``env`` block is parsed, just as
+strictly, by :func:`envs.env_from_config`. Integer fields follow
+:func:`schedule.parse_count`; real-valued fields must be JSON numbers."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .envs import env_from_config
 from .estimation import Mode, TeamEstimationProblem, build_problem
@@ -30,18 +31,6 @@ from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_sw
 def config_digest(raw: dict) -> str:
     payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
-
-
-class _Digest:
-    """Base of the loaded configs. They compare by identity (``eq=False``, which
-    also keeps their creation cheap at import); ``digest`` names the input."""
-
-    raw: dict
-
-    @property
-    def digest(self) -> str:
-        """12-hex-char digest of the input dict, as output file names carry it."""
-        return config_digest(self.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,144 +125,154 @@ def schedule_from_config(n: int, cfg: dict) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# Loaders, one per subcommand
+# Configs, one per subcommand
+
+
+def _set(cfg, **fields) -> None:
+    """Set a config's parsed ``fields``, ``raw`` among them, and its ``digest``."""
+    for name, value in dict(fields, digest=config_digest(fields["raw"])).items():
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True, eq=False)
-class OracleConfig(_Digest):
-    """An ``oracle`` config: the estimation problem and the sweep settings."""
+class OracleConfig:
+    """An ``oracle`` config: the estimation problem and the sweep settings.
+    Every key is optional, and ``{}`` is the bundled instance p=1, q=1,
+    sigma2=0.5, n=3 from zero gains."""
 
-    problem: TeamEstimationProblem
-    k0: tuple[float, ...]
-    max_sweeps: int
-    tol: float
     raw: dict
+    problem: TeamEstimationProblem = field(init=False)
+    k0: tuple[float, ...] = field(init=False)
+    max_sweeps: int = field(init=False)
+    tol: float = field(init=False)
+    digest: str = field(init=False)
 
-
-def load_oracle_config(raw: dict) -> OracleConfig:
-    """Parse an ``oracle`` config; every key is optional, and ``{}`` is the
-    bundled instance p=1, q=1, sigma2=0.5, n=3 from zero gains."""
-    _object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
-    prob = _object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
-    problem = build_problem(_number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
-                            _number(prob.get("sigma2", 0.5), "sigma2"),
-                            parse_count(prob.get("n", 3), "n"))
-    k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
-    if len(k0) != problem.n or not all(map(math.isfinite, k0)):
-        raise ValueError(f"k0 must list {problem.n} finite numbers, one per agent, got {list(k0)}")
-    tol = _number(raw.get("tol", 1e-10), "tol")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    return OracleConfig(problem=problem, k0=k0, tol=tol, raw=raw,
-                        max_sweeps=parse_count(raw.get("max_sweeps", 200), "max_sweeps"))
+    def __post_init__(self):
+        raw = copy.deepcopy(self.raw)
+        _object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
+        prob = _object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
+        problem = build_problem(_number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
+                                _number(prob.get("sigma2", 0.5), "sigma2"),
+                                parse_count(prob.get("n", 3), "n"))
+        k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
+        if len(k0) != problem.n or not all(map(math.isfinite, k0)):
+            raise ValueError(f"k0 must list {problem.n} finite numbers, one per agent, "
+                             f"got {list(k0)}")
+        tol = _number(raw.get("tol", 1e-10), "tol")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+        _set(self, raw=raw, problem=problem, k0=k0, tol=tol,
+             max_sweeps=parse_count(raw.get("max_sweeps", 200), "max_sweeps"))
 
 
 @dataclass(frozen=True, eq=False)
-class BrdynConfig(_Digest):
-    """A ``brdyn`` config: the team game and how to run its dynamics."""
+class BrdynConfig:
+    """A ``brdyn`` config: the team game and how to run its dynamics.
+    ``payoff`` is required; ``mode`` defaults to sibr, ``initial`` to every
+    agent on action 0, ``tie_break`` to keep_current and ``max_rounds`` to 1000."""
 
-    game: TeamGame
-    mode: Mode
-    initial: tuple[int, ...]
-    tie_break: TieBreak
-    max_rounds: int
     raw: dict
+    game: TeamGame = field(init=False)
+    mode: Mode = field(init=False)
+    initial: tuple[int, ...] = field(init=False)
+    tie_break: TieBreak = field(init=False)
+    max_rounds: int = field(init=False)
+    digest: str = field(init=False)
 
-
-def load_brdyn_config(raw: dict) -> BrdynConfig:
-    """Parse a ``brdyn`` config. ``payoff`` is required; ``mode`` defaults to
-    sibr, ``initial`` to every agent on action 0, ``tie_break`` to
-    keep_current and ``max_rounds`` to 1000."""
-    _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
-            required=("payoff",))
-    game = make_game(raw["payoff"])
-    initial = tuple(parse_count(a, "initial", minimum=0)
-                    for a in _list(raw.get("initial", [0] * game.n), "initial"))
-    if len(initial) != game.n or any(a >= c for a, c in zip(initial, game.action_counts)):
-        raise ValueError(f"initial must hold one action id per agent, each below its action "
-                         f"count {list(game.action_counts)}, got {list(initial)}")
-    return BrdynConfig(
-        game=game, mode=_choice(Mode, raw.get("mode", "sibr"), "mode"), initial=initial,
-        tie_break=_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
-        max_rounds=parse_count(raw.get("max_rounds", 1000), "max_rounds"), raw=raw)
+    def __post_init__(self):
+        raw = copy.deepcopy(self.raw)
+        _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
+                required=("payoff",))
+        game = make_game(raw["payoff"])
+        initial = tuple(parse_count(a, "initial", minimum=0)
+                        for a in _list(raw.get("initial", [0] * game.n), "initial"))
+        if len(initial) != game.n or any(a >= c for a, c in zip(initial, game.action_counts)):
+            raise ValueError(f"initial must hold one action id per agent, each below its action "
+                             f"count {list(game.action_counts)}, got {list(initial)}")
+        _set(self, raw=raw, game=game, initial=initial,
+             mode=_choice(Mode, raw.get("mode", "sibr"), "mode"),
+             tie_break=_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
+             max_rounds=parse_count(raw.get("max_rounds", 1000), "max_rounds"))
 
 
 @dataclass(frozen=True, eq=False)
-class TrainConfig(_Digest):
-    """A ``train`` config: one scheduled run. ``env`` is the env block."""
+class TrainConfig:
+    """A ``train`` config: one scheduled run. ``env`` is the env block.
+    ``seed``, when given, replaces the config's ``seed`` (default 0) and
+    follows the same rule; after construction it is the seed in use."""
 
-    env: dict
-    schedule: Schedule
-    q_config: QLearnerConfig
-    total_steps: int
-    eval_every: int
-    eval_episodes: int
-    seed: int
     raw: dict
+    seed: int | None = None
+    env: dict = field(init=False)
+    schedule: Schedule = field(init=False)
+    q_config: QLearnerConfig = field(init=False)
+    total_steps: int = field(init=False)
+    eval_every: int = field(init=False)
+    eval_episodes: int = field(init=False)
+    digest: str = field(init=False)
 
-
-def load_train_config(raw: dict, seed: int | None = None) -> TrainConfig:
-    """Parse a ``train`` config; ``seed``, when given, replaces the config's
-    ``seed`` (default 0) and follows the same rule."""
-    _object(raw, "", ("env", "schedule", "q", "total_steps", "eval_every", "eval_episodes",
-                      "seed"), required=("env", "schedule", "total_steps"))
-    sched = schedule_from_config(env_from_config(raw["env"]).n, raw["schedule"])
-    total_steps, eval_every, eval_episodes = parse_run_counts(raw)
-    return TrainConfig(
-        env=dict(raw["env"]), schedule=sched,
-        q_config=parse_q_config(raw.get("q", {}), total_steps),
-        total_steps=total_steps, eval_every=eval_every, eval_episodes=eval_episodes,
-        seed=parse_count(raw.get("seed", 0) if seed is None else seed, "seed", minimum=0),
-        raw=raw)
+    def __post_init__(self):
+        raw = copy.deepcopy(self.raw)
+        _object(raw, "", ("env", "schedule", "q", "total_steps", "eval_every", "eval_episodes",
+                          "seed"), required=("env", "schedule", "total_steps"))
+        sched = schedule_from_config(env_from_config(raw["env"]).n, raw["schedule"])
+        total_steps, eval_every, eval_episodes = parse_run_counts(raw)
+        _set(self, raw=raw, env=dict(raw["env"]), schedule=sched,
+             q_config=parse_q_config(raw.get("q", {}), total_steps),
+             total_steps=total_steps, eval_every=eval_every, eval_episodes=eval_episodes,
+             seed=parse_count(raw.get("seed", 0) if self.seed is None else self.seed, "seed",
+                              minimum=0))
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentConfig(_Digest):
-    """A ``sweep`` config; ``n_agents`` is the agent count of its env."""
+class ExperimentConfig:
+    """A ``sweep`` config (see README for the schema); ``n_agents`` is the
+    agent count of its env. The env is built and every cell's schedule made
+    here, so a bad env, or one no cell's schedule fits, fails before any job
+    starts."""
 
-    env: dict
-    n_agents: int
-    lr0_values: tuple[float, ...]
-    lr1_values: tuple[float, ...]
-    switch_periods: tuple[float, ...]
-    seeds: tuple[int, ...]
-    total_steps: int
-    eval_every: int
-    eval_episodes: int
-    q_config: QLearnerConfig
     raw: dict
+    env: dict = field(init=False)
+    n_agents: int = field(init=False)
+    lr0_values: tuple[float, ...] = field(init=False)
+    lr1_values: tuple[float, ...] = field(init=False)
+    switch_periods: tuple[float, ...] = field(init=False)
+    seeds: tuple[int, ...] = field(init=False)
+    total_steps: int = field(init=False)
+    eval_every: int = field(init=False)
+    eval_episodes: int = field(init=False)
+    q_config: QLearnerConfig = field(init=False)
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        raw = copy.deepcopy(self.raw)
+        _object(raw, "", ("env", "grid", "seeds", "total_steps", "eval_every", "eval_episodes",
+                          "q"), required=("env", "grid", "seeds", "total_steps"))
+        grid = _object(raw["grid"], "grid", ("lr0", "lr1", "switch_periods"),
+                       required=("lr0", "lr1", "switch_periods"))
+        lr0 = tuple(parse_rate(_number(v, "lr0")) for v in _list(grid["lr0"], "lr0"))
+        lr1 = tuple(parse_rate(_number(v, "lr1")) for v in _list(grid["lr1"], "lr1"))
+        periods = tuple(parse_switch_period(v)
+                        for v in _list(grid["switch_periods"], "switch_periods"))
+        seeds = tuple(parse_count(s, "seeds", minimum=0) for s in _list(raw["seeds"], "seeds"))
+        total_steps, eval_every, eval_episodes = parse_run_counts(raw)
+        if not lr0 or not lr1 or not periods:
+            raise ValueError("lr0, lr1, and switch_periods must all be non-empty")
+        if not seeds:
+            raise ValueError("need at least one seed")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("seeds must be distinct")
+        n = env_from_config(raw["env"]).n
+        for a in lr0:
+            for b in lr1:
+                for period in periods:
+                    make_schedule(n, (a, b), s=period)
+        _set(self, raw=raw, env=dict(raw["env"]), n_agents=n, lr0_values=lr0,
+             lr1_values=lr1, switch_periods=periods, seeds=seeds, total_steps=total_steps,
+             eval_every=eval_every, eval_episodes=eval_episodes,
+             q_config=parse_q_config(raw.get("q", {}), total_steps))
 
 
-def load_experiment_config(raw: dict) -> ExperimentConfig:
-    """Parse a ``sweep`` config (see README for the schema).
-
-    The env is built and every cell's schedule made here, so a bad env, or
-    one no cell's schedule fits, fails before any job starts.
-    """
-    _object(raw, "", ("env", "grid", "seeds", "total_steps", "eval_every", "eval_episodes",
-                      "q"), required=("env", "grid", "seeds", "total_steps"))
-    grid = _object(raw["grid"], "grid", ("lr0", "lr1", "switch_periods"),
-                   required=("lr0", "lr1", "switch_periods"))
-    lr0 = tuple(parse_rate(_number(v, "lr0")) for v in _list(grid["lr0"], "lr0"))
-    lr1 = tuple(parse_rate(_number(v, "lr1")) for v in _list(grid["lr1"], "lr1"))
-    periods = tuple(parse_switch_period(v)
-                    for v in _list(grid["switch_periods"], "switch_periods"))
-    seeds = tuple(parse_count(s, "seeds", minimum=0) for s in _list(raw["seeds"], "seeds"))
-    total_steps, eval_every, eval_episodes = parse_run_counts(raw)
-    if not lr0 or not lr1 or not periods:
-        raise ValueError("lr0, lr1, and switch_periods must all be non-empty")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    n = env_from_config(raw["env"]).n
-    for a in lr0:
-        for b in lr1:
-            for period in periods:
-                make_schedule(n, (a, b), s=period)
-    return ExperimentConfig(
-        env=dict(raw["env"]), n_agents=n, lr0_values=lr0, lr1_values=lr1,
-        switch_periods=periods, seeds=seeds, total_steps=total_steps,
-        eval_every=eval_every, eval_episodes=eval_episodes,
-        q_config=parse_q_config(raw.get("q", {}), total_steps), raw=raw,
-    )
+# The loaders of cli, harness and the benchmark: each builds its config from the raw dict.
+load_oracle_config, load_brdyn_config = OracleConfig, BrdynConfig
+load_train_config, load_experiment_config = TrainConfig, ExperimentConfig

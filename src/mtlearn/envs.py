@@ -101,13 +101,13 @@ _MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 class ForagingConfig:
     """Layout and rules for the foraging gridworld.
 
-    Positions are (row, col). ``agent_positions`` / ``food_positions``
+    Positions are (row, col) pairs. ``agent_positions`` / ``food_positions``
     may be None, in which case the reset seed draws distinct free cells.
     ``view_radius`` of None means full observability (every agent sees
     the complete state id); otherwise an agent only resolves entities
     within the given Chebyshev radius. With ``cooperative_only`` set,
     every food must be too heavy for any single agent. ``width``, ``height``,
-    ``horizon``, ``view_radius`` and each level are counts
+    ``horizon``, ``view_radius``, each level and each coordinate are counts
     (:func:`schedule.parse_count`), stored as ints.
     """
 
@@ -138,17 +138,21 @@ class ForagingConfig:
             raise ValueError("unsolvable layout: a food exceeds the combined agent level")
         if self.cooperative_only and min(self.food_levels) <= max(self.agent_levels):
             raise ValueError("cooperative_only requires every food to need more than one agent")
-        for positions, count, label in (
-            (self.agent_positions, len(self.agent_levels), "agent"),
-            (self.food_positions, len(self.food_levels), "food"),
-        ):
+        for name, count in (("agent_positions", len(self.agent_levels)),
+                            ("food_positions", len(self.food_levels))):
+            positions, label = getattr(self, name), name.split("_")[0]
             if positions is None:
                 continue
             if len(positions) != count:
                 raise ValueError(f"{label} positions do not match {label} count")
+            if not all(isinstance(pos, (tuple, list)) and len(pos) == 2 for pos in positions):
+                raise ValueError(f"{name} must hold (row, col) pairs, got {positions!r}")
+            positions = tuple((parse_count(r, name, minimum=0), parse_count(c, name, minimum=0))
+                              for r, c in positions)
             for r, c in positions:
-                if not (0 <= r < self.height and 0 <= c < self.width):
+                if not (r < self.height and c < self.width):
                     raise ValueError(f"{label} position ({r}, {c}) outside the grid")
+            object.__setattr__(self, name, positions)
         fixed = list(self.agent_positions or ()) + list(self.food_positions or ())
         if len(set(fixed)) != len(fixed):
             raise ValueError("fixed positions overlap")

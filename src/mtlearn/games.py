@@ -164,15 +164,21 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
     status = "max_rounds"
     round_ = period = start = None
 
-    for r in range(1, max_rounds + 1):
+    def next_round(prof: tuple[int, ...]) -> tuple[int, ...]:
         if mode is Mode.IIBR:
-            cur = iibr_step(game, cur, tie_break)
-        else:
-            for agent in range(game.n):
-                cur = sibr_step(game, cur, agent, tie_break)
+            return iibr_step(game, prof, tie_break)
+        for agent in range(game.n):
+            prof = sibr_step(game, prof, agent, tie_break)
+        return prof
+
+    # The next round tests convergence: a SIBR pass, too, keeps ``cur`` only at a fixed point.
+    nxt = next_round(cur)
+    for r in range(1, max_rounds + 1):
+        cur = nxt
         profiles.append(cur)
         payoffs.append(team_payoff(game, cur))
-        if iibr_step(game, cur, tie_break) == cur:
+        nxt = next_round(cur)
+        if nxt == cur:
             status, round_ = "converged", r
             break
         if cur in seen:

@@ -96,6 +96,9 @@ def _stderr(values: Sequence[float]) -> float:
     return statistics.stdev(values) / math.sqrt(len(values))
 
 
+REGIMES = ("independent", "sequential", "multi_timescale")  # in the order reports list them
+
+
 def cell_regime(lr0: float, lr1: float) -> str:
     if lr0 == lr1:
         return "independent"
@@ -227,11 +230,19 @@ class SweepResult:
         candidates = [c for c in self.cells if c.regime == regime and c.ok]
         if not candidates:
             raise ValueError(f"no successful cells in regime {regime!r}")
-        best = candidates[0]
-        for c in candidates[1:]:
-            if c.final_mean > best.final_mean:
-                best = c
-        return best
+        return max(candidates, key=lambda c: c.final_mean)  # the first of equal means
+
+    def summary(self) -> tuple[dict[str, CellResult], tuple[float, float] | None]:
+        """The best cell of each regime in :data:`REGIMES` that has a
+        successful one, and :meth:`performance_gain`, or None without it."""
+        best = {}
+        for regime in REGIMES:
+            try:
+                best[regime] = self.best_cell(regime)
+            except ValueError:
+                continue
+        has_gain = "independent" in best and "multi_timescale" in best
+        return best, self.performance_gain() if has_gain else None
 
     def performance_gain(self) -> tuple[float, float]:
         """Relative gain of the best multi-timescale cell over the best

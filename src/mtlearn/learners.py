@@ -61,6 +61,8 @@ class QLearnerConfig:
     discount: float = 0.95
 
     def __post_init__(self):
+        if not isinstance(self.epsilon, EpsilonSchedule):
+            raise ValueError(f"epsilon must be an EpsilonSchedule, got {self.epsilon!r}")
         if not _in_unit_interval(self.discount):
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
 

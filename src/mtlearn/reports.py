@@ -83,20 +83,13 @@ def write_gain_csv(result: SweepResult, out_dir: Path) -> str:
     with open(out_dir / name, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind", "regime", "lr0", "lr1", "s", "value", "stderr"])
-        for regime in ("independent", "sequential", "multi_timescale"):
-            try:
-                best = result.best_cell(regime)
-            except ValueError:
-                continue
+        best_cells, gain = result.summary()
+        for regime, best in best_cells.items():
             writer.writerow(["best", regime, _fmt(best.lr0), _fmt(best.lr1),
                              _fmt_period(best.period), _fmt(best.final_mean),
                              _fmt(best.final_stderr)])
-        try:
-            gain, err = result.performance_gain()
-            writer.writerow(["gain", "multi_vs_independent", "", "", "",
-                             _fmt(gain), _fmt(err)])
-        except ValueError:
-            pass
+        if gain is not None:
+            writer.writerow(["gain", "multi_vs_independent", "", "", "", *map(_fmt, gain)])
     return name
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import string
 from pathlib import Path
@@ -7,6 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtlearn.config import (
+    BrdynConfig,
+    ExperimentConfig,
+    OracleConfig,
+    TrainConfig,
     config_digest,
     load_brdyn_config,
     load_experiment_config,
@@ -160,3 +166,94 @@ def test_shipped_config_loads_through_its_subcommand(path):
     assert command in LOADERS, f"{path.name} does not name the subcommand that reads it"
     raw = json.loads(path.read_text())
     assert LOADERS[command](raw).digest == config_digest(raw)
+
+
+
+# Per subcommand: its config type, a shipped config, the fields it takes when
+# it is made and the fields it parses from ``raw``.
+TYPES = {
+    "oracle": (OracleConfig, "oracle_coupled.json", ("raw",),
+               ("problem", "k0", "max_sweeps", "tol", "digest")),
+    "brdyn": (BrdynConfig, "brdyn_climbing.json", ("raw",),
+              ("game", "mode", "initial", "tie_break", "max_rounds", "digest")),
+    "train": (TrainConfig, "train_foraging.json", ("raw", "seed"),
+              ("env", "schedule", "q_config", "total_steps", "eval_every", "eval_episodes",
+               "digest")),
+    "sweep": (ExperimentConfig, "sweep_matrix.json", ("raw",),
+              ("env", "n_agents", "lr0_values", "lr1_values", "switch_periods", "seeds",
+               "total_steps", "eval_every", "eval_episodes", "q_config", "digest")),
+}
+
+
+def shipped(command: str) -> dict:
+    return json.loads((CONFIGS / TYPES[command][1]).read_text())
+
+
+@pytest.mark.parametrize("command", TYPES)
+def test_a_config_is_built_only_from_its_raw_dict(command):
+    # A field added later without init=False would bring back an unchecked
+    # way to build a config, whose digest names another one.
+    config_type, _, init, parsed = TYPES[command]
+    assert LOADERS[command] is config_type
+    fields = dataclasses.fields(config_type)
+    assert tuple(f.name for f in fields if f.init) == init
+    assert sorted(f.name for f in fields if not f.init) == sorted(parsed)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (*_, parsed) in TYPES.items() for name in parsed])
+def test_replacing_a_parsed_field_raises(command, name):
+    cfg = LOADERS[command](shipped(command))
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(cfg, **{name: getattr(cfg, name)})
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda raw: raw.update(seeds=[0, 0]), "seeds must be distinct"),
+    (lambda raw: raw["grid"].update(switch_periods=[]), "must all be non-empty"),
+    (lambda raw: raw.update(total_steps=2.5), "total_steps must be an integer"),
+], ids=["duplicate seeds", "no switch periods", "fractional total_steps"])
+def test_replacing_raw_parses_it_again(change, message):
+    cfg = load_experiment_config(shipped("sweep"))
+    raw = copy.deepcopy(cfg.raw)
+    change(raw)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cfg, raw=raw)
+    raw = dict(cfg.raw, seeds=[3, 4])
+    again = dataclasses.replace(cfg, raw=raw)
+    assert again.seeds == (3, 4) and again.digest == config_digest(raw) != cfg.digest
+
+
+def test_train_seed_override_follows_the_seed_rule():
+    raw = shipped("train")
+    assert load_train_config(raw).seed == raw.get("seed", 0)
+    cfg = load_train_config(raw, seed=7)
+    assert cfg.seed == 7 and cfg.digest == config_digest(raw)
+    assert dataclasses.replace(cfg, seed=8.0).seed == 8
+    with pytest.raises(ValueError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
+
+
+def change_every_container(value) -> None:
+    """Add an entry to every dict and list nested in ``value``."""
+    children = value.values() if isinstance(value, dict) else value
+    for child in list(children):
+        if isinstance(child, (dict, list)):
+            change_every_container(child)
+    if isinstance(value, dict):
+        value["changed"] = 1
+    else:
+        value.append(0)
+
+
+@pytest.mark.parametrize("command", TYPES)
+def test_the_callers_dict_does_not_reach_a_built_config(command):
+    raw = shipped(command)
+    cfg = LOADERS[command](raw)
+    names = ("raw",) + TYPES[command][3]
+    fields = {name: repr(getattr(cfg, name)) for name in names}
+    before = copy.deepcopy(raw)
+    change_every_container(raw)
+    assert raw != before
+    assert cfg.raw == before and cfg.digest == config_digest(before)
+    assert {name: repr(getattr(cfg, name)) for name in names} == fields

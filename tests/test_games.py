@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtlearn import games
 from mtlearn.estimation import Mode
 from mtlearn.games import (
     TieBreak,
@@ -15,6 +16,7 @@ from mtlearn.games import (
     team_payoff,
 )
 
+import dynamics_reference
 from conftest import random_team_game
 
 
@@ -246,3 +248,50 @@ def test_payoff_line_reads_match_the_action_loops(case):
             assert type(got) is int
             assert got == brute_best_response(game, profile, agent, tie_break)
     assert is_agent_by_agent_optimal(game, profile) == brute_is_optimal(game, profile)
+
+
+@st.composite
+def dynamics_cases(draw):
+    game, initial = draw(games_and_profiles())
+    return (game, initial, draw(st.sampled_from(list(Mode))),
+            draw(st.sampled_from(list(TieBreak))), draw(st.integers(1, 6)))
+
+
+def trace_fields(trace):
+    return (trace.mode, trace.profiles, trace.payoffs, trace.status, trace.round_,
+            trace.period, trace.start)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dynamics_cases())
+def test_dynamics_match_the_reference_rounds(case):
+    # Taking the next round as the convergence test gives the trace of a
+    # separate simultaneous-step test, ties, cycles and the budget included.
+    game, initial, mode, tie_break, max_rounds = case
+    got = run_dynamics(game, mode, initial, max_rounds=max_rounds, tie_break=tie_break)
+    want = dynamics_reference.run_dynamics(game, mode, initial, max_rounds, tie_break)
+    assert trace_fields(got) == trace_fields(want)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_dynamics_compute_each_round_once(mode, monkeypatch):
+    # One round of best responses per recorded round, plus the last one,
+    # which found the profile unchanged or repeated.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return best_response(*args)
+
+    monkeypatch.setattr(games, "best_response", counted)
+    rng = np.random.default_rng(5)
+    rounds = []
+    for _ in range(20):
+        game = random_team_game(rng)
+        initial = tuple(int(rng.integers(c)) for c in game.action_counts)
+        calls.clear()
+        trace = run_dynamics(game, mode, initial)
+        assert trace.status != "max_rounds"
+        assert len(calls) == len(trace.profiles) * game.n
+        rounds.append(len(trace.profiles) - 1)
+    assert max(rounds) >= 2

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -234,6 +233,8 @@ class TestRunSweep:
         assert (best_mt.lr0, best_mt.lr1, best_mt.period) == (0.5, 0.1, 5.0)
         gain, err = result.performance_gain()
         assert gain == 0.0 and err == 0.0
+        assert result.summary() == ({"independent": best_ind, "multi_timescale": best_mt},
+                                    (0.0, 0.0))
 
     def test_sequential_regime_present_with_zero_rate(self):
         raw = sweep_raw_config(lr0=(0.5, 0.0), lr1=(0.5, 0.0), periods=(5,), seeds=(0,),
@@ -244,18 +245,19 @@ class TestRunSweep:
         assert regimes[(0.0, 0.5)] == "sequential"
         assert regimes[(0.5, 0.5)] == "independent"
         assert result.best_cell("sequential").ok
+        best, gain = result.summary()
+        assert list(best) == ["independent", "sequential"] and gain is None
 
-    def test_failed_cells_are_recorded_not_raised(self):
-        # eval_every 0 is invalid, so every run fails; loading rejects it, so
-        # it is set on the loaded config.
-        cfg = dataclasses.replace(
-            load_experiment_config(sweep_raw_config(periods=(5,), seeds=(0,), steps=10)),
-            eval_every=0)
+    def test_failed_cells_are_recorded_not_raised(self, monkeypatch):
+        # With no search budget no table can be expanded, so every run fails.
+        cfg = load_experiment_config(sweep_raw_config(periods=(5,), seeds=(0,), steps=10))
+        monkeypatch.setattr(learners, "SEARCH_BUDGET", 0)
         result = run_sweep(cfg)
         assert all(not c.ok for c in result.cells)
-        assert all(e and "eval_every" in e for c in result.cells for e in c.errors)
+        assert all(e and "SearchBudgetError" in e for c in result.cells for e in c.errors)
         with pytest.raises(ValueError):
             result.best_cell("independent")
+        assert result.summary() == ({}, None)
 
     def test_env_over_the_search_budget_fails_its_jobs(self, monkeypatch):
         # The fixture expands 552 states x 36 joint actions before training.

@@ -138,6 +138,10 @@ def call_entry_point(entry, argument, value):
     if entry == "ForagingConfig":
         if argument.endswith("_levels"):
             value = (value,)
+        elif argument == "agent_positions":
+            value = (value, (2, 2))
+        elif argument == "food_positions":
+            value = (value,)
         return mtlearn.ForagingConfig(**{"width": 3, "height": 3, "agent_levels": (1, 1),
                                          "food_levels": (1,), argument: value})
     if entry == "make_schedule":
@@ -156,7 +160,7 @@ def call_entry_point(entry, argument, value):
     if entry == "EpsilonSchedule":
         return mtlearn.EpsilonSchedule(**{"start": 1.0, "end": 0.1, "decay_steps": 10,
                                           argument: value})
-    return mtlearn.QLearnerConfig(discount=value)
+    return mtlearn.QLearnerConfig(**{argument: value})
 
 
 BAD_COUNTS = st.one_of(
@@ -174,6 +178,12 @@ BAD_UNIT_REALS = st.one_of(
     st.floats().filter(lambda x: not 0.0 <= x <= 1.0),
     st.integers(max_value=-1),
     st.text(max_size=4))
+# A position is a (row, col) pair of integers >= 0.
+BAD_POSITIONS = st.one_of(
+    st.tuples(BAD_COUNTS, st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), BAD_COUNTS),
+    st.lists(st.integers(0, 2), max_size=4).filter(lambda pos: len(pos) != 2).map(tuple),
+    BAD_COUNTS)
 
 
 @pytest.mark.parametrize("entry, argument, named, values", [
@@ -204,6 +214,10 @@ BAD_UNIT_REALS = st.one_of(
       for entry in ("team_payoff", "best_response", "iibr_step", "sibr_step",
                     "is_agent_by_agent_optimal")],
     ("run_dynamics", "initial", "initial", BAD_ACTIONS),
+    ("QLearnerConfig", "epsilon", "epsilon",
+     st.one_of(st.floats(0.0, 1.0), st.none(), st.tuples(st.floats(0.0, 1.0)))),
+    *[("ForagingConfig", arg, arg, BAD_POSITIONS)
+      for arg in ("agent_positions", "food_positions")],
 ])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())

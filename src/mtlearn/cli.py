@@ -88,12 +88,11 @@ def _cmd_brdyn(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = config.load_train_config(_load_json(args.config), seed=args.seed)
+    cfg = config.load_train_config(_load_json(args.config))
+    seed = cfg.seed if args.seed is None else args.seed  # learners.train checks it first
     log = learners.train(functools.partial(envs.env_from_config, cfg.env), cfg.schedule,
-                         cfg.q_config, cfg.total_steps, cfg.eval_every, cfg.eval_episodes,
-                         cfg.seed)
-    _print_or_write(learners.runlog_to_csv(log), args.out,
-                    f"runlog_{cfg.digest}_seed{cfg.seed}.csv")
+                         cfg.q_config, cfg.total_steps, cfg.eval_every, cfg.eval_episodes, seed)
+    _print_or_write(learners.runlog_to_csv(log), args.out, f"runlog_{cfg.digest}_seed{seed}.csv")
     return 0
 
 

@@ -5,12 +5,11 @@ parsed when it is made, before any work starts: :class:`OracleConfig`,
 :class:`BrdynConfig`, :class:`TrainConfig` and :class:`ExperimentConfig`
 (``sweep``); the ``load_*`` names are these classes. A config keeps a deep
 copy of the dict as ``raw`` and takes its ``digest`` from that copy. Every
-parsed field is ``init=False``, so ``dataclasses.replace`` takes only
-``raw`` (and a train config's ``seed`` override) and parses again. A key a
-config object does not have fails at any nesting level, with its path
-(``grid.lr00``) in the message; the ``env`` block is parsed, just as
-strictly, by :func:`envs.env_from_config`. Integer fields follow
-:func:`schedule.parse_count`; real-valued fields must be JSON numbers."""
+parsed field is ``init=False``, so ``dataclasses.replace`` takes only ``raw``
+and parses again. A key a config object does not have fails at any nesting
+level, with its path (``grid.lr00``) in the message; the ``env`` block is
+parsed, just as strictly, by :func:`envs.env_from_config`. Integer fields
+follow :func:`schedule.parse_count`; real-valued fields must be JSON numbers."""
 
 from __future__ import annotations
 
@@ -197,12 +196,11 @@ class BrdynConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainConfig:
-    """A ``train`` config: one scheduled run. ``env`` is the env block.
-    ``seed``, when given, replaces the config's ``seed`` (default 0) and
-    follows the same rule; after construction it is the seed in use."""
+    """A ``train`` config: one scheduled run. ``env`` is the env block and
+    ``seed`` the config's ``seed`` (default 0)."""
 
     raw: dict
-    seed: int | None = None
+    seed: int = field(init=False)
     env: dict = field(init=False)
     schedule: Schedule = field(init=False)
     q_config: QLearnerConfig = field(init=False)
@@ -220,8 +218,7 @@ class TrainConfig:
         _set(self, raw=raw, env=dict(raw["env"]), schedule=sched,
              q_config=parse_q_config(raw.get("q", {}), total_steps),
              total_steps=total_steps, eval_every=eval_every, eval_episodes=eval_episodes,
-             seed=parse_count(raw.get("seed", 0) if self.seed is None else self.seed, "seed",
-                              minimum=0))
+             seed=parse_count(raw.get("seed", 0), "seed", minimum=0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ it online with whatever learning rate the schedule assigns at that
 update step, so independent, sequential, two-timescale, and rotating
 multi-timescale training are all the same loop. It steps through one
 :class:`envs.TransitionTable` of the env, built by ``_setup`` as for
-``lockstep.train_lockstep``, with exploration drawn ahead and the per-step
+``lockstep.train_lockstep``, walked in ``_walk``'s pieces with the per-step
 rules inlined. A stochastic-gradient learner covers the estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
@@ -26,7 +26,7 @@ import numpy as np
 
 from .envs import SEARCH_BUDGET, TransitionTable
 from .estimation import TeamEstimationProblem, team_mse, team_mse_gradient
-from .schedule import Schedule, parse_count, rates_at
+from .schedule import Schedule, parse_count
 
 QTable = dict[int, list[float]]
 
@@ -122,38 +122,54 @@ def _spawn_streams(seed: int, n_agents: int):
 
 
 def _exploration(rng: random.Random, epsilon: EpsilonSchedule, n_actions: int,
-                 steps: int) -> list[int]:
-    """One agent's exploration over a run: each step's random action, or -1
-    where it acts greedily. Draws from ``rng`` as an epsilon-greedy choice
-    with ``epsilon.value(t)`` does (the reference learner's ``select_action``
+                 stop: int, start: int = 0) -> list[int]:
+    """One agent's exploration over steps ``[start, stop)``: each step's random
+    action, or -1 where it acts greedily. Draws from ``rng`` as an epsilon-greedy
+    choice with ``epsilon.value(t)`` does (the reference learner's ``select_action``
     in ``tests/``): ``random()`` while epsilon is positive, then, only when
     exploring, ``randrange(n_actions)``, computed as the standard library does
     (``getrandbits`` of the count's bit length until one is below it)."""
     rnd, getrandbits = rng.random, rng.getrandbits
     bits = n_actions.bit_length()
     first, last, decay = epsilon.start, epsilon.end, epsilon.decay_steps
-    out = [-1] * steps
-    for t in range(steps):
+    out = [-1] * (stop - start)
+    for t in range(start, stop):
         e = last if t >= decay else first + (last - first) * (t / decay)
         if e > 0.0 and rnd() < e:
             a = getrandbits(bits)
             while a >= n_actions:
                 a = getrandbits(bits)
-            out[t] = a
+            out[t - start] = a
     return out
 
 
-def _seed_streams(seeds: Sequence[int], n: int, epsilon: EpsilonSchedule, steps: int,
-                  counts: Sequence[int]) -> np.ndarray:
-    """Each run's pre-drawn exploration, shape ``(steps, runs, n)``. It
-    depends only on the run's seed, so it is drawn once per distinct seed."""
+def _walk(schedules: Sequence[Schedule], total_steps: int, eval_every: int,
+          seeds: Sequence[int] = (), epsilon: EpsilonSchedule | None = None,
+          counts: Sequence[int] = ()):
+    """One run per schedule, walked in pieces ``(start, stop, rotations, explore,
+    evaluate)`` split only where some run's rates rotate and at eval points
+    (``evaluate`` set: every ``eval_every`` steps and the last). ``rotations[r]``
+    is run r's rotation over the piece, ``explore`` the piece's ``(steps, runs,
+    n)`` exploration (no runs without ``seeds``), drawn once per distinct seed,
+    one eval window at a time, from rngs kept across windows."""
+    n = schedules[0].n
+    periods = np.array([int(s.switch_period) if s.is_switching else total_steps
+                        for s in schedules])
     distinct = list(dict.fromkeys(seeds))
-    draws = np.empty((steps, len(distinct), n), dtype=np.min_scalar_type(-max(counts)))
-    for k, seed in enumerate(distinct):
-        _, _, explore_rngs = _spawn_streams(seed, n)
-        for i, rng in enumerate(explore_rngs):
-            draws[:, k, i] = _exploration(rng, epsilon, counts[i], steps)
-    return draws.take([distinct.index(seed) for seed in seeds], axis=1)
+    rngs = [_spawn_streams(seed, n)[2] for seed in distinct]
+    pick = [distinct.index(seed) for seed in seeds]
+    dtype = np.min_scalar_type(-max(counts, default=1))
+    for lo in range(0, total_steps, eval_every):
+        hi = min(lo + eval_every, total_steps)
+        draws = np.empty((hi - lo, len(distinct), n), dtype)
+        for k, agent_rngs in enumerate(rngs):
+            for i, rng in enumerate(agent_rngs):
+                draws[:, k, i] = _exploration(rng, epsilon, counts[i], hi, lo)
+        explore = draws.take(pick, axis=1)
+        stops = sorted({hi}.union(*(range(lo - lo % p + p, hi, p) for p in set(periods.tolist()))))
+        starts = [lo] + stops[:-1]
+        for start, stop, rotations in zip(starts, stops, np.array(starts)[:, None] // periods % n):
+            yield start, stop, rotations, explore[start - lo:stop - lo], stop == hi
 
 
 def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int,
@@ -184,15 +200,14 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
 
 def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
            total_steps: int, eval_every: int, eval_episodes: int
-           ) -> tuple[TransitionTable, list[int], list[int], tuple[int, int, int]]:
+           ) -> tuple[TransitionTable, list[int], tuple[int, int, int]]:
     """The set-up of ``train_with_tables`` and ``lockstep.train_lockstep``.
 
     Parses the counts and seeds with :func:`schedule.parse_count` before
     ``env_factory`` is called, then checks each schedule against the env's
     agent count, and expands a fixed-start table from its start (raising
     :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`). Returns
-    the table, each run's rotation period (one that never switches has
-    ``total_steps``), the seeds as ints and ``(total_steps, eval_every,
+    the table, the seeds as ints and ``(total_steps, eval_every,
     eval_episodes)`` as ints.
     """
     counts = (parse_count(total_steps, "total_steps"), parse_count(eval_every, "eval_every"),
@@ -206,8 +221,7 @@ def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
             raise ValueError(f"schedule is for {schedule.n} agents, environment has {table.n}")
     if table.fixed_start:
         table.expand_reachable(table.reset(0), SEARCH_BUDGET)
-    periods = [int(s.switch_period) if s.is_switching else counts[0] for s in schedules]
-    return table, periods, seeds, counts
+    return table, seeds, counts
 
 
 def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
@@ -221,7 +235,7 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     by ``_setup`` as for ``lockstep.train_lockstep``; only the step kernel
     differs. Training keys the Q-tables by the table's dense observation ids.
     """
-    table, (period,), (seed,), (total_steps, eval_every, eval_episodes) = _setup(
+    table, (seed,), (total_steps, eval_every, eval_episodes) = _setup(
         env_factory, [schedule], [seed], total_steps, eval_every, eval_episodes)
     n = table.n
     tables: list[QTable] = [{} for _ in range(n)]
@@ -230,19 +244,14 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     action_counts, observations, horizon = table.action_counts, table.obs, table.horizon
 
     discount = q_config.discount
-    rates_by_rotation = schedule.rates_by_rotation
-    switch = 0  # the next step where the rates rotate
     agent_ids, strides = range(n), table.strides.tolist()
 
     eval_points: list[tuple[int, float]] = []
     episode_steps = 0
-    explore = _seed_streams([seed], n, q_config.epsilon, total_steps, action_counts)[:, 0]
-    for lo in range(0, total_steps, eval_every):
-        hi = min(lo + eval_every, total_steps)
-        for t, actions in zip(range(lo, hi), explore[lo:hi].tolist()):
-            if t == switch:
-                rates = rates_by_rotation[(t // period) % n]
-                switch += period
+    for _, stop, rotations, explore, evaluate in _walk(
+            [schedule], total_steps, eval_every, [seed], q_config.epsilon, action_counts):
+        rates = schedule.rates_by_rotation[rotations[0]]
+        for actions in explore[:, 0].tolist():
             obs = observations[state]
             joint = 0
             for i in agent_ids:  # a greedy agent's -1 becomes its first-max action
@@ -272,7 +281,8 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
             if done:
                 state = table.reset(env_rng.getrandbits(32))
                 episode_steps = 0
-        eval_points.append((hi, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
+        if evaluate:
+            eval_points.append((stop, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
 
     own = [list(ids) for ids in table._obs_ids]  # dense id -> the env's observation
     return (_run_log(seed, eval_points, eval_episodes),
@@ -344,20 +354,20 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
 
     trace = [tuple(gains)] if record_gains else None
     eval_points: list[tuple[int, float]] = []
-    for t in range(total_steps):
-        if exact_gradient:
-            grad = team_mse_gradient(problem, gains)
-        else:
-            x = rng.standard_normal(batch_size)
-            y = x[:, None] + noise_std * rng.standard_normal((batch_size, n))
-            grad = estimation_gradient(problem, gains, x, y)
-        rates = np.array(rates_at(schedule, t))
-        gains = gains - rates * precond * grad
-        if record_gains:
-            trace.append(tuple(gains))
-        done_steps = t + 1
-        if done_steps % eval_every == 0 or done_steps == total_steps:
-            eval_points.append((done_steps, _safe_mse(problem, gains)))
+    for start, stop, rotations, _, evaluate in _walk([schedule], total_steps, eval_every):
+        rates = np.array(schedule.rates_by_rotation[rotations[0]])
+        for _ in range(start, stop):
+            if exact_gradient:
+                grad = team_mse_gradient(problem, gains)
+            else:
+                x = rng.standard_normal(batch_size)
+                y = x[:, None] + noise_std * rng.standard_normal((batch_size, n))
+                grad = estimation_gradient(problem, gains, x, y)
+            gains = gains - rates * precond * grad
+            if record_gains:
+                trace.append(tuple(gains))
+        if evaluate:
+            eval_points.append((stop, _safe_mse(problem, gains)))
 
     return _run_log(seed, eval_points, 0,
                     final_gains=tuple(float(g) for g in gains),

@@ -3,9 +3,9 @@
 ``train_lockstep`` returns, run for run, the logs that ``learners.train``
 returns, bit for bit, while paying the per-step interpreter cost once for
 every run. Its inputs are ``train``'s: ``learners._setup``'s
-:class:`TransitionTable` of the env, expanded before the first step,
-exploration drawn ahead by ``learners._seed_streams`` and rates looked up
-once per switching period.
+:class:`TransitionTable` of the env, expanded before the first step, and
+``learners._walk``'s pieces, with rates looked up once per piece and
+exploration drawn one eval window at a time.
 Sweeps use it (``harness.run_sweep``); it is a module of its own, imported
 on first use, so importing the package does not load it.
 """
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .envs import TransitionTable
-from .learners import QLearnerConfig, RunLog, _run_log, _seed_streams, _setup
+from .learners import QLearnerConfig, RunLog, _run_log, _setup, _walk
 from .schedule import Schedule
 
 
@@ -89,7 +89,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     zero rate leaves a table untouched, and every update does ``train``'s
     float operations in its order.
     """
-    table, periods, seeds, (total_steps, eval_every, eval_episodes) = _setup(
+    table, seeds, (total_steps, eval_every, eval_episodes) = _setup(
         env_factory, schedules, seeds, total_steps, eval_every, eval_episodes)
     if not table.fixed_start:
         raise ValueError("lockstep training needs an environment with a fixed start")
@@ -97,14 +97,8 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     if not runs:
         return []
     start = table.reset(0)
-    explore = _seed_streams(seeds, n, q_config.epsilon, total_steps, table.action_counts)
-    greedy = explore < 0
     discount = q_config.discount
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
-    periods = np.array(periods)
-    rate_change = [False] * total_steps  # steps where some run rotates
-    for period in set(periods.tolist()):
-        rate_change[::period] = [True] * len(range(0, total_steps, period))
     run_ids = np.arange(runs)
     horizon = table.horizon
     # Facts of the complete table (an unfilled entry holds reward 0, term False):
@@ -138,49 +132,48 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     eval_steps: list[int] = []
     eval_returns: list[list[float]] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, greedy_t, forced_t in zip(range(total_steps), greedy, explore):
-            if rate_change[t]:
-                lr = rates[run_ids, (t // periods) % n]
-            actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
-                               forced_t)
-            entry = state_off + actions @ strides
-            succ = next_flat.take(entry)
-            succ_rows = base + obs.take(succ, axis=0)
-            succ_q = q_rows.take(succ_rows, axis=0)
-            reward = reward_col.take(entry, axis=0)
-            target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
-            t1 = t + 1
-            if any_term:
-                done = term_flat.take(entry) | (ends <= t1)
-                ended = np.count_nonzero(done)
-            else:  # only the horizon ends episodes
-                ended = t1 >= next_cut
+        for begin, stop, rotations, explore, evaluate in _walk(
+                schedules, total_steps, eval_every, seeds, q_config.epsilon, table.action_counts):
+            lr = rates[run_ids, rotations]
+            for t1, greedy_t, forced_t in zip(range(begin + 1, stop + 1), explore < 0, explore):
+                actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
+                                   forced_t)
+                entry = state_off + actions @ strides
+                succ = next_flat.take(entry)
+                succ_rows = base + obs.take(succ, axis=0)
+                succ_q = q_rows.take(succ_rows, axis=0)
+                reward = reward_col.take(entry, axis=0)
+                target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
+                if any_term:
+                    done = term_flat.take(entry) | (ends <= t1)
+                    ended = np.count_nonzero(done)
+                else:  # only the horizon ends episodes
+                    ended = t1 >= next_cut
+                    if ended:
+                        done = ends <= t1
+                if ended:  # an ending step does not bootstrap
+                    np.copyto(target, reward, where=done[:, None])
+                cells = rows * width + actions
+                current = q_flat.take(cells)
+                new = current + lr * (target - current)
+                # inf or NaN, or a sum that overflows
+                if check and finite and not math.isfinite(new.sum()):
+                    finite = False
+                if not finite:  # a zero rate leaves its entry untouched
+                    learning = lr != 0.0
+                    new, cells = new[learning], cells[learning]
+                q_flat[cells] = new
+                state_off, rows = succ * n_joint, succ_rows
                 if ended:
-                    done = ends <= t1
-            if ended:  # an ending step does not bootstrap
-                np.copyto(target, reward, where=done[:, None])
-            cells = rows * width + actions
-            current = q_flat.take(cells)
-            new = current + lr * (target - current)
-            # inf or NaN, or a sum that overflows
-            if check and finite and not math.isfinite(new.sum()):
-                finite = False
-            if not finite:  # a zero rate leaves its entry untouched
-                learning = lr != 0.0
-                new, cells = new[learning], cells[learning]
-            q_flat[cells] = new
-            state_off, rows = succ * n_joint, succ_rows
-
-            if t1 % eval_every == 0 or t1 == total_steps:
-                eval_steps.append(t1)
+                    np.copyto(ends, t1 + horizon, where=done)
+                    if not any_term:
+                        next_cut = int(ends.min())
+                    np.copyto(state_off, start_off, where=done)
+                    np.copyto(rows, start_rows, where=done[:, None])
+            if evaluate:  # after the last step's resets, which evaluation does not read
+                eval_steps.append(stop)
                 eval_returns.append(_evaluate_lockstep(table, obs, q_rows, base,
                                                        eval_episodes, finite))
-            if ended:
-                np.copyto(ends, t1 + horizon, where=done)
-                if not any_term:
-                    next_cut = int(ends.min())
-                np.copyto(state_off, start_off, where=done)
-                np.copyto(rows, start_rows, where=done[:, None])
 
     return [_run_log(seed, zip(eval_steps, [returns[r] for returns in eval_returns]),
                      eval_episodes) for r, seed in enumerate(seeds)]

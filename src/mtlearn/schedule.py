@@ -206,8 +206,9 @@ def learning_rate(schedule: Schedule, t: int, agent: int) -> float:
 def rates_at(schedule: Schedule, t: int) -> tuple[float, ...]:
     """Rate of every agent at update step ``t``, indexed by agent.
 
-    A read of the per-rotation table built once per schedule, so it is
-    cheap enough to call on every update step.
+    A read of the per-rotation table built once per schedule. Only
+    :func:`learning_rate` and the reference learners in ``tests/`` call it;
+    the training loops read the table once per ``learners._walk`` piece.
     """
     return schedule.rates_by_rotation[rotation_at(schedule, t)]
 

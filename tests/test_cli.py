@@ -427,6 +427,10 @@ class TestConfigsFailAtLoad:
         assert main(["train", "--config", train_config(tmp_path, seed=seed)]) == 1
         assert_load_error(capsys, f"seed must be an integer >= 0, got {seed!r}")
 
+    def test_bad_train_seed_flag_fails(self, tmp_path, capsys):
+        assert main(["train", "--config", train_config(tmp_path), "--seed", "-1"]) == 1
+        assert_load_error(capsys, "seed must be an integer >= 0, got -1")
+
     def test_misspelt_schedule_key_fails(self, tmp_path, capsys):
         cfg = train_config(tmp_path, schedule={"levels": [0.3, 0.1], "switch_perod": 5})
         assert main(["train", "--config", cfg]) == 1

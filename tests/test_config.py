@@ -176,9 +176,9 @@ TYPES = {
                ("problem", "k0", "max_sweeps", "tol", "digest")),
     "brdyn": (BrdynConfig, "brdyn_climbing.json", ("raw",),
               ("game", "mode", "initial", "tie_break", "max_rounds", "digest")),
-    "train": (TrainConfig, "train_foraging.json", ("raw", "seed"),
-              ("env", "schedule", "q_config", "total_steps", "eval_every", "eval_episodes",
-               "digest")),
+    "train": (TrainConfig, "train_foraging.json", ("raw",),
+              ("seed", "env", "schedule", "q_config", "total_steps", "eval_every",
+               "eval_episodes", "digest")),
     "sweep": (ExperimentConfig, "sweep_matrix.json", ("raw",),
               ("env", "n_agents", "lr0_values", "lr1_values", "switch_periods", "seeds",
                "total_steps", "eval_every", "eval_episodes", "q_config", "digest")),
@@ -224,14 +224,17 @@ def test_replacing_raw_parses_it_again(change, message):
     assert again.seeds == (3, 4) and again.digest == config_digest(raw) != cfg.digest
 
 
-def test_train_seed_override_follows_the_seed_rule():
+def test_replacing_raw_takes_the_new_train_seed():
+    # The seed comes only from raw, so a replaced dict cannot keep the old
+    # config's seed under the new dict's digest.
     raw = shipped("train")
-    assert load_train_config(raw).seed == raw.get("seed", 0)
-    cfg = load_train_config(raw, seed=7)
-    assert cfg.seed == 7 and cfg.digest == config_digest(raw)
-    assert dataclasses.replace(cfg, seed=8.0).seed == 8
-    with pytest.raises(ValueError, match="seed"):
-        dataclasses.replace(cfg, seed=-1)
+    cfg = load_train_config(raw)
+    again = dataclasses.replace(cfg, raw=dict(raw, seed=5))
+    assert cfg.seed == raw.get("seed", 0) != 5
+    assert again.seed == load_train_config(dict(raw, seed=5)).seed == 5
+    assert again.digest == config_digest(dict(raw, seed=5))
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        dataclasses.replace(cfg, raw=dict(raw, seed=-1))
 
 
 def change_every_container(value) -> None:

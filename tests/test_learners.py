@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtlearn as mt
 from mtlearn import learners
@@ -10,13 +12,18 @@ from mtlearn.estimation import Mode, run_br_iteration, team_mse
 from mtlearn.learners import (
     EpsilonSchedule,
     QLearnerConfig,
+    _exploration,
+    _spawn_streams,
+    _walk,
     estimation_gradient,
     runlog_to_csv,
     train,
     train_estimation,
     train_with_tables,
 )
+from mtlearn.schedule import rates_at
 
+import estimation_reference
 from conftest import MATCH_PAYOFF, fixture_env_factory
 from single_rate_reference import greedy_action, q_update, select_action, train_single_rate
 
@@ -27,6 +34,9 @@ def match_env_factory():
 
 def small_q_config(decay=200):
     return QLearnerConfig(epsilon=EpsilonSchedule(1.0, 0.1, decay), discount=0.9)
+
+
+PERIODS = (1, 2, 3, 7, math.inf)
 
 
 class TestQUpdate:
@@ -193,7 +203,8 @@ class TestTrainReductions:
         assert work == []
         monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36)
         train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
-        assert work.count("explore") == 2 and work.count("step") >= 100
+        # two agents' streams, drawn in each of the two eval windows
+        assert work.count("explore") == 2 * 2 and work.count("step") >= 100
 
     def test_runlog_csv_shape(self):
         sched = mt.make_schedule(2, (0.2, 0.1), s=10)
@@ -274,3 +285,63 @@ class TestTrainEstimation:
         wrong = mt.make_schedule(2, (0.1, 0.0), s=5)
         with pytest.raises(ValueError):
             train_estimation(coupled_problem, wrong, batch_size=1, total_steps=10, seed=0)
+
+    @pytest.mark.parametrize("s", PERIODS)
+    @settings(max_examples=40, deadline=None)
+    @given(problem=st.sampled_from([(1.0, 1.0, 0.5, 3), (1.0, 0.4, 1.0, 2), (2.0, -0.5, 0.2, 4)]),
+           levels=st.lists(st.sampled_from([0.0, 0.05, 0.5, 1.0, 1.7]), min_size=1, max_size=2),
+           batch_size=st.integers(1, 3), total_steps=st.integers(1, 150),
+           seed=st.integers(0, 2 ** 32 - 1), eval_every=st.one_of(st.none(), st.integers(1, 40)),
+           exact_gradient=st.booleans(), record_gains=st.booleans())
+    def test_matches_the_per_step_reference(self, s, problem, levels, batch_size, total_steps,
+                                            seed, eval_every, exact_gradient, record_gains):
+        # Rates looked up once per piece give the per-step loop's run, bit for
+        # bit (compared by repr, so a diverged NaN gain compares too).
+        problem = mt.build_problem(*problem)
+        sched = mt.make_schedule(problem.n, levels, s=s)
+        args = (problem, sched, batch_size, total_steps, seed, eval_every, exact_gradient,
+                record_gains)
+        got, want = train_estimation(*args), estimation_reference.train_estimation(*args)
+        for name in ("eval_points", "final_gains", "gains_trace", "final_return"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name))
+
+
+class TestWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 3), eval_every=st.integers(2, 40),
+           windows=st.integers(0, 5))
+    def test_pieces_tile_the_run_with_each_steps_rates(self, data, n, eval_every, windows):
+        total_steps = windows * eval_every + data.draw(st.integers(1, eval_every - 1))
+        periods = data.draw(st.lists(st.sampled_from(PERIODS), min_size=1, max_size=4))
+        schedules = [mt.make_schedule(n, (1.0 + r, 0.1 * r), s=s) for r, s in enumerate(periods)]
+        seeds = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(schedules),
+                                   max_size=len(schedules)))
+        counts = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        epsilon = EpsilonSchedule(1.0, data.draw(st.sampled_from((0.0, 0.3))),
+                                  data.draw(st.integers(1, 2 * total_steps)))
+        pieces = list(_walk(schedules, total_steps, eval_every, seeds, epsilon, counts))
+
+        assert pieces[0][0] == 0 and pieces[-1][1] == total_steps
+        for (_, stop, *_), (start, *_) in zip(pieces, pieces[1:]):
+            assert start == stop
+        for start, stop, rotations, explore, evaluate in pieces:
+            assert start < stop and explore.shape == (stop - start, len(schedules), n)
+            assert evaluate == (stop % eval_every == 0 or stop == total_steps)
+            # a piece ends only at an eval point or where some run's rates rotate
+            assert evaluate or any(stop % s == 0 for s in periods if s != math.inf)
+            for r, schedule in enumerate(schedules):
+                for t in range(start, stop):
+                    assert schedule.rates_by_rotation[rotations[r]] == rates_at(schedule, t)
+        assert sum(evaluate for *_, evaluate in pieces) == -(-total_steps // eval_every)
+
+        # Each run's windows, joined, are its seed's whole-run draws.
+        explore = np.concatenate([piece[3] for piece in pieces])
+        for r, seed in enumerate(seeds):
+            for i, rng in enumerate(_spawn_streams(seed, n)[2]):
+                assert explore[:, r, i].tolist() == _exploration(rng, epsilon, counts[i],
+                                                                 total_steps)
+        # Without seeds the same pieces carry no exploration.
+        bare = list(_walk(schedules, total_steps, eval_every))
+        assert [(a, b, list(rot), ev) for a, b, rot, _, ev in bare] == \
+            [(a, b, list(rot), ev) for a, b, rot, _, ev in pieces]
+        assert all(piece[3].shape == (piece[1] - piece[0], 0, n) for piece in bare)

@@ -193,10 +193,12 @@ class TestLockstepArguments:
             train_lockstep(fixture_env_factory, [sched], [0], QLearnerConfig(), 0, 5, 1)
 
 
+epsilons = st.builds(EpsilonSchedule, st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+                     st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), st.integers(1, 40))
+
+
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n_actions=st.integers(1, 9),
-       epsilon=st.builds(EpsilonSchedule, st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
-                         st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]), st.integers(1, 40)),
+@given(seed=st.integers(0, 2 ** 32), n_actions=st.integers(1, 9), epsilon=epsilons,
        steps=st.integers(0, 60))
 def test_exploration_draws_match_select_action(seed, n_actions, epsilon, steps):
     """The pre-drawn exploration consumes the stream as select_action does."""
@@ -214,3 +216,16 @@ def test_exploration_draws_match_select_action(seed, n_actions, epsilon, steps):
         else:
             assert action == 0
     assert reference_rng.getstate() == drawn_rng.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_actions=st.integers(1, 9), epsilon=epsilons,
+       first=st.integers(0, 60), second=st.integers(0, 60))
+def test_windowed_draws_continue_one_stream(seed, n_actions, epsilon, first, second):
+    """Drawing [0, a) and then [a, b) from one rng is one draw of [0, b)."""
+    rng, whole_rng = random.Random(seed), random.Random(seed)
+    stop = first + second
+    windows = (_exploration(rng, epsilon, n_actions, first)
+               + _exploration(rng, epsilon, n_actions, stop, first))
+    assert windows == _exploration(whole_rng, epsilon, n_actions, stop)
+    assert rng.getstate() == whole_rng.getstate()

@@ -10,7 +10,6 @@ from .estimation import (
     InvalidProblemError,
     IterationTrace,
     Mode,
-    SplittingError,
     TeamEstimationProblem,
     build_problem,
     iteration_matrix,

@@ -21,8 +21,8 @@ import numbers
 from dataclasses import dataclass, field
 
 from .envs import env_from_config
-from .estimation import Mode, TeamEstimationProblem, build_problem
-from .games import TeamGame, TieBreak, make_game
+from .estimation import Mode, TeamEstimationProblem
+from .games import TeamGame, TieBreak
 from .learners import EpsilonSchedule, QLearnerConfig
 from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_switch_period
 
@@ -111,7 +111,7 @@ def schedule_from_config(n: int, cfg: dict) -> Schedule:
     """The :class:`Schedule` of a train config's ``schedule`` block,
     ``{levels, cluster_sizes, switch_period}``, for an ``n``-agent env.
 
-    ``levels`` is required; ``cluster_sizes`` takes :func:`make_schedule`'s
+    ``levels`` is required; ``cluster_sizes`` takes :class:`Schedule`'s
     default and ``switch_period`` defaults to "inf".
     """
     block = _object(cfg, "schedule", ("levels", "cluster_sizes", "switch_period"),
@@ -150,9 +150,9 @@ class OracleConfig:
         raw = copy.deepcopy(self.raw)
         _object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
         prob = _object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
-        problem = build_problem(_number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
-                                _number(prob.get("sigma2", 0.5), "sigma2"),
-                                parse_count(prob.get("n", 3), "n"))
+        problem = TeamEstimationProblem(
+            _number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
+            _number(prob.get("sigma2", 0.5), "sigma2"), parse_count(prob.get("n", 3), "n"))
         k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
         if len(k0) != problem.n or not all(map(math.isfinite, k0)):
             raise ValueError(f"k0 must list {problem.n} finite numbers, one per agent, "
@@ -182,7 +182,7 @@ class BrdynConfig:
         raw = copy.deepcopy(self.raw)
         _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
                 required=("payoff",))
-        game = make_game(raw["payoff"])
+        game = TeamGame(raw["payoff"])
         initial = tuple(parse_count(a, "initial", minimum=0)
                         for a in _list(raw.get("initial", [0] * game.n), "initial"))
         if len(initial) != game.n or any(a >= c for a, c in zip(initial, game.action_counts)):

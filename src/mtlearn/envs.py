@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import TeamGame, make_game
+from .games import TeamGame
 from .schedule import parse_count
 
 
@@ -730,7 +730,7 @@ def env_from_config(cfg: dict):
     if keys[1] not in cfg:
         raise ValueError(f"config is missing required key 'env.{keys[1]}'")
     if kind == "matrix_game":
-        return MatrixGameEnv(make_game(cfg["payoff"]), horizon=cfg.get("horizon", 1))
+        return MatrixGameEnv(TeamGame(cfg["payoff"]), horizon=cfg.get("horizon", 1))
     grid = cfg["grid"]
     if not (isinstance(grid, (list, tuple)) and grid and all(isinstance(row, str) for row in grid)):
         raise ValueError(f"env.grid must be a non-empty list of strings, got {grid!r}")

@@ -26,10 +26,6 @@ class InvalidProblemError(ValueError):
     """Raised when problem parameters violate the model assumptions."""
 
 
-class SplittingError(ValueError):
-    """Raised when the diagonal/triangular splitting is not invertible."""
-
-
 class Mode(enum.Enum):
     """Update order of the best-response iteration.
 
@@ -51,7 +47,7 @@ def check_member(value, enum_type: type[enum.Enum], name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TeamEstimationProblem:
-    """Instance data for the n-agent estimation problem.
+    """Instance data for the n-agent estimation problem, checked whenever built.
 
     Attributes
     ----------
@@ -65,14 +61,48 @@ class TeamEstimationProblem:
         System matrix: ``p * (1 + sigma2)`` on the diagonal, ``q`` off it.
     eta : (n,) ndarray
         Right-hand side, every entry ``p + (n - 1) * q``.
+
+    Raises
+    ------
+    InvalidProblemError
+        If ``sigma2 <= 0``, ``n`` is not an integer >= 2 (the
+        :func:`schedule.parse_count` rule), a parameter is not finite, the
+        diagonal weight ``p * (1 + sigma2)`` vanishes, or it or the
+        right-hand side ``p + (n - 1) * q`` overflows.
     """
 
     p: float
     q: float
     sigma2: float
     n: int
-    gamma: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
+    gamma: np.ndarray = field(init=False, repr=False)
+    eta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, q, sigma2 = self.p, self.q, self.sigma2
+        try:
+            n = parse_count(self.n, "n", minimum=2)
+        except ValueError as err:
+            raise InvalidProblemError(str(err)) from None
+        if not (sigma2 > 0):
+            raise InvalidProblemError(f"noise variance must be positive, got {sigma2}")
+        diag = p * (1.0 + sigma2)
+        if diag == 0.0:
+            raise InvalidProblemError("zero diagonal: p * (1 + sigma2) must be nonzero")
+        if not np.all(np.isfinite([p, q, sigma2])):
+            raise InvalidProblemError("parameters must be finite")
+        rhs = float(p) + (n - 1) * float(q)
+        if not np.isfinite([diag, rhs]).all():
+            raise InvalidProblemError(f"system overflows: p * (1 + sigma2) = {diag}, "
+                                      f"p + (n - 1) * q = {rhs}")
+        gamma = np.full((n, n), float(q))
+        np.fill_diagonal(gamma, diag)
+        eta = np.full(n, rhs)
+        gamma.setflags(write=False)
+        eta.setflags(write=False)
+        for name, value in (("p", float(p)), ("q", float(q)), ("sigma2", float(sigma2)),
+                            ("n", n), ("gamma", gamma), ("eta", eta)):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def solution(self) -> np.ndarray:
@@ -80,6 +110,9 @@ class TeamEstimationProblem:
         k = linalg.solve_dense(self.gamma, self.eta)
         k.setflags(write=False)
         return k
+
+
+build_problem = TeamEstimationProblem
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,41 +141,6 @@ class IterationTrace:
         return self.status == "diverged"
 
 
-def build_problem(p: float, q: float, sigma2: float, n: int) -> TeamEstimationProblem:
-    """Construct a validated problem instance.
-
-    Raises
-    ------
-    InvalidProblemError
-        If ``sigma2 <= 0``, ``n`` is not an integer >= 2 (the
-        :func:`schedule.parse_count` rule), a parameter is not finite, the
-        diagonal weight ``p * (1 + sigma2)`` vanishes, or it or the
-        right-hand side ``p + (n - 1) * q`` overflows.
-    """
-    try:
-        n = parse_count(n, "n", minimum=2)
-    except ValueError as err:
-        raise InvalidProblemError(str(err)) from None
-    if not (sigma2 > 0):
-        raise InvalidProblemError(f"noise variance must be positive, got {sigma2}")
-    diag = p * (1.0 + sigma2)
-    if diag == 0.0:
-        raise InvalidProblemError("zero diagonal: p * (1 + sigma2) must be nonzero")
-    if not np.all(np.isfinite([p, q, sigma2])):
-        raise InvalidProblemError("parameters must be finite")
-    rhs = float(p) + (n - 1) * float(q)
-    if not np.isfinite([diag, rhs]).all():
-        raise InvalidProblemError(f"system overflows: p * (1 + sigma2) = {diag}, "
-                                  f"p + (n - 1) * q = {rhs}")
-    gamma = np.full((n, n), float(q))
-    np.fill_diagonal(gamma, diag)
-    eta = np.full(n, rhs)
-    gamma.setflags(write=False)
-    eta.setflags(write=False)
-    return TeamEstimationProblem(p=float(p), q=float(q), sigma2=float(sigma2),
-                                 n=n, gamma=gamma, eta=eta)
-
-
 def solve_exact(problem: TeamEstimationProblem) -> np.ndarray:
     """Gain vector solving ``gamma @ K = eta``: the problem's read-only ``solution``.
 
@@ -163,8 +161,6 @@ def iteration_matrix(problem: TeamEstimationProblem, mode: Mode) -> np.ndarray:
     check_member(mode, Mode, "mode")
     gamma = problem.gamma
     d = np.diag(gamma)
-    if np.any(d == 0.0):
-        raise SplittingError("gamma has a zero diagonal entry; splitting undefined")
     n = problem.n
     lower = np.tril(gamma, -1)
     upper = np.triu(gamma, 1)
@@ -224,8 +220,6 @@ def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
         raise ValueError(f"initial gains must have shape ({problem.n},), got {k.shape}")
     if not np.all(np.isfinite(k)):
         raise ValueError("initial gains must be finite")
-    if np.any(np.diag(problem.gamma) == 0.0):
-        raise SplittingError("gamma has a zero diagonal entry; sweeps undefined")
 
     k_star = solve_exact(problem)
     err0 = float(abs(k - k_star).max())

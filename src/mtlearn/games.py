@@ -11,7 +11,7 @@ updates may cycle instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,33 +35,32 @@ class TieBreak(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TeamGame:
-    """Finite cooperative game with one payoff shared by all agents."""
+    """Finite cooperative game with one payoff shared by all agents, checked whenever
+    built: ``payoff`` is read once as a read-only float tensor, one axis per agent,
+    and gives ``n`` and ``action_counts``. A payoff that is not a tensor of finite
+    numbers, with at least one axis and no empty one, raises ValueError."""
 
-    n: int
-    action_counts: tuple[int, ...]
     payoff: np.ndarray
+    n: int = field(init=False)
+    action_counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        try:
+            arr = np.asarray(self.payoff, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"payoff must be a tensor of numbers, got {self.payoff!r}") from None
+        arr.setflags(write=False)
+        for name, value in (("payoff", arr), ("n", arr.ndim), ("action_counts", arr.shape)):
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ValueError(f"need at least one agent, got n={self.n}")
-        if len(self.action_counts) != self.n:
-            raise ValueError("action_counts length must equal the agent count")
         if any(c < 1 for c in self.action_counts):
             raise ValueError("every agent needs at least one action")
-        if self.payoff.shape != self.action_counts:
-            raise ValueError(
-                f"payoff tensor shape {self.payoff.shape} does not match "
-                f"action counts {self.action_counts}"
-            )
         if not np.all(np.isfinite(self.payoff)):
             raise ValueError("payoff entries must be finite")
 
 
-def make_game(payoff) -> TeamGame:
-    """Build a TeamGame from a payoff tensor (one axis per agent)."""
-    arr = np.asarray(payoff, dtype=float)
-    arr.setflags(write=False)
-    return TeamGame(n=arr.ndim, action_counts=arr.shape, payoff=arr)
+make_game = TeamGame
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,18 +198,26 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
     return total / episodes
 
 
+def _check_type(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
-           total_steps: int, eval_every: int, eval_episodes: int
+           q_config: QLearnerConfig, total_steps: int, eval_every: int, eval_episodes: int
            ) -> tuple[TransitionTable, list[int], tuple[int, int, int]]:
     """The set-up of ``train_with_tables`` and ``lockstep.train_lockstep``.
 
-    Parses the counts and seeds with :func:`schedule.parse_count` before
-    ``env_factory`` is called, then checks each schedule against the env's
-    agent count, and expands a fixed-start table from its start (raising
-    :class:`envs.SearchBudgetError` past :data:`envs.SEARCH_BUDGET`). Returns
-    the table, the seeds as ints and ``(total_steps, eval_every,
-    eval_episodes)`` as ints.
+    Before ``env_factory`` is called, checks the types of ``q_config`` and each
+    schedule and parses the counts and seeds with :func:`schedule.parse_count`;
+    then checks each schedule against the env's agent count and expands a
+    fixed-start table from its start (raising :class:`envs.SearchBudgetError`
+    past :data:`envs.SEARCH_BUDGET`). Returns the table, the seeds as ints and
+    ``(total_steps, eval_every, eval_episodes)`` as ints.
     """
+    _check_type(q_config, QLearnerConfig, "q_config")
+    for schedule in schedules:
+        _check_type(schedule, Schedule, "schedule")
     counts = (parse_count(total_steps, "total_steps"), parse_count(eval_every, "eval_every"),
               parse_count(eval_episodes, "eval_episodes"))
     seeds = [parse_count(seed, "seed", minimum=0) for seed in seeds]
@@ -236,7 +244,7 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     differs. Training keys the Q-tables by the table's dense observation ids.
     """
     table, (seed,), (total_steps, eval_every, eval_episodes) = _setup(
-        env_factory, [schedule], [seed], total_steps, eval_every, eval_episodes)
+        env_factory, [schedule], [seed], q_config, total_steps, eval_every, eval_episodes)
     n = table.n
     tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, _ = _spawn_streams(seed, n)
@@ -337,6 +345,7 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
 
     The log records the exact team error at evaluation points.
     """
+    _check_type(schedule, Schedule, "schedule")
     batch_size = parse_count(batch_size, "batch_size")
     total_steps = parse_count(total_steps, "total_steps")
     seed = parse_count(seed, "seed", minimum=0)

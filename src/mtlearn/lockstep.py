@@ -90,7 +90,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     float operations in its order.
     """
     table, seeds, (total_steps, eval_every, eval_episodes) = _setup(
-        env_factory, schedules, seeds, total_steps, eval_every, eval_episodes)
+        env_factory, schedules, seeds, q_config, total_steps, eval_every, eval_episodes)
     if not table.fixed_start:
         raise ValueError("lockstep training needs an environment with a fixed start")
     runs, n = len(seeds), table.n

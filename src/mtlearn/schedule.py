@@ -36,18 +36,53 @@ INFINITE = math.inf
 
 @dataclass(frozen=True)
 class Schedule:
-    """Rotating assignment of rate levels to agents.
+    """Rotating assignment of rate levels to agents, checked whenever built.
 
     ``levels`` is ordered fast to slow (``levels[0]`` is the fast
     rate). ``cluster_sizes[h]`` agents carry ``levels[h]`` at any time;
     the assignment rotates by one agent every ``switch_period`` update
-    steps (never, if the period is infinite).
+    steps (never, if the period is infinite). ``cluster_sizes`` defaults
+    to ``(1, n - 1)`` for two levels and to the whole team on one level
+    when a single rate is given.
+
+    Raises
+    ------
+    ScheduleError
+        If ``n`` or a size is not an integer >= 1 (the :func:`parse_count` rule),
+        the sizes do not sum to ``n``, a rate is negative or not finite, or
+        the switching period is not a positive integer (or infinity).
     """
 
     n: int
     levels: tuple[float, ...]
-    cluster_sizes: tuple[int, ...]
-    switch_period: float  # positive integer count of update steps, or math.inf
+    cluster_sizes: tuple[int, ...] | None = None
+    switch_period: float = INFINITE  # positive integer count of update steps, or math.inf
+
+    def __post_init__(self):
+        try:
+            n = parse_count(self.n, "n")
+            cluster_sizes = (None if self.cluster_sizes is None else
+                             tuple(parse_count(c, "cluster sizes") for c in self.cluster_sizes))
+        except ValueError as err:
+            raise ScheduleError(str(err)) from None
+        levels = tuple(parse_rate(v) for v in self.levels)
+        if not levels:
+            raise ScheduleError("need at least one rate level")
+        if cluster_sizes is None:
+            if len(levels) == 1:
+                cluster_sizes = (n,)
+            elif len(levels) == 2 and n >= 2:
+                cluster_sizes = (1, n - 1)
+            else:
+                raise ScheduleError("cluster_sizes required for this levels/n combination")
+        if len(cluster_sizes) != len(levels):
+            raise ScheduleError(f"{len(levels)} levels but {len(cluster_sizes)} cluster sizes")
+        if sum(cluster_sizes) != n:
+            raise ScheduleError(f"cluster sizes {cluster_sizes} sum to {sum(cluster_sizes)}, "
+                                f"expected {n}")
+        for name, value in (("n", n), ("levels", levels), ("cluster_sizes", cluster_sizes),
+                            ("switch_period", parse_switch_period(self.switch_period))):
+            object.__setattr__(self, name, value)
 
     @property
     def num_levels(self) -> int:
@@ -74,46 +109,8 @@ class Schedule:
 def make_schedule(n: int, levels: Sequence[float],
                   cluster_sizes: Sequence[int] | None = None,
                   s: float = INFINITE) -> Schedule:
-    """Validate and build a :class:`Schedule`.
-
-    ``cluster_sizes`` defaults to ``(1, n - 1)`` for two levels and to
-    the whole team on one level when a single rate is given.
-
-    Raises
-    ------
-    ScheduleError
-        If ``n`` or a size is not an integer >= 1 (the :func:`parse_count` rule),
-        the sizes do not sum to ``n``, a rate is negative or not finite, or
-        the switching period is not a positive integer (or infinity).
-    """
-    try:
-        n = parse_count(n, "n")
-        if cluster_sizes is not None:
-            cluster_sizes = tuple(parse_count(c, "cluster sizes") for c in cluster_sizes)
-    except ValueError as err:
-        raise ScheduleError(str(err)) from None
-    levels = tuple(parse_rate(v) for v in levels)
-    if not levels:
-        raise ScheduleError("need at least one rate level")
-
-    if cluster_sizes is None:
-        if len(levels) == 1:
-            cluster_sizes = (n,)
-        elif len(levels) == 2 and n >= 2:
-            cluster_sizes = (1, n - 1)
-        else:
-            raise ScheduleError("cluster_sizes required for this levels/n combination")
-    if len(cluster_sizes) != len(levels):
-        raise ScheduleError(
-            f"{len(levels)} levels but {len(cluster_sizes)} cluster sizes"
-        )
-    if sum(cluster_sizes) != n:
-        raise ScheduleError(
-            f"cluster sizes {cluster_sizes} sum to {sum(cluster_sizes)}, expected {n}"
-        )
-
-    return Schedule(n=n, levels=levels, cluster_sizes=cluster_sizes,
-                    switch_period=parse_switch_period(s))
+    """:class:`Schedule` with the switching period given as ``s``."""
+    return Schedule(n, levels, cluster_sizes, s)
 
 
 def parse_rate(value) -> float:

@@ -6,7 +6,9 @@ floating-point operation there keeps its operands, its order and the
 routine that performs it, so every output is bit-identical to these
 plain versions. The equivalence tests in ``tests/test_oracle_reference.py``
 hold them to that. The exception types and the trace record are the
-package's own, so raised errors compare by type.
+package's own, so raised errors compare by type. ``SplittingError`` is this
+file's own: a :class:`TeamEstimationProblem` with a zero diagonal cannot be
+built, so the package no longer guards against one.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ import cmath
 
 import numpy as np
 
-from mtlearn.estimation import IterationTrace, Mode, SplittingError, TeamEstimationProblem
+from mtlearn.estimation import IterationTrace, Mode, TeamEstimationProblem
 from mtlearn.linalg import EigenConvergenceError, SingularMatrixError
+
+
+class SplittingError(ValueError):
+    """Raised when the diagonal/triangular splitting is not invertible."""
 
 
 def _as_square_matrix(a) -> np.ndarray:

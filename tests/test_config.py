@@ -169,6 +169,18 @@ def test_shipped_config_loads_through_its_subcommand(path):
 
 
 
+@pytest.mark.parametrize("payoff", [{}, [{}], [[1.0, {}], [0.0, 1.0]], [[1.0, 0.0], [0.0]]],
+                         ids=["object", "object entry", "object in a row", "ragged"])
+@pytest.mark.parametrize("command", ["brdyn", "train"])
+def test_a_payoff_numpy_cannot_read_fails_by_name(command, payoff):
+    # A ValueError naming the key, not float()'s TypeError.
+    raw = {"payoff": payoff} if command == "brdyn" else {
+        "env": {"kind": "matrix_game", "payoff": payoff}, "total_steps": 100,
+        "schedule": {"levels": [0.3, 0.05]}}
+    with pytest.raises(ValueError, match="payoff must be a tensor of numbers"):
+        LOADERS[command](raw)
+
+
 # Per subcommand: its config type, a shipped config, the fields it takes when
 # it is made and the fields it parses from ``raw``.
 TYPES = {

@@ -1,12 +1,17 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mtlearn as mt
 from mtlearn import linalg
 from mtlearn.estimation import (
     InvalidProblemError,
     Mode,
-    SplittingError,
+    TeamEstimationProblem,
     build_problem,
     iteration_matrix,
     run_br_iteration,
@@ -68,6 +73,70 @@ class TestBuildProblem:
         with pytest.raises(InvalidProblemError):
             build_problem(p, q, s2, n)
 
+
+FIELDS = ("p", "q", "sigma2", "n")
+# Valid ``build_problem`` arguments: a nonzero diagonal weight, n as an int
+# or an integral float. Some draws are singular, which must agree too.
+problem_args = st.fixed_dictionaries({
+    "p": st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0), st.sampled_from([1, -2])),
+    "q": st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0, 1, 1.5])),
+    "sigma2": st.one_of(st.floats(0.01, 3.0), st.just(0.5)),
+    "n": st.one_of(st.integers(2, 6), st.integers(2, 6).map(float)),
+})
+# Values each field rejects whatever the others hold.
+BAD_PROBLEM_FIELDS = {
+    "p": [0.0, -0.0, math.nan, math.inf, -math.inf],
+    "q": [math.nan, math.inf, -math.inf],
+    "sigma2": [0.0, -0.5, math.nan, -math.inf, math.inf],
+    "n": [1, 0, 2.5, True, "3", None],
+}
+
+
+def solution_or_error(problem):
+    try:
+        return problem.solution.tolist()
+    except SingularMatrixError as err:
+        return str(err)
+
+
+def assert_same_problem(got, want):
+    assert [getattr(got, f) for f in FIELDS] == [getattr(want, f) for f in FIELDS]
+    assert type(got.n) is int and all(type(getattr(got, f)) is float for f in FIELDS[:3])
+    assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.eta, want.eta)
+    assert not got.gamma.flags.writeable and not got.eta.flags.writeable
+    assert solution_or_error(got) == solution_or_error(want)
+
+
+class TestProblemChecksItself:
+    @given(args=problem_args, other=problem_args, data=st.data())
+    def test_direct_construction_and_replace_equal_the_factory(self, args, other, data):
+        problem = build_problem(**args)
+        assert_same_problem(TeamEstimationProblem(**args), problem)
+        assert_same_problem(TeamEstimationProblem(*(args[f] for f in FIELDS)), problem)
+        # A replaced field rebuilds the system from the new values.
+        name = data.draw(st.sampled_from(sorted(args)))
+        changed = dict(args, **{name: other[name]})
+        assert_same_problem(dataclasses.replace(problem, **{name: other[name]}),
+                            build_problem(**changed))
+
+    @given(args=problem_args, data=st.data())
+    def test_an_invalid_field_fails_with_the_factorys_message(self, args, data):
+        problem = build_problem(**args)
+        name = data.draw(st.sampled_from(sorted(BAD_PROBLEM_FIELDS)))
+        bad = data.draw(st.sampled_from(BAD_PROBLEM_FIELDS[name]))
+        with pytest.raises(InvalidProblemError) as factory:
+            build_problem(**dict(args, **{name: bad}))
+        for build in (lambda: TeamEstimationProblem(**dict(args, **{name: bad})),
+                      lambda: dataclasses.replace(problem, **{name: bad})):
+            with pytest.raises(InvalidProblemError) as direct:
+                build()
+            assert str(direct.value) == str(factory.value)
+
+    def test_replace_solves_the_new_system(self, coupled_problem):
+        # A problem that kept the old gamma and eta would solve the old system.
+        problem = dataclasses.replace(coupled_problem, q=0.9)
+        assert problem.gamma[0, 1] == 0.9 and problem.eta[0] == pytest.approx(2.8)
+        assert solve_exact(problem) == pytest.approx([2.8 / 3.3] * 3, abs=1e-12)
 
 class TestSolveExact:
     def test_solved_once_per_problem(self, monkeypatch):
@@ -139,15 +208,11 @@ class TestIterationMatrix:
             upper = np.triu(g, 1)
             assert np.array_equal(d + lower + upper, g)
 
-    def test_zero_diagonal_raises_splitting_error(self):
-        gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
-        eta = np.array([1.0, 1.0])
-        prob = mt.TeamEstimationProblem(p=0.0, q=1.0, sigma2=0.5, n=2,
-                                        gamma=gamma, eta=eta)
-        with pytest.raises(SplittingError):
-            iteration_matrix(prob, Mode.IIBR)
-        with pytest.raises(SplittingError):
-            run_br_iteration(prob, Mode.SIBR, np.zeros(2))
+    def test_zero_diagonal_problem_cannot_be_built(self):
+        # The splitting needs a nonzero diagonal; the problem itself refuses one,
+        # so no problem reaches iteration_matrix or run_br_iteration without it.
+        with pytest.raises(InvalidProblemError, match="zero diagonal"):
+            mt.TeamEstimationProblem(p=0.0, q=1.0, sigma2=0.5, n=2)
 
     def test_matches_definition_on_random_problems(self):
         rng = np.random.default_rng(17)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from mtlearn import games
 from mtlearn.estimation import Mode
 from mtlearn.games import (
+    TeamGame,
     TieBreak,
     best_response,
     iibr_step,
@@ -19,6 +22,30 @@ from mtlearn.games import (
 import dynamics_reference
 from conftest import random_team_game
 
+
+
+class TestTeamGameChecksItself:
+    def test_fields_are_derived_from_the_payoff(self):
+        game = TeamGame([[1, 0, 2], [0, 1, 3]])
+        assert game.n == 2 and game.action_counts == (2, 3)
+        assert game.payoff.dtype == float and not game.payoff.flags.writeable
+        again = dataclasses.replace(game, payoff=np.ones((2, 2, 4)))
+        assert again.n == 3 and again.action_counts == (2, 2, 4)
+
+    @pytest.mark.parametrize("payoff, message", [
+        ({}, "payoff must be a tensor of numbers, got {}"),
+        ([{}], "payoff must be a tensor of numbers"),
+        ([[1.0, 0.0], [0.0]], "payoff must be a tensor of numbers"),
+        ("high", "payoff must be a tensor of numbers"),
+        (5.0, "need at least one agent, got n=0"),
+        ([[], []], "every agent needs at least one action"),
+        ([[1.0, np.nan]], "payoff entries must be finite"),
+    ])
+    def test_bad_payoffs_raise_value_error(self, payoff, message):
+        with pytest.raises(ValueError, match=message):
+            TeamGame(payoff)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(TeamGame([[1.0]]), payoff=payoff)
 
 class TestTeamPayoff:
     def test_match_game_lookups(self, match_game):

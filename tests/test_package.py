@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import re
@@ -55,9 +56,22 @@ def test_benchmark_names_exist():
     missing = [f"{module}.{name}" for module, attrs in names.items() for name in attrs
                if not hasattr(getattr(mtlearn, module), name)]
     assert not missing, f"missing benchmark names: {missing}"
+    # The factories are the classes, not second ways to build them.
+    assert (mtlearn.estimation.build_problem is mtlearn.estimation.TeamEstimationProblem
+            and mtlearn.games.make_game is mtlearn.games.TeamGame)
     args = mtlearn.cli.build_parser().parse_args(["sweep", "--config", "c.json",
                                                   "--out", "o", "--workers", "2"])
     assert args.workers == 2
+
+
+@pytest.mark.parametrize("value_type, init", [
+    (mtlearn.Schedule, ("n", "levels", "cluster_sizes", "switch_period")),
+    (mtlearn.TeamEstimationProblem, ("p", "q", "sigma2", "n")),
+    (mtlearn.TeamGame, ("payoff",)),
+], ids=["Schedule", "TeamEstimationProblem", "TeamGame"])
+def test_value_types_take_only_what_they_check(value_type, init):
+    # A derived field that could be given would be a second, unchecked source of it.
+    assert tuple(f.name for f in dataclasses.fields(value_type) if f.init) == init
 
 
 def test_version_string():
@@ -106,18 +120,17 @@ def call_entry_point(entry, argument, value):
     """Call one library entry point with valid arguments, except ``argument``."""
     q = mtlearn.QLearnerConfig()
     if entry in ("train", "train_lockstep"):
-        kwargs = {"total_steps": 10, "eval_every": 5, "eval_episodes": 1, "seed": 0,
+        kwargs = {"schedule": mtlearn.make_schedule(2, (0.3, 0.05), s=5), "q_config": q,
+                  "total_steps": 10, "eval_every": 5, "eval_episodes": 1, "seed": 0,
                   argument: value}
-        schedule = mtlearn.make_schedule(2, (0.3, 0.05), s=5)
         if entry == "train":
-            return mtlearn.train(env_factory_never_called, schedule, q, **kwargs)
-        seed = kwargs.pop("seed")
-        return train_lockstep(env_factory_never_called, [schedule], [seed], q, **kwargs)
+            return mtlearn.train(env_factory_never_called, **kwargs)
+        schedule, seed = kwargs.pop("schedule"), kwargs.pop("seed")
+        return train_lockstep(env_factory_never_called, [schedule], [seed], **kwargs)
     if entry == "train_estimation":
-        kwargs = {"batch_size": 1, "total_steps": 5, "seed": 0, "eval_every": None,
-                  argument: value}
-        return mtlearn.train_estimation(mtlearn.build_problem(1.0, 1.0, 0.5, 3),
-                                        mtlearn.make_schedule(3, (0.5, 0.1), s=2), **kwargs)
+        kwargs = {"schedule": mtlearn.make_schedule(3, (0.5, 0.1), s=2), "batch_size": 1,
+                  "total_steps": 5, "seed": 0, "eval_every": None, argument: value}
+        return mtlearn.train_estimation(mtlearn.build_problem(1.0, 1.0, 0.5, 3), **kwargs)
     if entry == "run_sweep":
         config = mtlearn.load_experiment_config({
             "env": {"kind": "matrix_game", "payoff": MATCH_PAYOFF},
@@ -178,6 +191,13 @@ BAD_UNIT_REALS = st.one_of(
     st.floats().filter(lambda x: not 0.0 <= x <= 1.0),
     st.integers(max_value=-1),
     st.text(max_size=4))
+# A q_config or a schedule given as something else, such as its parts.
+NOT_CONFIGS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=4),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.dictionaries(st.sampled_from(["levels", "discount", "epsilon"]), st.floats(0.0, 1.0)))
 # A position is a (row, col) pair of integers >= 0.
 BAD_POSITIONS = st.one_of(
     st.tuples(BAD_COUNTS, st.integers(0, 2)),
@@ -218,6 +238,10 @@ BAD_POSITIONS = st.one_of(
      st.one_of(st.floats(0.0, 1.0), st.none(), st.tuples(st.floats(0.0, 1.0)))),
     *[("ForagingConfig", arg, arg, BAD_POSITIONS)
       for arg in ("agent_positions", "food_positions")],
+    *[(entry, "q_config", "q_config must be a QLearnerConfig", NOT_CONFIGS)
+      for entry in ("train", "train_lockstep")],
+    *[(entry, "schedule", "schedule must be a Schedule", NOT_CONFIGS)
+      for entry in ("train", "train_lockstep", "train_estimation")],
 ])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mtlearn.config import schedule_from_config
 from mtlearn.schedule import (
     INFINITE,
+    Schedule,
     ScheduleError,
     ScheduleKind,
     assignment,
@@ -72,6 +74,83 @@ class TestMakeSchedule:
         assert sched.cluster_sizes == (4,)
         assert classify(sched) is ScheduleKind.INDEPENDENT
 
+
+
+@st.composite
+def schedule_args(draw):
+    """Valid ``make_schedule`` arguments ``(n, levels, cluster_sizes, s)``, in
+    every spelling it accepts: sizes given or left to the default, counts and
+    periods as ints or integral floats, infinity as a number or a string."""
+    levels = draw(st.lists(st.one_of(st.floats(0.0, 2.0), st.integers(0, 2)),
+                           min_size=1, max_size=3))
+    if len(levels) == 3 or draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=len(levels), max_size=len(levels)))
+        n = sum(sizes)
+        sizes = draw(st.sampled_from([sizes, tuple(float(c) for c in sizes)]))
+    else:
+        sizes, n = None, draw(st.integers(len(levels), 8))
+    period = st.one_of(st.integers(1, 50), st.integers(1, 50).map(float),
+                       st.sampled_from(["inf", " Infinity", math.inf]))
+    return draw(st.sampled_from([n, float(n)])), levels, sizes, draw(period)
+
+
+# Values each field rejects whatever the others hold.
+BAD_SCHEDULE_FIELDS = {
+    "n": [0, -1, 2.5, True, "3", None, 99],
+    "levels": [(), (-0.1,), (math.inf,), (math.nan, 0.1), ("0.3",), (True,)],
+    "cluster_sizes": [(0,), (1.5, 1), (True,), ("1",), (None,), (99,)],
+    "switch_period": [0, -1, 2.5, math.nan, "soon", True, None],
+}
+
+
+class TestScheduleChecksItself:
+    @given(args=schedule_args())
+    def test_direct_construction_equals_the_factory(self, args):
+        n, levels, sizes, s = args
+        sched = make_schedule(n, levels, sizes, s=s)
+        assert Schedule(n, levels, sizes, s) == sched == dataclasses.replace(sched)
+        assert Schedule(n=n, levels=levels, cluster_sizes=sizes, switch_period=s) == sched
+        assert type(sched.n) is int and type(sched.levels) is tuple
+        assert all(type(v) is float for v in sched.levels)
+        assert all(type(c) is int for c in sched.cluster_sizes)
+        assert type(sched.switch_period) is float
+
+    @given(args=schedule_args(), data=st.data())
+    def test_an_invalid_field_fails_with_the_factorys_message(self, args, data):
+        sched = make_schedule(*args[:3], s=args[3])
+        name = data.draw(st.sampled_from(sorted(BAD_SCHEDULE_FIELDS)))
+        bad = data.draw(st.sampled_from(BAD_SCHEDULE_FIELDS[name]))
+        fields = dict(dataclasses.asdict(sched), **{name: bad})
+        with pytest.raises(ScheduleError) as factory:
+            make_schedule(fields["n"], fields["levels"], fields["cluster_sizes"],
+                          s=fields["switch_period"])
+        for build in (lambda: Schedule(**fields),
+                      lambda: dataclasses.replace(sched, **{name: bad})):
+            with pytest.raises(ScheduleError) as direct:
+                build()
+            assert str(direct.value) == str(factory.value)
+
+    def test_replaced_levels_are_checked(self):
+        # Unchecked, this schedule would train, and classify would name its regime.
+        sched = make_schedule(2, (0.5, 0.1), s=10)
+        with pytest.raises(ScheduleError, match="rates must be finite and >= 0, got -3.0"):
+            dataclasses.replace(sched, levels=(0.5, -3.0))
+
+    def test_replaced_switch_period_is_checked(self):
+        sched = make_schedule(2, (0.5, 0.1), s=10)
+        with pytest.raises(ScheduleError, match="positive integer or inf, got 2.5"):
+            dataclasses.replace(sched, switch_period=2.5)
+
+    def test_replaced_cluster_sizes_are_checked(self):
+        # Unchecked, these sizes would fail inside train with a bare IndexError.
+        sched = make_schedule(2, (0.5, 0.1), s=10)
+        with pytest.raises(ScheduleError, match="2 levels but 1 cluster sizes"):
+            dataclasses.replace(sched, cluster_sizes=(1,))
+
+    def test_the_default_sizes_are_the_factorys(self):
+        assert Schedule(4, (0.3, 0.1)).cluster_sizes == (1, 3)
+        assert Schedule(4, (0.3,)).cluster_sizes == (4,)
+        assert Schedule(4, (0.3,)).switch_period == INFINITE
 
 class TestAssignment:
     def test_worked_three_agent_rotation(self):

@@ -8,8 +8,8 @@ copy of the dict as ``raw`` and takes its ``digest`` from that copy. Every
 parsed field is ``init=False``, so ``dataclasses.replace`` takes only ``raw``
 and parses again. A key a config object does not have fails at any nesting
 level, with its path (``grid.lr00``) in the message; the ``env`` block is
-parsed, just as strictly, by :func:`envs.env_from_config`. Integer fields
-follow :func:`schedule.parse_count`; real-valued fields must be JSON numbers."""
+parsed, just as strictly, by :func:`envs.env_from_config`. Each field follows a
+rule of :mod:`schedule`: a real-valued one is a JSON number, never a string or a bool."""
 
 from __future__ import annotations
 
@@ -17,60 +17,19 @@ import copy
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 from .envs import env_from_config
 from .estimation import Mode, TeamEstimationProblem
 from .games import TeamGame, TieBreak
 from .learners import EpsilonSchedule, QLearnerConfig
-from .schedule import Schedule, make_schedule, parse_count, parse_rate, parse_switch_period
+from .schedule import (Schedule, make_schedule, parse_choice, parse_count, parse_list,
+                       parse_number, parse_object, parse_rate, parse_switch_period)
 
 
 def config_digest(raw: dict) -> str:
     payload = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
-
-
-# ---------------------------------------------------------------------------
-# Field rules
-
-
-def _object(value, path: str, keys: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
-    """``value`` as the config object at ``path`` ("" for the top level): a
-    dict with every key in ``required`` and none outside ``keys``."""
-    where = path or "config"
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {value!r}")
-    prefix = f"{path}." if path else ""
-    unknown = [key for key in value if key not in keys]
-    if unknown:
-        names = ", ".join(repr(prefix + key) for key in unknown)
-        raise ValueError(f"unknown key {names} in {where}; valid keys: {', '.join(keys)}")
-    for key in required:
-        if key not in value:
-            raise ValueError(f"config is missing required key {prefix + key!r}")
-    return value
-
-
-def _list(value, name: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a JSON list, got {value!r}")
-    return list(value)
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _choice(enum_type, value, name: str):
-    """The member of ``enum_type`` named ``value``, in any letter case."""
-    names = [member.name.lower() for member in enum_type]
-    if not isinstance(value, str) or value.lower() not in names:
-        raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(names)}")
-    return enum_type[value.upper()]
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +54,15 @@ def parse_q_config(raw: dict, total_steps: int) -> QLearnerConfig:
     ``total_steps`` (at least 1) and ``discount`` 0.95. The decay length
     follows the count rule.
     """
-    q = _object(raw, "q", ("epsilon_start", "epsilon_end", "epsilon_decay_steps", "discount"))
+    q = parse_object(raw, "q", ("epsilon_start", "epsilon_end", "epsilon_decay_steps", "discount"))
     return QLearnerConfig(
         epsilon=EpsilonSchedule(
-            start=_number(q.get("epsilon_start", 1.0), "epsilon_start"),
-            end=_number(q.get("epsilon_end", 0.05), "epsilon_end"),
+            start=parse_number(q.get("epsilon_start", 1.0), "epsilon_start"),
+            end=parse_number(q.get("epsilon_end", 0.05), "epsilon_end"),
             decay_steps=parse_count(q.get("epsilon_decay_steps", max(1, total_steps // 2)),
                                     "epsilon_decay_steps"),
         ),
-        discount=_number(q.get("discount", 0.95), "discount"),
+        discount=parse_number(q.get("discount", 0.95), "discount"),
     )
 
 
@@ -114,12 +73,12 @@ def schedule_from_config(n: int, cfg: dict) -> Schedule:
     ``levels`` is required; ``cluster_sizes`` takes :class:`Schedule`'s
     default and ``switch_period`` defaults to "inf".
     """
-    block = _object(cfg, "schedule", ("levels", "cluster_sizes", "switch_period"),
-                    required=("levels",))
-    levels = [_number(v, "levels") for v in _list(block["levels"], "levels")]
+    block = parse_object(cfg, "schedule", ("levels", "cluster_sizes", "switch_period"),
+                         required=("levels",))
+    levels = [parse_number(v, "levels") for v in parse_list(block["levels"], "levels")]
     sizes = block.get("cluster_sizes")
     if sizes is not None:
-        sizes = [parse_count(c, "cluster_sizes") for c in _list(sizes, "cluster_sizes")]
+        sizes = [parse_count(c, "cluster_sizes") for c in parse_list(sizes, "cluster_sizes")]
     return make_schedule(n, levels, sizes, s=block.get("switch_period", "inf"))
 
 
@@ -148,16 +107,16 @@ class OracleConfig:
 
     def __post_init__(self):
         raw = copy.deepcopy(self.raw)
-        _object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
-        prob = _object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
-        problem = TeamEstimationProblem(
-            _number(prob.get("p", 1.0), "p"), _number(prob.get("q", 1.0), "q"),
-            _number(prob.get("sigma2", 0.5), "sigma2"), parse_count(prob.get("n", 3), "n"))
-        k0 = tuple(_number(v, "k0") for v in _list(raw.get("k0", [0.0] * problem.n), "k0"))
+        parse_object(raw, "", ("problem", "k0", "max_sweeps", "tol"))
+        prob = parse_object(raw.get("problem", {}), "problem", ("p", "q", "sigma2", "n"))
+        problem = TeamEstimationProblem(prob.get("p", 1.0), prob.get("q", 1.0),
+                                        prob.get("sigma2", 0.5), prob.get("n", 3))
+        k0 = tuple(parse_number(v, "k0")
+                   for v in parse_list(raw.get("k0", [0.0] * problem.n), "k0"))
         if len(k0) != problem.n or not all(map(math.isfinite, k0)):
             raise ValueError(f"k0 must list {problem.n} finite numbers, one per agent, "
                              f"got {list(k0)}")
-        tol = _number(raw.get("tol", 1e-10), "tol")
+        tol = parse_number(raw.get("tol", 1e-10), "tol")
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
         _set(self, raw=raw, problem=problem, k0=k0, tol=tol,
@@ -180,17 +139,17 @@ class BrdynConfig:
 
     def __post_init__(self):
         raw = copy.deepcopy(self.raw)
-        _object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
-                required=("payoff",))
+        parse_object(raw, "", ("payoff", "mode", "initial", "max_rounds", "tie_break"),
+                     required=("payoff",))
         game = TeamGame(raw["payoff"])
         initial = tuple(parse_count(a, "initial", minimum=0)
-                        for a in _list(raw.get("initial", [0] * game.n), "initial"))
+                        for a in parse_list(raw.get("initial", [0] * game.n), "initial"))
         if len(initial) != game.n or any(a >= c for a, c in zip(initial, game.action_counts)):
             raise ValueError(f"initial must hold one action id per agent, each below its action "
                              f"count {list(game.action_counts)}, got {list(initial)}")
         _set(self, raw=raw, game=game, initial=initial,
-             mode=_choice(Mode, raw.get("mode", "sibr"), "mode"),
-             tie_break=_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
+             mode=parse_choice(Mode, raw.get("mode", "sibr"), "mode"),
+             tie_break=parse_choice(TieBreak, raw.get("tie_break", "keep_current"), "tie_break"),
              max_rounds=parse_count(raw.get("max_rounds", 1000), "max_rounds"))
 
 
@@ -211,8 +170,8 @@ class TrainConfig:
 
     def __post_init__(self):
         raw = copy.deepcopy(self.raw)
-        _object(raw, "", ("env", "schedule", "q", "total_steps", "eval_every", "eval_episodes",
-                          "seed"), required=("env", "schedule", "total_steps"))
+        parse_object(raw, "", ("env", "schedule", "q", "total_steps", "eval_every", "eval_episodes",
+                               "seed"), required=("env", "schedule", "total_steps"))
         sched = schedule_from_config(env_from_config(raw["env"]).n, raw["schedule"])
         total_steps, eval_every, eval_episodes = parse_run_counts(raw)
         _set(self, raw=raw, env=dict(raw["env"]), schedule=sched,
@@ -243,15 +202,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         raw = copy.deepcopy(self.raw)
-        _object(raw, "", ("env", "grid", "seeds", "total_steps", "eval_every", "eval_episodes",
-                          "q"), required=("env", "grid", "seeds", "total_steps"))
-        grid = _object(raw["grid"], "grid", ("lr0", "lr1", "switch_periods"),
-                       required=("lr0", "lr1", "switch_periods"))
-        lr0 = tuple(parse_rate(_number(v, "lr0")) for v in _list(grid["lr0"], "lr0"))
-        lr1 = tuple(parse_rate(_number(v, "lr1")) for v in _list(grid["lr1"], "lr1"))
+        parse_object(raw, "", ("env", "grid", "seeds", "total_steps", "eval_every", "eval_episodes",
+                               "q"), required=("env", "grid", "seeds", "total_steps"))
+        grid = parse_object(raw["grid"], "grid", ("lr0", "lr1", "switch_periods"),
+                            required=("lr0", "lr1", "switch_periods"))
+        lr0 = tuple(parse_rate(parse_number(v, "lr0")) for v in parse_list(grid["lr0"], "lr0"))
+        lr1 = tuple(parse_rate(parse_number(v, "lr1")) for v in parse_list(grid["lr1"], "lr1"))
         periods = tuple(parse_switch_period(v)
-                        for v in _list(grid["switch_periods"], "switch_periods"))
-        seeds = tuple(parse_count(s, "seeds", minimum=0) for s in _list(raw["seeds"], "seeds"))
+                        for v in parse_list(grid["switch_periods"], "switch_periods"))
+        seeds = tuple(parse_count(s, "seeds", minimum=0) for s in parse_list(raw["seeds"], "seeds"))
         total_steps, eval_every, eval_episodes = parse_run_counts(raw)
         if not lr0 or not lr1 or not periods:
             raise ValueError("lr0, lr1, and switch_periods must all be non-empty")

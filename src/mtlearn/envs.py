@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import TeamGame
-from .schedule import parse_count
+from .schedule import parse_count, parse_object
 
 
 class SearchBudgetError(RuntimeError):
@@ -706,29 +706,17 @@ _ENV_KEYS = {"matrix_game": ("kind", "payoff", "horizon"),
 
 
 def env_from_config(cfg: dict):
-    """Build an environment from its JSON description, a config's ``env`` block.
-
-    ``{"kind": "matrix_game", "payoff": [...], "horizon": 1}`` or
-    ``{"kind": "foraging", "grid": ["..."], "horizon": 50,
-    "cooperative_only": false, "view_radius": null}``; ``payoff`` and ``grid``
-    are required. A key the kind does not have, a ``grid`` that is not a
-    non-empty list of strings, a ``horizon`` that is not an integer >= 1, a
-    ``cooperative_only`` that is not a bool and a ``view_radius`` that is
-    neither null nor an integer >= 0 are rejected.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"env must be a JSON object, got {cfg!r}")
-    kind = cfg.get("kind")
-    keys = _ENV_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    """Build an environment from its JSON description, a config's ``env`` block:
+    ``{"kind": "matrix_game", "payoff": [...], "horizon": 1}`` or ``{"kind": "foraging",
+    "grid": ["..."], "horizon": 50, "cooperative_only": false, "view_radius": null}``.
+    ``payoff`` and ``grid`` are required; a key the kind does not have, a ``grid``
+    that is not a non-empty list of strings, a ``cooperative_only`` that is not a
+    bool and a value that breaks its count or number rule are rejected."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    keys = _ENV_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+    if isinstance(cfg, dict) and not keys:
         raise ValueError(f"unknown environment kind {kind!r}")
-    unknown = [key for key in cfg if key not in keys]
-    if unknown:
-        names = ", ".join(repr(f"env.{key}") for key in unknown)
-        raise ValueError(f"unknown key {names} in env of kind {kind!r}; "
-                         f"valid keys: {', '.join(keys)}")
-    if keys[1] not in cfg:
-        raise ValueError(f"config is missing required key 'env.{keys[1]}'")
+    parse_object(cfg, "env", keys, required=keys[1:2])
     if kind == "matrix_game":
         return MatrixGameEnv(TeamGame(cfg["payoff"]), horizon=cfg.get("horizon", 1))
     grid = cfg["grid"]

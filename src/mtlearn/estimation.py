@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .schedule import parse_count
+from .schedule import check_type, parse_count, parse_number
 
 
 class InvalidProblemError(ValueError):
@@ -36,13 +36,6 @@ class Mode(enum.Enum):
 
     IIBR = "iibr"
     SIBR = "sibr"
-
-
-def check_member(value, enum_type: type[enum.Enum], name: str) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an ``enum_type`` member:
-    an update order or tie rule given as a string would run the other branch."""
-    if not isinstance(value, enum_type):
-        raise ValueError(f"{name} must be a {enum_type.__name__} member, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +58,11 @@ class TeamEstimationProblem:
     Raises
     ------
     InvalidProblemError
-        If ``sigma2 <= 0``, ``n`` is not an integer >= 2 (the
-        :func:`schedule.parse_count` rule), a parameter is not finite, the
-        diagonal weight ``p * (1 + sigma2)`` vanishes, or it or the
-        right-hand side ``p + (n - 1) * q`` overflows.
+        If ``p``, ``q`` or ``sigma2`` is not a number or ``n`` not an integer >= 2
+        (the :mod:`schedule` rules), ``sigma2 <= 0``, a parameter is not finite, the
+        diagonal weight ``d = p * (1 + sigma2)`` vanishes, it or the right-hand side
+        ``p + (n - 1) * q`` overflows, or ``gamma = (d - q) I + q 11^T`` is singular:
+        one of its eigenvalues, ``d - q`` and ``d + (n - 1) * q``, is zero.
     """
 
     p: float
@@ -79,8 +73,8 @@ class TeamEstimationProblem:
     eta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p, q, sigma2 = self.p, self.q, self.sigma2
         try:
+            p, q, sigma2 = (parse_number(getattr(self, f), f) for f in ("p", "q", "sigma2"))
             n = parse_count(self.n, "n", minimum=2)
         except ValueError as err:
             raise InvalidProblemError(str(err)) from None
@@ -91,17 +85,19 @@ class TeamEstimationProblem:
             raise InvalidProblemError("zero diagonal: p * (1 + sigma2) must be nonzero")
         if not np.all(np.isfinite([p, q, sigma2])):
             raise InvalidProblemError("parameters must be finite")
-        rhs = float(p) + (n - 1) * float(q)
+        rhs = p + (n - 1) * q
         if not np.isfinite([diag, rhs]).all():
             raise InvalidProblemError(f"system overflows: p * (1 + sigma2) = {diag}, "
                                       f"p + (n - 1) * q = {rhs}")
-        gamma = np.full((n, n), float(q))
+        if diag == q or diag + (n - 1) * q == 0.0:
+            raise InvalidProblemError(f"singular system: p * (1 + sigma2) - q = {diag - q}, "
+                                      f"p * (1 + sigma2) + (n - 1) * q = {diag + (n - 1) * q}")
+        gamma = np.full((n, n), q)
         np.fill_diagonal(gamma, diag)
         eta = np.full(n, rhs)
         gamma.setflags(write=False)
         eta.setflags(write=False)
-        for name, value in (("p", float(p)), ("q", float(q)), ("sigma2", float(sigma2)),
-                            ("n", n), ("gamma", gamma), ("eta", eta)):
+        for name, value in dict(p=p, q=q, sigma2=sigma2, n=n, gamma=gamma, eta=eta).items():
             object.__setattr__(self, name, value)
 
     @functools.cached_property
@@ -147,7 +143,7 @@ def solve_exact(problem: TeamEstimationProblem) -> np.ndarray:
     Raises
     ------
     linalg.SingularMatrixError
-        If the system matrix is singular.
+        If elimination meets a zero pivot (a singular ``gamma`` is refused at build).
     """
     return problem.solution
 
@@ -158,7 +154,7 @@ def iteration_matrix(problem: TeamEstimationProblem, mode: Mode) -> np.ndarray:
     With ``gamma = D + L + U`` (diagonal / strict lower / strict upper),
     IIBR yields ``-D^{-1} (L + U)`` and SIBR yields ``-(D + L)^{-1} U``.
     """
-    check_member(mode, Mode, "mode")
+    check_type(mode, Mode, "mode")
     gamma = problem.gamma
     d = np.diag(gamma)
     n = problem.n
@@ -211,7 +207,7 @@ def run_br_iteration(problem: TeamEstimationProblem, mode: Mode, k0,
     ``1e6 * (1 + initial error)`` or turns non-finite (diverged), or the
     sweep budget runs out.
     """
-    check_member(mode, Mode, "mode")
+    check_type(mode, Mode, "mode")
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     max_sweeps = parse_count(max_sweeps, "max_sweeps", minimum=0)

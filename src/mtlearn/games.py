@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimation import Mode, check_member
-from .schedule import parse_count
+from .estimation import Mode
+from .schedule import check_type, parse_count, parse_number
 
 
 class TieBreak(enum.Enum):
@@ -33,12 +33,20 @@ class TieBreak(enum.Enum):
     KEEP_CURRENT = "keep_current"
 
 
+def _payoff_entries(value):
+    """``value`` with each entry read by the number rule, so a string or a bool fails."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_payoff_entries(v) for v in value]
+    return parse_number(value, "payoff")
+
+
 @dataclass(frozen=True, eq=False)
 class TeamGame:
     """Finite cooperative game with one payoff shared by all agents, checked whenever
-    built: ``payoff`` is read once as a read-only float tensor, one axis per agent,
-    and gives ``n`` and ``action_counts``. A payoff that is not a tensor of finite
-    numbers, with at least one axis and no empty one, raises ValueError."""
+    built: ``payoff`` is copied once into the game's own read-only float tensor, one
+    axis per agent, and gives ``n`` and ``action_counts``. A payoff that is not a
+    tensor of finite numbers (each by :func:`schedule.parse_number`), with at least
+    one axis and no empty one, raises ValueError."""
 
     payoff: np.ndarray
     n: int = field(init=False)
@@ -46,7 +54,7 @@ class TeamGame:
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.payoff, dtype=float)
+            arr = np.array(_payoff_entries(self.payoff), dtype=float)
         except (TypeError, ValueError):
             raise ValueError(f"payoff must be a tensor of numbers, got {self.payoff!r}") from None
         arr.setflags(write=False)
@@ -114,7 +122,7 @@ def best_response(game: TeamGame, profile: Sequence[int], agent: int,
                   tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> int:
     """Action maximizing the shared payoff with all other agents fixed. Of equal
     payoffs ``argmax`` keeps the lowest action id (payoffs are finite, see :class:`TeamGame`)."""
-    check_member(tie_break, TieBreak, "tie_break")
+    check_type(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     if not 0 <= agent < game.n:
         raise IndexError(f"agent {agent} out of range [0, {game.n})")
@@ -128,7 +136,7 @@ def best_response(game: TeamGame, profile: Sequence[int], agent: int,
 def iibr_step(game: TeamGame, profile: Sequence[int],
               tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> tuple[int, ...]:
     """Every agent switches to its best response against the input profile."""
-    check_member(tie_break, TieBreak, "tie_break")
+    check_type(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     return tuple(best_response(game, prof, i, tie_break) for i in range(game.n))
 
@@ -136,7 +144,7 @@ def iibr_step(game: TeamGame, profile: Sequence[int],
 def sibr_step(game: TeamGame, profile: Sequence[int], agent: int,
               tie_break: TieBreak = TieBreak.KEEP_CURRENT) -> tuple[int, ...]:
     """Only ``agent`` switches to its best response; everyone else is copied."""
-    check_member(tie_break, TieBreak, "tie_break")
+    check_type(tie_break, TieBreak, "tie_break")
     prof = _check_profile(game, profile)
     br = best_response(game, prof, agent, tie_break)
     return prof[:agent] + (br,) + prof[agent + 1:]
@@ -153,8 +161,8 @@ def run_dynamics(game: TeamGame, mode: Mode, initial: Sequence[int],
     of an earlier joint action ends it as a cycle (detected by exact
     profile hashing).
     """
-    check_member(mode, Mode, "mode")
-    check_member(tie_break, TieBreak, "tie_break")
+    check_type(mode, Mode, "mode")
+    check_type(tie_break, TieBreak, "tie_break")
     max_rounds = parse_count(max_rounds, "max_rounds")
     cur = _check_profile(game, initial, "initial")
     profiles = [cur]

@@ -17,7 +17,6 @@ episode stream.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,14 +25,9 @@ import numpy as np
 
 from .envs import SEARCH_BUDGET, TransitionTable
 from .estimation import TeamEstimationProblem, team_mse, team_mse_gradient
-from .schedule import Schedule, parse_count
+from .schedule import Schedule, check_type, parse_count, parse_number
 
 QTable = dict[int, list[float]]
-
-
-def _in_unit_interval(value) -> bool:
-    """Whether ``value`` is a real number in [0, 1], a bool not counting."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class EpsilonSchedule:
     decay_steps: int = 1
 
     def __post_init__(self):
-        if not (_in_unit_interval(self.start) and _in_unit_interval(self.end)):
+        if not all(0 <= parse_number(v, "epsilon bounds") <= 1 for v in (self.start, self.end)):
             raise ValueError("epsilon bounds must lie in [0, 1]")
         parse_count(self.decay_steps, "decay_steps")
 
@@ -63,7 +57,7 @@ class QLearnerConfig:
     def __post_init__(self):
         if not isinstance(self.epsilon, EpsilonSchedule):
             raise ValueError(f"epsilon must be an EpsilonSchedule, got {self.epsilon!r}")
-        if not _in_unit_interval(self.discount):
+        if not 0 <= parse_number(self.discount, "discount") <= 1:
             raise ValueError(f"discount must lie in [0, 1], got {self.discount}")
 
 
@@ -198,11 +192,6 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
     return total / episodes
 
 
-def _check_type(value, kind: type, name: str) -> None:
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-
-
 def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
            q_config: QLearnerConfig, total_steps: int, eval_every: int, eval_episodes: int
            ) -> tuple[TransitionTable, list[int], tuple[int, int, int]]:
@@ -215,9 +204,9 @@ def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
     past :data:`envs.SEARCH_BUDGET`). Returns the table, the seeds as ints and
     ``(total_steps, eval_every, eval_episodes)`` as ints.
     """
-    _check_type(q_config, QLearnerConfig, "q_config")
+    check_type(q_config, QLearnerConfig, "q_config")
     for schedule in schedules:
-        _check_type(schedule, Schedule, "schedule")
+        check_type(schedule, Schedule, "schedule")
     counts = (parse_count(total_steps, "total_steps"), parse_count(eval_every, "eval_every"),
               parse_count(eval_episodes, "eval_episodes"))
     seeds = [parse_count(seed, "seed", minimum=0) for seed in seeds]
@@ -345,7 +334,7 @@ def train_estimation(problem: TeamEstimationProblem, schedule: Schedule,
 
     The log records the exact team error at evaluation points.
     """
-    _check_type(schedule, Schedule, "schedule")
+    check_type(schedule, Schedule, "schedule")
     batch_size = parse_count(batch_size, "batch_size")
     total_steps = parse_count(total_steps, "total_steps")
     seed = parse_count(seed, "seed", minimum=0)

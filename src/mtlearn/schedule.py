@@ -8,6 +8,10 @@ through the team. Degenerate settings recover the familiar regimes:
 equal rates give independent learning, a zero slow rate gives
 sequential learning, and an infinite switching period gives plain
 two-timescale learning.
+
+The module also holds the field rules every checked value shares, each
+defined once: the configs, the ``env`` block and the value types read their
+fields with the ``parse_*`` functions and :func:`check_type` below.
 """
 
 from __future__ import annotations
@@ -113,6 +117,25 @@ def make_schedule(n: int, levels: Sequence[float],
     return Schedule(n, levels, cluster_sizes, s)
 
 
+def _as_float(value) -> float | None:
+    """``value`` as a float if it is a real number, else None: ``True``, ``10**400`` are none."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def parse_number(value, name: str) -> float:
+    """The rule for a real-valued field: a real number, never a string or a bool
+    (``"0.5"``, ``True``), returned as a float. Each field checks its own range."""
+    number = _as_float(value)
+    if number is None:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return number
+
+
 def parse_rate(value) -> float:
     """The learning-rate rule shared by schedules and sweep configs: a real
     number (``0.3`` or ``1``), returned as a float.
@@ -123,9 +146,9 @@ def parse_rate(value) -> float:
         If the value is negative, not finite, or not a real number, such as
         ``"0.3"`` or ``True``.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    rate = _as_float(value)
+    if rate is None:
         raise ScheduleError(f"rates must be real numbers, finite and >= 0, got {value!r}")
-    rate = float(value)
     if rate < 0 or not math.isfinite(rate):
         raise ScheduleError(f"rates must be finite and >= 0, got {rate}")
     return rate
@@ -148,13 +171,12 @@ def parse_switch_period(value) -> float:
         if value.strip().lower() not in ("inf", "infinite", "infinity"):
             raise ScheduleError(f"unrecognized switching period {value!r}")
         return INFINITE
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    period = _as_float(value)
+    if period is None:
         raise ScheduleError(f"switching period must be a positive integer or inf, got {value!r}")
-    if math.isinf(value):
-        return INFINITE
-    if math.isnan(value) or value != int(value) or int(value) < 1:
+    if not (period >= 1 and (period == INFINITE or period.is_integer())):
         raise ScheduleError(f"switching period must be a positive integer or inf, got {value}")
-    return float(int(value))
+    return period
 
 
 def parse_count(value, name: str, minimum: int = 1) -> int:
@@ -167,10 +189,47 @@ def parse_count(value, name: str, minimum: int = 1) -> int:
     ValueError
         For any other value, such as ``100.7``, ``0``, ``True`` or ``"10"``.
     """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < minimum):
+    number = _as_float(value)
+    if number is None or not math.isfinite(number) or number != int(number) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def parse_list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    return list(value)
+
+
+def parse_object(value, path: str, keys: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """``value`` as the config object at ``path`` ("" for the top level): a
+    dict with every key in ``required`` and none outside ``keys``."""
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        names = ", ".join(repr(prefix + key) for key in unknown)
+        raise ValueError(f"unknown key {names} in {where}; valid keys: {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"config is missing required key {prefix + key!r}")
+    return value
+
+
+def parse_choice(enum_type: type[enum.Enum], value, name: str):
+    """The member of ``enum_type`` named ``value``, in any letter case."""
+    names = [member.name.lower() for member in enum_type]
+    if not isinstance(value, str) or value.lower() not in names:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(names)}")
+    return enum_type[value.upper()]
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``kind``: ``"iibr"`` is no Mode."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def rotation_at(schedule: Schedule, t: int) -> int:

@@ -442,6 +442,13 @@ class TestConfigsFailAtLoad:
         assert main(["oracle", "--config", cfg]) == 1
         assert_load_error(capsys, f"{key} must be")
 
+    def test_singular_oracle_problem_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimation, "solve_exact", None)
+        cfg = write_json(tmp_path / "oracle.json", {"problem": {"q": 1.5}})
+        assert main(["oracle", "--config", cfg]) == 1
+        assert_load_error(capsys, "singular system: p * (1 + sigma2) - q = 0.0, "
+                                  "p * (1 + sigma2) + (n - 1) * q = 4.5")
+
     def test_overflowing_oracle_problem_fails(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "oracle.json", {
             "problem": {"p": 1e308, "q": 1e308, "sigma2": 0.5, "n": 3}, "max_sweeps": 5})

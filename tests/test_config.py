@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import functools
 import json
+import math
 import string
 from pathlib import Path
 
@@ -110,8 +112,13 @@ class TestValidConfigsLoadToTheirValues:
 
     @given(raw=oracle_configs)
     def test_oracle(self, raw):
-        cfg = load_oracle_config(raw)
         prob = raw.get("problem", {})
+        d = prob.get("p", 1.0) * (1.0 + prob.get("sigma2", 0.5))
+        if d == prob.get("q", 1.0) or d + (prob.get("n", 3) - 1) * prob.get("q", 1.0) == 0:
+            with pytest.raises(ValueError, match="singular system"):
+                load_oracle_config(raw)
+            return
+        cfg = load_oracle_config(raw)
         assert (cfg.problem.p, cfg.problem.q, cfg.problem.sigma2, cfg.problem.n) == (
             prob.get("p", 1.0), prob.get("q", 1.0), prob.get("sigma2", 0.5), prob.get("n", 3))
         assert cfg.k0 == (0.0,) * cfg.problem.n
@@ -169,8 +176,60 @@ def test_shipped_config_loads_through_its_subcommand(path):
 
 
 
-@pytest.mark.parametrize("payoff", [{}, [{}], [[1.0, {}], [0.0, 1.0]], [[1.0, 0.0], [0.0]]],
-                         ids=["object", "object entry", "object in a row", "ragged"])
+def leaves(value, path=()):
+    """The path of every leaf (a value that is not a dict or a list) in ``value``."""
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def with_leaf(raw, path, value):
+    """A deep copy of ``raw`` with the leaf at ``path`` set to ``value``."""
+    raw = copy.deepcopy(raw)
+    block = raw
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    return raw
+
+
+SHIPPED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+SHIPPED_LEAVES = [(name, path) for name, raw in SHIPPED.items() for path in leaves(raw)]
+
+
+def load_shipped(name, raw):
+    return LOADERS[name.split("_")[0]](raw)
+
+
+@pytest.mark.parametrize("name, path", [
+    (name, path) for name, path in SHIPPED_LEAVES
+    if type(functools.reduce(lambda v, k: v[k], path, SHIPPED[name])) in (int, float)],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_a_bool_or_a_numeric_string_in_a_numeric_leaf_is_rejected(name, path):
+    # One number rule everywhere, payoff entries included: numpy would read them as 1.0.
+    for value in (True, False, "1", "0.5"):
+        with pytest.raises(ValueError):
+            load_shipped(name, with_leaf(SHIPPED[name], path, value))
+
+
+@pytest.mark.parametrize("value", [None, True, 0, -1, 1.5, "x", [], {}, [0], [[1]], math.nan],
+                         ids=["none", "true", "0", "-1", "1.5", "x", "list", "object", "[0]",
+                              "[[1]]", "nan"])
+@pytest.mark.parametrize("name, path", SHIPPED_LEAVES,
+                         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_one_bad_leaf_fails_at_load_with_a_value_error(name, path, value):
+    # Values of 10**6 are left out: a big count is real work, not a bad config.
+    try:
+        load_shipped(name, with_leaf(SHIPPED[name], path, value))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("payoff", [{}, [{}], [[1.0, {}], [0.0, 1.0]], [[1.0, 0.0], [0.0]],
+                                    [[10 ** 400, 0.0], [0.0, 1.0]]],
+                         ids=["object", "object entry", "object in a row", "ragged", "10**400"])
 @pytest.mark.parametrize("command", ["brdyn", "train"])
 def test_a_payoff_numpy_cannot_read_fails_by_name(command, payoff):
     # A ValueError naming the key, not float()'s TypeError.

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import mtlearn as mt
@@ -73,10 +73,18 @@ class TestBuildProblem:
         with pytest.raises(InvalidProblemError):
             build_problem(p, q, s2, n)
 
+    @pytest.mark.parametrize("value", ["1", True, np.True_, None, [1.0], 10 ** 400],
+                             ids=["string", "true", "numpy bool", "none", "list", "10**400"])
+    @pytest.mark.parametrize("name", ["p", "q", "sigma2"])
+    def test_a_parameter_that_is_not_a_number_is_named(self, name, value):
+        # The number rule, not a bare TypeError from the arithmetic.
+        with pytest.raises(InvalidProblemError, match=f"^{name} must be a number, got "):
+            build_problem(**{"p": 1.0, "q": 1.0, "sigma2": 0.5, "n": 3, name: value})
+
 
 FIELDS = ("p", "q", "sigma2", "n")
-# Valid ``build_problem`` arguments: a nonzero diagonal weight, n as an int
-# or an integral float. Some draws are singular, which must agree too.
+# ``build_problem`` arguments with a nonzero diagonal weight, n as an int or an
+# integral float. Some draws make gamma singular: every route must refuse those alike.
 problem_args = st.fixed_dictionaries({
     "p": st.one_of(st.floats(-3.0, -0.01), st.floats(0.01, 3.0), st.sampled_from([1, -2])),
     "q": st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0, 1, 1.5])),
@@ -99,7 +107,18 @@ def solution_or_error(problem):
         return str(err)
 
 
+def built(build):
+    """The problem ``build`` returns, or the message of the InvalidProblemError it raises."""
+    try:
+        return build()
+    except InvalidProblemError as err:
+        return str(err)
+
+
 def assert_same_problem(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
     assert [getattr(got, f) for f in FIELDS] == [getattr(want, f) for f in FIELDS]
     assert type(got.n) is int and all(type(getattr(got, f)) is float for f in FIELDS[:3])
     assert np.array_equal(got.gamma, want.gamma) and np.array_equal(got.eta, want.eta)
@@ -110,18 +129,21 @@ def assert_same_problem(got, want):
 class TestProblemChecksItself:
     @given(args=problem_args, other=problem_args, data=st.data())
     def test_direct_construction_and_replace_equal_the_factory(self, args, other, data):
-        problem = build_problem(**args)
-        assert_same_problem(TeamEstimationProblem(**args), problem)
-        assert_same_problem(TeamEstimationProblem(*(args[f] for f in FIELDS)), problem)
+        problem = built(lambda: build_problem(**args))
+        assert_same_problem(built(lambda: TeamEstimationProblem(**args)), problem)
+        assert_same_problem(built(lambda: TeamEstimationProblem(*(args[f] for f in FIELDS))),
+                            problem)
+        assume(not isinstance(problem, str))
         # A replaced field rebuilds the system from the new values.
         name = data.draw(st.sampled_from(sorted(args)))
         changed = dict(args, **{name: other[name]})
-        assert_same_problem(dataclasses.replace(problem, **{name: other[name]}),
-                            build_problem(**changed))
+        assert_same_problem(built(lambda: dataclasses.replace(problem, **{name: other[name]})),
+                            built(lambda: build_problem(**changed)))
 
     @given(args=problem_args, data=st.data())
     def test_an_invalid_field_fails_with_the_factorys_message(self, args, data):
-        problem = build_problem(**args)
+        problem = built(lambda: build_problem(**args))
+        assume(not isinstance(problem, str))
         name = data.draw(st.sampled_from(sorted(BAD_PROBLEM_FIELDS)))
         bad = data.draw(st.sampled_from(BAD_PROBLEM_FIELDS[name]))
         with pytest.raises(InvalidProblemError) as factory:
@@ -173,10 +195,14 @@ class TestSolveExact:
             assert np.max(np.abs(prob.gamma @ k - prob.eta)) <= 1e-10
 
     def test_singular_system(self):
-        # q equal to the diagonal weight makes gamma a rank-one matrix.
-        prob = build_problem(1.0, 1.5, 0.5, 3)
-        with pytest.raises(SingularMatrixError):
-            solve_exact(prob)
+        # gamma = (d - q) I + q 11^T with d = p (1 + sigma2) is singular exactly when
+        # d == q (here rank one) or d + (n - 1) q == 0; no such problem can be built,
+        # so no solve meets one. The message prints plain floats.
+        for args, zero in (((1.0, 1.5, 0.5, 3), "- q = 0.0,"),
+                           ((-2.0, 1.5, 0.5, 3), "(n - 1) * q = 0.0")):
+            with pytest.raises(InvalidProblemError, match="singular system") as err:
+                build_problem(*args)
+            assert zero in str(err.value) and "np." not in str(err.value)
 
 
 class TestIterationMatrix:

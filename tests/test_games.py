@@ -47,6 +47,31 @@ class TestTeamGameChecksItself:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(TeamGame([[1.0]]), payoff=payoff)
 
+    @pytest.mark.parametrize("entry", ["1", True, False, np.True_, None, 1j, 10 ** 400],
+                             ids=["string", "true", "false", "numpy bool", "none", "complex",
+                                  "10**400"])
+    def test_an_entry_that_is_not_a_number_is_rejected(self, entry):
+        # Each entry follows the number rule: numpy would read "1" and True as 1.0.
+        for payoff in ([[entry, 0.0], [0.0, 1.0]], np.array([[entry, 0], [0, 1]], dtype=object)):
+            with pytest.raises(ValueError, match="payoff must be a tensor of numbers"):
+                TeamGame(payoff)
+        with pytest.raises(ValueError, match="payoff must be a tensor of numbers"):
+            TeamGame(np.array([[True, False], [False, True]]))
+
+    @pytest.mark.parametrize("payoff", [np.eye(2), np.eye(2, dtype=np.int64),
+                                        np.eye(2, dtype=np.float32), [np.eye(2)[0], (0, 1)]],
+                             ids=["float64", "int64", "float32", "rows"])
+    def test_the_game_keeps_its_own_copy_of_the_payoff(self, payoff):
+        # A numeric array is read entry by entry into a new read-only array: the caller's
+        # own array stays writable, and writing to it does not change the game.
+        game = TeamGame(payoff)
+        assert game.payoff.dtype == float and not game.payoff.flags.writeable
+        source = payoff if isinstance(payoff, np.ndarray) else payoff[0]
+        assert source.flags.writeable
+        source[0] = 7
+        assert game.payoff.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 class TestTeamPayoff:
     def test_match_game_lookups(self, match_game):
         assert team_payoff(match_game, (0, 0)) == 1.0

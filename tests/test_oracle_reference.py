@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as ref
@@ -166,7 +166,10 @@ def problems(draw):
     n = draw(st.integers(2, 16))
     p = draw(st.floats(-3.0, 3.0).filter(lambda v: abs(v) > 1e-3))
     q = draw(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0])))
-    return estimation.build_problem(p, q, draw(st.floats(0.01, 2.0)), n)
+    sigma2 = draw(st.floats(0.01, 2.0))
+    d = p * (1.0 + sigma2)
+    assume(d != q and d + (n - 1) * q != 0.0)  # a singular gamma cannot be built
+    return estimation.build_problem(p, q, sigma2, n)
 
 
 @settings(max_examples=60, deadline=None)

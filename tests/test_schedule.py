@@ -256,7 +256,8 @@ class TestRatesAt:
         with pytest.raises(ScheduleError, match="finite and >= 0"):
             parse_rate(bad)
 
-    @pytest.mark.parametrize("bad", ["0.3", "inf", True, False, None, [0.3], 1j])
+    @pytest.mark.parametrize("bad", ["0.3", "inf", True, False, None, [0.3], 1j,
+                                     pytest.param(10 ** 400, id="10**400")])
     def test_rates_must_be_real_numbers(self, bad):
         with pytest.raises(ScheduleError, match="rates must be real numbers"):
             parse_rate(bad)
@@ -322,7 +323,8 @@ class TestConfigRoundTrip:
         with pytest.raises(ScheduleError):
             schedule_from_config(2, {"levels": [0.1, 0.01], "switch_period": "soon"})
 
-    @pytest.mark.parametrize("bad", [True, False, None, [10], 1j])
+    @pytest.mark.parametrize("bad", [True, False, None, [10], 1j,
+                                     pytest.param(10 ** 400, id="10**400")])
     def test_non_real_period_rejected(self, bad):
         with pytest.raises(ScheduleError, match="positive integer or inf"):
             schedule_from_config(2, {"levels": [0.1, 0.01], "switch_period": bad})
@@ -337,7 +339,8 @@ class TestParseCount:
         count = parse_count(value, "total_steps")
         assert count == expected and type(count) is int
 
-    @pytest.mark.parametrize("value", [100.7, 0, 0.0, -3, True, "10", None, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [100.7, 0, 0.0, -3, True, "10", None, math.nan, math.inf,
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_others_fail(self, value):
         with pytest.raises(ValueError, match="eval_every must be an integer >= 1"):
             parse_count(value, "eval_every")

@@ -182,14 +182,15 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A ``sweep`` config (see README for the schema); ``n_agents`` is the
-    agent count of its env. The env is built and every cell's schedule made
-    here, so a bad env, or one no cell's schedule fits, fails before any job
-    starts."""
+    """A ``sweep`` config (see README for the schema). The env is built and
+    every cell's schedule made here, once, so a bad env, or one no cell's
+    schedule fits, fails before any job starts. ``schedules`` maps each grid
+    cell ``(lr0, lr1, period)`` to its schedule; the sweep trains with these.
+    ``lr0``, ``lr1``, ``switch_periods`` and ``seeds`` must each be distinct."""
 
     raw: dict
     env: dict = field(init=False)
-    n_agents: int = field(init=False)
+    schedules: dict[tuple[float, float, float], Schedule] = field(init=False)
     lr0_values: tuple[float, ...] = field(init=False)
     lr1_values: tuple[float, ...] = field(init=False)
     switch_periods: tuple[float, ...] = field(init=False)
@@ -216,14 +217,14 @@ class ExperimentConfig:
             raise ValueError("lr0, lr1, and switch_periods must all be non-empty")
         if not seeds:
             raise ValueError("need at least one seed")
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
+        for name, values in (("lr0", lr0), ("lr1", lr1), ("switch_periods", periods),
+                             ("seeds", seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {list(values)}")
         n = env_from_config(raw["env"]).n
-        for a in lr0:
-            for b in lr1:
-                for period in periods:
-                    make_schedule(n, (a, b), s=period)
-        _set(self, raw=raw, env=dict(raw["env"]), n_agents=n, lr0_values=lr0,
+        schedules = {(a, b, period): make_schedule(n, (a, b), s=period)
+                     for a in lr0 for b in lr1 for period in periods}
+        _set(self, raw=raw, env=dict(raw["env"]), schedules=schedules, lr0_values=lr0,
              lr1_values=lr1, switch_periods=periods, seeds=seeds, total_steps=total_steps,
              eval_every=eval_every, eval_episodes=eval_episodes,
              q_config=parse_q_config(raw.get("q", {}), total_steps))

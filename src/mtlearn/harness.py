@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .config import ExperimentConfig, load_experiment_config  # noqa: F401
 from .envs import env_from_config
 from .learners import RunLog
-from .schedule import Schedule, make_schedule, parse_count
+from .schedule import Schedule, parse_count
 
 
 class DegenerateRangeError(ValueError):
@@ -112,10 +112,10 @@ def cell_regime(lr0: float, lr1: float) -> str:
 
 
 class Job(NamedTuple):
-    """One (cell, seed) training run of a sweep."""
+    """One (cell, seed) training run of a sweep; ``schedule`` is the cell's
+    entry in :attr:`ExperimentConfig.schedules`."""
 
-    levels: tuple[float, float]
-    period: float
+    schedule: Schedule
     seed: int
 
 
@@ -126,8 +126,9 @@ def _error_text(exc: Exception) -> str:
 # The least work, in run-steps (jobs x total_steps), that earns a batch of
 # its own. A lockstep step costs nearly as much for a few runs as for a
 # hundred, and every worker starts up and expands its own transition table,
-# so only big sweeps gain from a split. The README ("Lockstep sweeps") has
-# the measurements behind the figure. A lower one would split sweep_matrix
+# so only big sweeps gain from a split. The figure predates the current loop
+# and was never re-tuned; at this loop a split did not win either (README
+# "Lockstep sweeps", ROADMAP "Settled"). A lower one would split sweep_matrix
 # at --workers 2, and the benchmark's peak_rss_mb would count a worker's RSS.
 SPLIT_RUN_STEPS = 2_500_000
 
@@ -135,30 +136,19 @@ SPLIT_RUN_STEPS = 2_500_000
 def _run_batch(config: ExperimentConfig,
                jobs: Sequence[Job]) -> list[tuple[RunLog | None, str | None]]:
     """Train a batch of jobs in one lockstep loop; top level so worker pools
-    can pickle it. Returns (log, error) per job, in order. A job whose set-up
-    raises fails alone; if the loop raises, every job it ran fails with that
+    can pickle it. Returns (log, error) per job, in order. The batch fails
+    as a unit: if the loop raises, every job of the batch fails with that
     error."""
     from .lockstep import train_lockstep  # loaded by the first sweep, not by the package
 
-    n = config.n_agents
-    outcomes: list[tuple[RunLog | None, str | None]] = [(None, None)] * len(jobs)
-    schedules: dict[int, Schedule] = {}
-    for k, job in enumerate(jobs):
-        try:
-            schedules[k] = make_schedule(n, job.levels, s=job.period)
-        except Exception as exc:  # noqa: BLE001 - per-job failures must not kill the sweep
-            outcomes[k] = (None, _error_text(exc))
     try:
         logs = train_lockstep(functools.partial(env_from_config, config.env),
-                              list(schedules.values()), [jobs[k].seed for k in schedules],
+                              [job.schedule for job in jobs], [job.seed for job in jobs],
                               config.q_config, config.total_steps, config.eval_every,
                               config.eval_episodes)
-        results = [(log, None) for log in logs]
     except Exception as exc:  # noqa: BLE001 - the batch's jobs fail, not the sweep
-        results = [(None, _error_text(exc))] * len(schedules)
-    for k, outcome in zip(schedules, results):
-        outcomes[k] = outcome
-    return outcomes
+        return [(None, _error_text(exc))] * len(jobs)
+    return [(log, None) for log in logs]
 
 
 def _run_jobs(config: ExperimentConfig, jobs: Sequence[Job],
@@ -167,9 +157,10 @@ def _run_jobs(config: ExperimentConfig, jobs: Sequence[Job],
 
     The jobs are split into contiguous batches, at most one per worker and
     at most one per :data:`SPLIT_RUN_STEPS` run-steps of work: one batch
-    runs in this process, more run one per pool task. If a worker dies,
-    every job of each batch left unfinished fails with the pool's error and
-    the other batches keep their results.
+    runs in this process, more run one per pool task. Each batch succeeds or
+    fails whole (:func:`_run_batch`). If a worker dies, every job of each
+    batch left unfinished fails with the pool's error and the other batches
+    keep their results.
     """
     count = max(1, min(workers, len(jobs),
                        len(jobs) * config.total_steps // SPLIT_RUN_STEPS))
@@ -268,32 +259,28 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     depend on the worker count.
     """
     workers = parse_count(workers, "workers")
-    digest = config.digest
-
-    # Each cell's jobs; equal-rate cells do not depend on the switching period,
-    # so they run at the first one and the job itself is the dedup key.
+    # Each cell's schedule; equal-rate cells do not depend on the switching
+    # period, so they run at the first one and the job itself is the dedup key.
     first_period = config.switch_periods[0]
-    grid = [(lr0, lr1, period, [Job((lr0, lr1), first_period if lr0 == lr1 else period, seed)
-                                for seed in config.seeds])
+    grid = [(lr0, lr1, period, config.schedules[lr0, lr1, first_period if lr0 == lr1 else period])
             for lr0 in config.lr0_values for lr1 in config.lr1_values
             for period in config.switch_periods]
-    jobs = list(dict.fromkeys(job for *_, cell_jobs in grid for job in cell_jobs))
+    jobs = list(dict.fromkeys(Job(sched, seed) for *_, sched in grid for seed in config.seeds))
     outcomes = dict(zip(jobs, _run_jobs(config, jobs, workers)))
 
     cells: list[CellResult] = []
-    for lr0, lr1, period, cell_jobs in grid:
-        runs = tuple(outcomes[job][0] for job in cell_jobs)
+    for lr0, lr1, period, schedule in grid:
+        runs, errors = zip(*(outcomes[Job(schedule, seed)] for seed in config.seeds))
         finals = [r.final_return for r in runs if r is not None]
         cells.append(CellResult(
-            lr0=lr0, lr1=lr1, period=period,
-            regime=cell_regime(lr0, lr1),
-            runs=runs, errors=tuple(outcomes[job][1] for job in cell_jobs),
+            lr0=lr0, lr1=lr1, period=period, regime=cell_regime(lr0, lr1),
+            runs=runs, errors=errors,
             final_mean=sum(finals) / len(finals) if finals else math.nan,
             final_stderr=_stderr(finals),
         ))
 
     return SweepResult(
-        digest=digest, lr0_values=config.lr0_values, lr1_values=config.lr1_values,
+        digest=config.digest, lr0_values=config.lr0_values, lr1_values=config.lr1_values,
         switch_periods=config.switch_periods, seeds=config.seeds,
         total_steps=config.total_steps, cells=tuple(cells),
     )

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mtlearn import estimation, games, harness, learners
+from mtlearn import estimation, games, harness, learners, lockstep
 from mtlearn.cli import EXIT_CELLS_FAILED, build_parser, main
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF
@@ -172,20 +172,16 @@ def test_train_and_sweep_parse_the_same_q_config(tmp_path, capsys, monkeypatch, 
         assert sweep.q_config.epsilon.decay_steps == 150
 
 
-def failing_make_schedule():
-    """``harness.make_schedule`` that fails the seed-1 job of each
-    (0.3, 0.1) cell: a batch sets its jobs up in grid order, seeds (0, 1)
-    innermost, so that job's call is the second with the cell's levels and
-    period."""
-    make_schedule = harness.make_schedule
-    calls = []
+def failing_run_batch():
+    """``harness._run_batch`` that fails the seed-1 job of each (0.3, 0.1)
+    cell with a forced error and runs the rest of the batch."""
+    run_batch = harness._run_batch
 
-    def failing(n, levels, s):
-        if levels == (0.3, 0.1):
-            calls.append(s)
-            if calls.count(s) == 2:
-                raise RuntimeError("forced failure")
-        return make_schedule(n, levels, s=s)
+    def failing(config, jobs):
+        chosen = [job.schedule.levels == (0.3, 0.1) and job.seed == 1 for job in jobs]
+        rest = iter(run_batch(config, [job for job, fail in zip(jobs, chosen) if not fail]))
+        forced = (None, harness._error_text(RuntimeError("forced failure")))
+        return [forced if fail else next(rest) for fail in chosen]
 
     return failing
 
@@ -236,7 +232,7 @@ class TestSweepAndReportCommands:
             "eval_every": 50,
             "eval_episodes": 1,
         })
-        monkeypatch.setattr(harness, "make_schedule", failing_make_schedule())
+        monkeypatch.setattr(harness, "_run_batch", failing_run_batch())
         out = tmp_path / "results"
         code = main(["sweep", "--config", cfg, "--out", str(out), "--workers", "1"])
         assert code == EXIT_CELLS_FAILED
@@ -259,7 +255,7 @@ class TestSweepAndReportCommands:
         })
         clean, failed = tmp_path / "clean", tmp_path / "failed"
         assert main(["sweep", "--config", cfg, "--out", str(clean), "--no-plots"]) == 0
-        monkeypatch.setattr(harness, "make_schedule", failing_make_schedule())
+        monkeypatch.setattr(harness, "_run_batch", failing_run_batch())
         code = main(["sweep", "--config", cfg, "--out", str(failed), "--no-plots"])
         assert code == EXIT_CELLS_FAILED
         (clean_path,) = clean.glob("sweep_*.json")
@@ -289,16 +285,16 @@ class TestSweepAndReportCommands:
             "eval_every": 50,
             "eval_episodes": 1,
         })
-        make_schedule = harness.make_schedule
+        train_lockstep = lockstep.train_lockstep
 
-        def dying_make_schedule(n, levels, s):
-            if levels == (0.1, 0.1):  # in the second of two batches
+        def dying_train_lockstep(env_factory, schedules, *args):
+            if any(s.levels == (0.1, 0.1) for s in schedules):  # the second of two batches
                 os._exit(1)
-            return make_schedule(n, levels, s=s)
+            return train_lockstep(env_factory, schedules, *args)
 
-        # Forked workers inherit the patched set-up; the sweep is far below the
+        # Forked workers inherit the patched loop; the sweep is far below the
         # batch-split break-even, so the split is forced.
-        monkeypatch.setattr(harness, "make_schedule", dying_make_schedule)
+        monkeypatch.setattr(lockstep, "train_lockstep", dying_train_lockstep)
         monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))

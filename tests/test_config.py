@@ -33,8 +33,14 @@ LOADERS = {"oracle": load_oracle_config, "brdyn": load_brdyn_config,
 counts = st.integers(1, 10 ** 6)
 seeds = st.integers(0, 2 ** 32 - 1)
 unit = st.floats(0.0, 1.0)
-rates = st.lists(unit, min_size=1, max_size=3)
+rates = st.lists(unit, min_size=1, max_size=3, unique=True)
 periods = st.one_of(st.integers(1, 1000), st.just("inf"))
+
+
+def as_period(value):
+    return float("inf") if value == "inf" else float(value)
+
+
 env_blocks = st.fixed_dictionaries({"kind": st.just("matrix_game"),
                                     "payoff": st.just(MATCH_PAYOFF)},
                                    optional={"horizon": st.integers(1, 20)})
@@ -51,8 +57,8 @@ train_configs = st.fixed_dictionaries(
 sweep_configs = st.fixed_dictionaries(
     {"env": env_blocks, "total_steps": counts,
      "grid": st.fixed_dictionaries({"lr0": rates, "lr1": rates,
-                                    "switch_periods": st.lists(periods, min_size=1,
-                                                               max_size=3)}),
+                                    "switch_periods": st.lists(periods, min_size=1, max_size=3,
+                                                               unique_by=as_period)}),
      "seeds": st.lists(seeds, min_size=1, max_size=4, unique=True)},
     optional=run_counts)
 oracle_configs = st.fixed_dictionaries({}, optional={
@@ -84,10 +90,6 @@ def check_run_counts(cfg, raw):
     check_q_config(cfg, raw)
 
 
-def as_period(value):
-    return float("inf") if value == "inf" else float(value)
-
-
 class TestValidConfigsLoadToTheirValues:
     @given(raw=train_configs)
     def test_train(self, raw):
@@ -107,7 +109,9 @@ class TestValidConfigsLoadToTheirValues:
         assert cfg.lr0_values == tuple(grid["lr0"]) and cfg.lr1_values == tuple(grid["lr1"])
         assert cfg.switch_periods == tuple(as_period(p) for p in grid["switch_periods"])
         assert cfg.seeds == tuple(raw["seeds"])
-        assert cfg.n_agents == 2
+        assert {key: (s.n, s.levels, s.switch_period) for key, s in cfg.schedules.items()} == {
+            (a, b, p): (2, (a, b), p) for a in cfg.lr0_values for b in cfg.lr1_values
+            for p in cfg.switch_periods}
         assert cfg.digest == config_digest(raw)
 
     @given(raw=oracle_configs)
@@ -251,7 +255,7 @@ TYPES = {
               ("seed", "env", "schedule", "q_config", "total_steps", "eval_every",
                "eval_episodes", "digest")),
     "sweep": (ExperimentConfig, "sweep_matrix.json", ("raw",),
-              ("env", "n_agents", "lr0_values", "lr1_values", "switch_periods", "seeds",
+              ("env", "schedules", "lr0_values", "lr1_values", "switch_periods", "seeds",
                "total_steps", "eval_every", "eval_episodes", "q_config", "digest")),
 }
 
@@ -293,6 +297,18 @@ def test_replacing_raw_parses_it_again(change, message):
     raw = dict(cfg.raw, seeds=[3, 4])
     again = dataclasses.replace(cfg, raw=raw)
     assert again.seeds == (3, 4) and again.digest == config_digest(raw) != cfg.digest
+
+
+@pytest.mark.parametrize("key, values", [
+    ("lr0", [0.5, 0.5]), ("lr1", [0.0, 0.1, 0]), ("switch_periods", [10, 10.0, 100]),
+    ("switch_periods", ["inf", "infinity"]), ("seeds", [1, 1.0]),
+])
+def test_a_repeated_grid_value_fails_at_load_naming_its_key(key, values):
+    # A repeat would train its cells twice and write their reports twice.
+    raw = shipped("sweep")
+    (raw if key == "seeds" else raw["grid"])[key] = values
+    with pytest.raises(ValueError, match=f"^{key} must be distinct"):
+        load_experiment_config(raw)
 
 
 def test_replacing_raw_takes_the_new_train_seed():

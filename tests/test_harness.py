@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mtlearn import learners
+from mtlearn import learners, lockstep
 from mtlearn.harness import (
     DegenerateGapError,
     DegenerateRangeError,
@@ -265,13 +265,32 @@ class TestRunSweep:
         raw["env"] = {"kind": "foraging", "grid": list(FIXTURE_ROWS), "horizon": 16,
                       "cooperative_only": True}
         cfg = load_experiment_config(raw)
-        jobs = [Job((0.5, 0.1), 5.0, 0), Job((0.1, 0.1), 5.0, 1)]
+        jobs = [Job(cfg.schedules[0.5, 0.1, 5.0], 0), Job(cfg.schedules[0.1, 0.1, 5.0], 1)]
         monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36 - 1)
         assert _run_batch(cfg, jobs) == [
             (None, "SearchBudgetError: reachable-state search exceeded 19871 "
                    "expansions; the environment has too many states")] * 2
         monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36)
         assert all(log is not None and error is None for log, error in _run_batch(cfg, jobs))
+
+    def test_each_schedule_is_built_once_at_load(self, monkeypatch):
+        # The sweep trains on the config's own schedules, one per grid cell,
+        # and builds none of its own.
+        cfg = load_experiment_config(sweep_raw_config(lr0=(0.5, 0.1, 0.0), lr1=(0.5, 0.1),
+                                                      periods=(5, 50, "inf"), steps=100))
+        assert list(cfg.schedules) == [(a, b, p) for a in (0.5, 0.1, 0.0) for b in (0.5, 0.1)
+                                       for p in (5.0, 50.0, math.inf)]
+        received = []
+        train_lockstep = lockstep.train_lockstep
+
+        def recording(env_factory, schedules, *args):
+            received.extend(schedules)
+            return train_lockstep(env_factory, schedules, *args)
+
+        monkeypatch.setattr(lockstep, "train_lockstep", recording)
+        run_sweep(cfg)
+        built = {id(s) for s in cfg.schedules.values()}
+        assert received and all(id(s) in built for s in received)
 
     def test_stderr_over_seeds(self):
         cfg = load_experiment_config(sweep_raw_config())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -350,41 +351,39 @@ class ForagingEnv:
             self._grid_tables = self._build_grid_tables()
         move_target, adjacent = self._grid_tables
         cfg = self.config
-        n, m = self.n, len(cfg.food_levels)
-        agents = states[:, :n].copy()
-        foods = states[:, n:n + m]
-        alive = states[:, n + m:] != 0
-        blocking = np.where(alive, foods, -1)  # the cells of uncollected foods
+        n, m, cells = self.n, len(cfg.food_levels), cfg.width * cfg.height
+        columns, acts = list(states.T), list(joints.T)  # one column per agent, food, flag
+        agents, foods = columns[:n], columns[n:n + m]
+        alive = [flag != 0 for flag in columns[n + m:]]
+        blocking = [np.where(flag, food, -1) for flag, food in zip(alive, foods)]  # uncollected
 
         # Movement, lowest agent index first, against the cells the agents
         # hold after the earlier agents' moves.
         for i in range(n):
-            here = agents[:, i]
-            target = move_target[here, joints[:, i]]
+            here = agents[i]
+            target = move_target.take(here * 6 + acts[i])
             free = target != here
-            for j in range(n):
-                if j != i:
-                    free &= target != agents[:, j]
-            for k in range(m):
-                free &= target != blocking[:, k]
-            agents[:, i] = np.where(free, target, here)
+            for other in agents[:i] + agents[i + 1:] + blocking:
+                free &= target != other
+            agents[i] = np.where(free, target, here)
 
         # Joint loading against post-movement positions, food by food.
-        loading = joints == LOAD
-        levels = np.array(cfg.agent_levels)
+        loading = [act == LOAD for act in acts]
         reward = np.zeros(len(states))
         for k in range(m):
-            strength = np.where(loading & adjacent[agents, foods[:, k:k + 1]], levels, 0).sum(1)
-            collected = alive[:, k] & (strength >= cfg.food_levels[k])
-            alive[:, k] &= ~collected
+            strength = 0
+            for i, level in enumerate(cfg.agent_levels):
+                strength += level * (loading[i] & adjacent.take(agents[i] * cells + foods[k]))
+            collected = alive[k] & (strength >= cfg.food_levels[k])
+            alive[k] = alive[k] & ~collected
             reward += np.where(collected, cfg.food_levels[k] / self._total_level, 0.0)
-        succ = np.concatenate([agents, foods, alive], axis=1, dtype=states.dtype)
-        return succ, reward, ~alive.any(axis=1) | (cfg.horizon <= 1)
+        succ = np.stack(agents + foods + alive, axis=1, dtype=states.dtype)
+        return succ, reward, ~np.logical_or.reduce(alive) | (cfg.horizon <= 1)
 
     def _build_grid_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``move_target[cell, action]``, the cell a move leads to (the cell
-        itself for STAY, LOAD and moves off the grid), and
-        ``adjacent[cell, other]``, whether two cells share an edge."""
+        """Flat tables: ``move_target[cell * 6 + action]``, the cell a move
+        leads to (the cell itself for STAY, LOAD and moves off the grid), and
+        ``adjacent[cell * cells + other]``, whether two cells share an edge."""
         h, w = self.config.height, self.config.width
         rows, cols = np.divmod(np.arange(h * w), w)
         move_target = np.repeat(np.arange(h * w)[:, None], 6, axis=1)
@@ -393,7 +392,7 @@ class ForagingEnv:
             on_grid = (0 <= r) & (r < h) & (0 <= c) & (c < w)
             move_target[on_grid, action] = r[on_grid] * w + c[on_grid]
         adjacent = (np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)) == 1
-        return move_target, adjacent
+        return move_target.ravel(), adjacent.ravel()
 
     @property
     def state_radix(self) -> tuple[int, ...]:
@@ -462,9 +461,9 @@ class ForagingEnv:
 # ``transitions`` call.
 EXPAND_BLOCK = 1 << 15
 
-# The most joint actions TransitionTable.expand_reachable expands for the
-# planner and for training: about 170 MB of table at 17 bytes an
-# entry, before the slack of its doubling arrays.
+# The most joint actions TransitionTable.expand_reachable expands (about 170 MB
+# of table at 17 bytes an entry, before its doubling slack), and the largest
+# code space a table indexes densely, at 8 bytes a code (80 MB).
 SEARCH_BUDGET = 10_000_000
 
 
@@ -509,7 +508,11 @@ class TransitionTable:
         self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
                                  for i in range(self.n)], dtype=np.intp)
         self._keys: list[tuple[int, ...]] = []  # each state's row
-        self._index: dict[tuple[int, ...], int] = {}  # row -> id
+        # The one state index: code -> id (-1: unseen) or row -> id; see _intern_rows.
+        radix, space = env.state_radix, math.prod(env.state_radix)
+        self._weights = tuple(math.prod(radix[c + 1:]) for c in range(len(radix)))
+        self._code_type = np.int64 if space <= 2 ** 63 else object  # object: Python ints
+        self._index = np.full(space, -1, dtype=np.intp) if space <= SEARCH_BUDGET else {}
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
         self._obs: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
         self._start: int | None = None
@@ -562,21 +565,15 @@ class TransitionTable:
         states. Successors are interned in the order first seen, as
         :meth:`step` would intern them called entry by entry in the same
         order; their observations are encoded on first read."""
-        env = self.env
         states = list(dict.fromkeys(states))
         n_joint = len(self.joint_actions)
-        radix = env.state_radix
-        width = len(radix)
-        weights = None  # the digit weights of a row's int64 code, where every code fits
-        if math.prod(radix) <= 2 ** 63:
-            weights = np.array([math.prod(radix[c + 1:]) for c in range(width)], dtype=np.int64)
         per_block = max(1, EXPAND_BLOCK // n_joint)
         for lo in range(0, len(states), per_block):
             block = states[lo:lo + per_block]
             rows = np.array([self._keys[s] for s in block], dtype=np.int64)
-            succ_rows, reward, term = env.transitions(
+            succ_rows, reward, term = self.env.transitions(
                 np.repeat(rows, n_joint, axis=0), np.tile(self._joint_array, (len(block), 1)))
-            succ = self._intern_rows(succ_rows, weights).reshape(len(block), n_joint)
+            succ = self._intern_rows(succ_rows).reshape(len(block), n_joint)
             self.next[block] = succ
             self.reward[block] = reward.reshape(len(block), n_joint)
             self.term[block] = term.reshape(len(block), n_joint)
@@ -603,55 +600,60 @@ class TransitionTable:
                 raise SearchBudgetError(f"reachable-state search exceeded {budget} "
                                         f"expansions; the environment has too many states")
             self.expand(frontier)
-            rows = np.array(frontier, dtype=np.intp)
-            going = self.next[rows][~self.term[rows]]
+            going = self.next[frontier][~self.term[frontier]]
             first = np.full(len(self._keys), len(going))  # each state's first index
             np.minimum.at(first, going, np.arange(len(going)))
             seen = np.argsort(first)[:np.count_nonzero(first < len(going))]
             frontier = [s for s in seen.tolist() if s not in expanded]
             expanded.update(frontier)
 
-    def _intern_rows(self, rows: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-        """Ids of the states in ``rows``, interning the new ones in the order
-        first seen.
-
-        Rows are told apart by one int64 code each, their digits in the
-        env's ``state_radix`` weighted by ``weights``; where a code could
-        overflow int64 (``weights`` is None) they are compared whole, which
-        is slower but exact. Each distinct row is then looked up once in
-        ``_index``.
-        """
-        if weights is not None:
-            _, inverse = np.unique(rows @ weights, return_inverse=True)
-            first = np.full(inverse.max() + 1, len(rows))  # each row's first index
-            np.minimum.at(first, inverse, np.arange(len(rows)))
-        else:
-            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        ids = np.empty(len(first), dtype=np.intp)
-        for u, row in zip(order.tolist(), map(tuple, rows[first[order]].tolist())):
-            state = self._index.get(row)
-            ids[u] = self._add(row) if state is None else state
-        return ids[inverse.reshape(-1)]
+    def _intern_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of the states in ``rows``, interning new ones (observations pending)
+        in the order first seen. Rows are told apart by their codes, their
+        ``state_radix`` digits weighted by ``_weights``: int64 where every code
+        fits, else Python ints. A dense ``_index`` is read with one gather of the
+        codes, and unseen codes are numbered by their first positions, which
+        ``np.minimum.at`` leaves in their entries. A dict ``_index`` is read once
+        per distinct row, found by ``np.unique`` on the codes."""
+        index, size = self._index, len(self._keys)
+        codes = rows @ np.array(self._weights, dtype=self._code_type)
+        if isinstance(index, dict):
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            keys = list(map(tuple, rows[first].tolist()))
+            new = [keys[u] for u in np.argsort(first).tolist() if keys[u] not in index]
+            index.update(zip(new, itertools.count(size)))
+            self._add(new)
+            return np.array([index[key] for key in keys], dtype=np.intp)[inverse]
+        ids = index[codes]
+        unseen = np.flatnonzero(ids < 0)
+        fresh, rank = codes[unseen], np.arange(len(unseen))
+        index[fresh] = len(unseen)
+        np.minimum.at(index, fresh, rank)
+        firsts = unseen[index[fresh] == rank]
+        index[codes[firsts]] = np.arange(size, size + len(firsts))
+        self._add(list(map(tuple, rows[firsts].tolist())))
+        ids[unseen] = index[fresh]
+        return ids
 
     def _intern(self, row: tuple[int, ...], observations: Sequence[int]) -> int:
         """Id of ``row``; a new state is encoded at once, after those before it."""
-        state = self._index.get(row)
-        if state is None:
+        index = self._index
+        key = row if isinstance(index, dict) else sum(map(operator.mul, row, self._weights))
+        state = index.get(key, -1) if isinstance(index, dict) else index.item(key)
+        if state < 0:
             self._encode_pending()
-            state = self._add(row)
+            state = index[key] = len(self._keys)
+            self._add([row])
             self._encode(observations)
         return state
 
-    def _add(self, row: tuple[int, ...]) -> int:
-        """Id of ``row``, stored as a new state with its observations pending."""
-        state = self._index[row] = len(self._keys)
-        self._keys.append(row)
-        if state == len(self.next):
+    def _add(self, rows: list[tuple[int, ...]]) -> None:
+        """Store new states' rows, observations pending; the arrays double to fit."""
+        self._keys.extend(rows)
+        while len(self._keys) > len(self.next):
             self.next = np.concatenate([self.next, np.full_like(self.next, -1)])
             self.reward = np.concatenate([self.reward, np.zeros_like(self.reward)])
             self.term = np.concatenate([self.term, np.zeros_like(self.term)])
-        return state
 
     def _encode_pending(self) -> None:
         """Encode every pending state in state-id order, from the env itself."""
@@ -692,11 +694,16 @@ def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     finally:
         env.set_state(saved)
 
+    # By joint action, then state. Terminal and unfilled (-1) entries lead to
+    # the sink value[size], -0.0: ``reward + -0.0`` is ``reward`` bit for bit.
     size = len(table._keys)
-    reward, term, succ = table.reward[:size], table.term[:size], table.next[:size]
-    value = reward.max(axis=1)
+    reward = table.reward[:size].T.copy()
+    succ = np.where(table.term[:size], size, table.next[:size]).T.copy()
+    value = np.append(reward.max(axis=0), -0.0)
+    step = np.empty_like(reward)  # reward + value, one buffer for every depth
     for _ in range(table.horizon - 1):
-        value = np.where(term, reward, reward + value[succ]).max(axis=1)
+        np.add(reward, value.take(succ, out=step), out=step)
+        step.max(axis=0, out=value[:size])
     return float(value[start])
 
 

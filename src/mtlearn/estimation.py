@@ -61,8 +61,8 @@ class TeamEstimationProblem:
         If ``p``, ``q`` or ``sigma2`` is not a number or ``n`` not an integer >= 2
         (the :mod:`schedule` rules), ``sigma2 <= 0``, a parameter is not finite, the
         diagonal weight ``d = p * (1 + sigma2)`` vanishes, it or the right-hand side
-        ``p + (n - 1) * q`` overflows, or ``gamma = (d - q) I + q 11^T`` is singular:
-        one of its eigenvalues, ``d - q`` and ``d + (n - 1) * q``, is zero.
+        ``p + (n - 1) * q`` overflows, or ``gamma = (d - q) I + q 11^T`` is singular
+        (an eigenvalue, ``d - q`` or ``d + (n - 1) * q``, is zero) or too large to allocate.
     """
 
     p: float
@@ -92,7 +92,10 @@ class TeamEstimationProblem:
         if diag == q or diag + (n - 1) * q == 0.0:
             raise InvalidProblemError(f"singular system: p * (1 + sigma2) - q = {diag - q}, "
                                       f"p * (1 + sigma2) + (n - 1) * q = {diag + (n - 1) * q}")
-        gamma = np.full((n, n), q)
+        try:
+            gamma = np.full((n, n), q)
+        except MemoryError:
+            raise InvalidProblemError(f"n = {n} too large: gamma needs {8 * n * n} bytes") from None
         np.fill_diagonal(gamma, diag)
         eta = np.full(n, rhs)
         gamma.setflags(write=False)

@@ -451,6 +451,11 @@ class TestConfigsFailAtLoad:
         assert main(["oracle", "--config", cfg]) == 1
         assert_load_error(capsys, "system overflows")
 
+    def test_oracle_problem_too_large_to_allocate_fails_at_load(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "oracle.json", {"problem": {"n": 10 ** 6}})
+        assert main(["oracle", "--config", cfg]) == 1
+        assert_load_error(capsys, "n = 1000000 too large: gamma needs 8000000000000 bytes")
+
     @pytest.mark.parametrize("raw, message", [
         ({"k0": [0.0, 0.0]}, "k0 must list 3 finite numbers, one per agent, got [0.0, 0.0]"),
         ({"k0": [0.0, float("nan"), 0.0]}, "k0 must list 3 finite numbers"),

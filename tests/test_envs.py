@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from mtlearn.envs import (
     optimal_return,
 )
 
+from mtlearn import envs
 from mtlearn.games import make_game
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF, ascii_layouts, fixture_env_factory
@@ -249,6 +252,30 @@ class TestObservations:
         assert env._observations()[0] != base_obs[0]
 
 
+# Each table test marked with this runs on both forms of the state index.
+INDEX_FORMS = pytest.mark.parametrize("dense", [True, False], ids=["dense", "dict"])
+
+
+@contextlib.contextmanager
+def index_form(dense):
+    """Tables built inside keep the dense code -> id index or, with ``dense``
+    False, the row -> id dict, forced by a bound below every code space."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not dense:
+            patch.setattr(envs, "SEARCH_BUDGET", 0)
+        yield
+
+
+def peak_traced_bytes(run):
+    """The peak of the memory traced while ``run()`` runs, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOptimalReturn:
     def test_match_game_horizon_one(self, match_game):
         assert optimal_return(MatrixGameEnv(match_game, horizon=1)) == 1.0
@@ -348,6 +375,30 @@ class TestOptimalReturn:
         assert math.prod(env.state_radix) > 2 ** 63
         assert optimal_return(env) == reference_optimal_return(env) == expected
 
+    @INDEX_FORMS
+    def test_index_form_follows_the_code_space(self, dense):
+        # The fixture's 25 ** 3 * 2 codes fit the dense index unless forced out.
+        with index_form(dense):
+            table = TransitionTable(fixture_env_factory())
+        assert isinstance(table._index, np.ndarray) == dense
+        if dense:
+            assert table._index.shape == (31_250,)
+
+    @pytest.mark.parametrize("grid, horizon", [
+        # 3 agents and 3 foods on 34 x 34 cells: codes would overflow int64.
+        ([row + "." * 29 for row in ["c3...", "1b2a."]] + ["." * 34] * 32, 1),
+        # 3 agents and 2 foods on 5 x 5 cells: 25 ** 5 * 2 ** 2 codes fit int64,
+        # but are more than the search budget.
+        (["1.2.1", "..a..", "..b..", ".....", "....."], 2),
+    ])
+    def test_code_spaces_above_the_budget_allocate_no_dense_index(self, grid, horizon):
+        env = ForagingEnv(foraging_config_from_ascii(grid, horizon=horizon))
+        space = math.prod(env.state_radix)
+        assert space > SEARCH_BUDGET
+        assert peak_traced_bytes(lambda: optimal_return(env)) < min(space, 2 ** 63)
+        # The fixture's dense index, 8 bytes a code, is traced when it is kept.
+        assert peak_traced_bytes(lambda: optimal_return(fixture_env_factory())) >= 8 * 31_250
+
 
 @st.composite
 def small_foraging_envs(draw, max_agents=2, max_foods=2):
@@ -381,18 +432,21 @@ def small_matrix_game_envs(draw):
     return MatrixGameEnv(game, horizon=draw(st.integers(1, 5)))
 
 
+@INDEX_FORMS
 class TestPlannerMatchesReferenceSearch:
     """Backward induction returns exactly the recursive search's value."""
 
     @settings(max_examples=100, deadline=None)
     @given(env=small_foraging_envs(), seed=st.integers(0, 2 ** 16))
-    def test_foraging_layouts(self, env, seed):
-        assert optimal_return(env, seed) == reference_optimal_return(env, seed)
+    def test_foraging_layouts(self, dense, env, seed):
+        with index_form(dense):
+            assert optimal_return(env, seed) == reference_optimal_return(env, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(env=small_matrix_game_envs())
-    def test_matrix_games(self, env):
-        assert optimal_return(env) == reference_optimal_return(env)
+    def test_matrix_games(self, dense, env):
+        with index_form(dense):
+            assert optimal_return(env) == reference_optimal_return(env)
 
 
 class TestBatchedTransitions:
@@ -437,12 +491,14 @@ class TestBatchedTransitions:
             assert r == res.reward
             assert d == res.done
 
+    @INDEX_FORMS
     @settings(max_examples=40, deadline=None)
     @given(env=st.one_of(small_foraging_envs(), small_matrix_game_envs()), data=st.data())
-    def test_expand_fills_as_step_does(self, env, data):
+    def test_expand_fills_as_step_does(self, dense, env, data):
         # Breadth-first, as the planner expands, after a few scalar steps; the
         # second table steps the same entries one by one, in the same order.
-        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        with index_form(dense):
+            tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
         n_joint = len(tables[0].joint_actions)
         start = tables[0].reset(0)
         assert tables[1].reset(0) == start
@@ -516,20 +572,23 @@ class TestTransitionTable:
                 state, steps = start, 0
         assert len(table._keys) == size
 
+    @INDEX_FORMS
     @settings(max_examples=100, deadline=None)
     @given(env=st.one_of(
         st.builds(lambda layout, horizon, radius: ForagingEnv(foraging_config_from_ascii(
             layout, horizon=horizon, view_radius=radius)),
             ascii_layouts(), st.integers(1, 8), st.sampled_from([None, 0, 1])),
         small_matrix_game_envs()))
-    def test_observations_read_after_expanding_match_step_fills(self, env):
+    def test_observations_read_after_expanding_match_step_fills(self, dense, env):
         # Expanded states are encoded on the first read, as the same entries
         # stepped one by one, in the same order, encode them as they come.
-        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        with index_form(dense):
+            tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
         tables[0].expand_reachable(tables[0].reset(0), SEARCH_BUDGET)
         step_reachable(tables[1], tables[1].reset(0))
         assert_same_tables(*tables)
 
+    @INDEX_FORMS
     @settings(max_examples=100, deadline=None)
     @given(env=st.builds(
         lambda width, height, levels, horizon, radius: ForagingEnv(ForagingConfig(
@@ -540,11 +599,12 @@ class TestTransitionTable:
         seeds=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=4),
         joints=st.lists(st.integers(0, 35), min_size=1, max_size=6))
     def test_seeded_resets_after_expanding_keep_observation_ids_in_state_order(
-            self, env, seeds, joints):
+            self, dense, env, seeds, joints):
         # A seeded env expanded from one start, then reset to other seeds and
         # stepped into new states: each scalar fill encodes the expanded
         # states first, so ids stay those of a table filled only by step.
-        tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
+        with index_form(dense):
+            tables = TransitionTable(env), TransitionTable(copy.deepcopy(env))
         for table in tables:
             start = table.reset(7)
             if table is tables[0]:

@@ -154,6 +154,12 @@ class TestProblemChecksItself:
                 build()
             assert str(direct.value) == str(factory.value)
 
+    def test_a_system_too_large_to_allocate_fails_naming_its_size(self):
+        # numpy refuses 8e12 bytes at once; no size that could really be allocated is tried.
+        with pytest.raises(InvalidProblemError,
+                           match="^n = 1000000 too large: gamma needs 8000000000000 bytes$"):
+            TeamEstimationProblem(p=1.0, q=0.5, sigma2=0.5, n=10 ** 6)
+
     def test_replace_solves_the_new_system(self, coupled_problem):
         # A problem that kept the old gamma and eta would solve the old system.
         problem = dataclasses.replace(coupled_problem, q=0.9)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -131,6 +132,8 @@ def _error_text(exc: Exception) -> str:
 # "Lockstep sweeps", ROADMAP "Settled"). A lower one would split sweep_matrix
 # at --workers 2, and the benchmark's peak_rss_mb would count a worker's RSS.
 SPLIT_RUN_STEPS = 2_500_000
+# The CPUs this process may run on: no sweep starts more workers than that.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_batch(config: ExperimentConfig,
@@ -155,14 +158,14 @@ def _run_jobs(config: ExperimentConfig, jobs: Sequence[Job],
               workers: int) -> list[tuple[RunLog | None, str | None]]:
     """(log, error) of every job, in order.
 
-    The jobs are split into contiguous batches, at most one per worker and
-    at most one per :data:`SPLIT_RUN_STEPS` run-steps of work: one batch
+    The jobs are split into contiguous batches, at most one per worker, per
+    CPU (:data:`CPUS`) and per :data:`SPLIT_RUN_STEPS` run-steps of work: one batch
     runs in this process, more run one per pool task. Each batch succeeds or
     fails whole (:func:`_run_batch`). If a worker dies, every job of each
     batch left unfinished fails with the pool's error and the other batches
     keep their results.
     """
-    count = max(1, min(workers, len(jobs),
+    count = max(1, min(workers, CPUS, len(jobs),
                        len(jobs) * config.total_steps // SPLIT_RUN_STEPS))
     if count <= 1:
         return _run_batch(config, jobs)

@@ -6,7 +6,8 @@ update step, so independent, sequential, two-timescale, and rotating
 multi-timescale training are all the same loop. It steps through one
 :class:`envs.TransitionTable` of the env, built by ``_setup`` as for
 ``lockstep.train_lockstep``, walked in ``_walk``'s pieces with the per-step
-rules inlined. A stochastic-gradient learner covers the estimation problem.
+rules inlined, on Q-rows that cache their first-max (see ``train_with_tables``).
+A stochastic-gradient learner covers the estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
 (episode seeds, per-agent exploration, evaluation), so evaluation never
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,11 +168,11 @@ def _walk(schedules: Sequence[Schedule], total_steps: int, eval_every: int,
             yield start, stop, rotations, explore[start - lo:stop - lo], stop == hi
 
 
-def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int,
+def _evaluate_greedy(table: TransitionTable, best: list, episodes: int,
                      eval_rng: random.Random) -> float:
     """Mean greedy return over ``episodes`` episodes, each from a reset seeded
     by ``eval_rng``; each distinct start state's episode is played once.
-    ``tables`` are keyed by the table's dense observation ids."""
+    ``best`` holds each agent's first-max action by dense observation id."""
     strides, observations = table.strides.tolist(), table.obs
     returns: dict[int, float] = {}  # start state -> its episode's return
     total = 0.0
@@ -180,9 +182,8 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
         if ep_return is None:
             ep_return, state = 0.0, start
             for _ in range(table.horizon):
-                joint = sum([(row.index(max(row)) if row is not None else 0) * stride
-                             for row, stride in zip(map(dict.get, tables, observations[state]),
-                                                    strides)])
+                joint = sum([b[o] * stride for b, o, stride in
+                             zip(best, observations[state], strides)])
                 state, reward, term = table.step(state, joint)
                 ep_return += reward
                 if term:
@@ -190,6 +191,16 @@ def _evaluate_greedy(table: TransitionTable, tables: list[QTable], episodes: int
             returns[start] = ep_return
         total += ep_return
     return total / episodes
+
+
+def _stays_finite(rates, reward: np.ndarray, total_steps: int) -> bool:
+    """Whether every Q-value provably stays finite over ``total_steps`` updates at
+    ``rates`` through a complete table of rewards ``reward``. With every rate in
+    [0, 1] and a discount of at most 1, an update moves a value to a point between
+    it and its target, so after k updates none exceeds k times the largest reward;
+    that stays finite while (steps + 1) times it is below 2**1000 (NaN fails)."""
+    return (float(np.max(rates)) <= 1.0
+            and (total_steps + 1) * float(np.abs(reward).max()) < 2.0 ** 1000)
 
 
 def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
@@ -230,18 +241,30 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     The env comes from one ``env_factory()`` call, and training and greedy
     evaluation both step through one :class:`TransitionTable` of it, set up
     by ``_setup`` as for ``lockstep.train_lockstep``; only the step kernel
-    differs. Training keys the Q-tables by the table's dense observation ids.
+    differs. Training keys the Q-rows by the table's dense observation ids.
     """
     table, (seed,), (total_steps, eval_every, eval_episodes) = _setup(
         env_factory, [schedule], [seed], q_config, total_steps, eval_every, eval_episodes)
     n = table.n
-    tables: list[QTable] = [{} for _ in range(n)]
     env_rng, eval_rng, _ = _spawn_streams(seed, n)
     state = table.reset(env_rng.getrandbits(32))
     action_counts, observations, horizon = table.action_counts, table.obs, table.horizon
 
     discount = q_config.discount
     agent_ids, strides = range(n), table.strides.tolist()
+    # Per agent, by dense observation id: the Q-row (None: no row yet), its
+    # first-max action and its maximum. A complete table's ids are all known:
+    # these are lists, and its entries are read through flat read-only views.
+    # A growing table's are dicts reading a missing id as None, 0 and 0.0.
+    complete, n_joint = table.fixed_start, len(table.joint_actions)
+    if complete:
+        next_v, reward_v, term_v = (memoryview(a[:len(table._keys)].reshape(-1)).toreadonly()
+                                    for a in (table.next, table.reward, table.term))
+        rows, best, top = ([[fill] * len(ids) for ids in table._obs_ids] for fill in (None, 0, 0.0))
+    else:
+        rows, best, top = ([defaultdict(f) for _ in agent_ids] for f in (type(None), int, float))
+    # Only where every value is finite does the update rule below keep row.index(max(row)).
+    fast = complete and _stays_finite(schedule.rates_by_rotation, table.reward, total_steps)
 
     eval_points: list[tuple[int, float]] = []
     episode_steps = 0
@@ -254,10 +277,13 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
             for i in agent_ids:  # a greedy agent's -1 becomes its first-max action
                 a = actions[i]
                 if a < 0:
-                    row = tables[i].get(obs[i])
-                    actions[i] = a = row.index(max(row)) if row is not None else 0
+                    actions[i] = a = best[i][obs[i]]
                 joint += a * strides[i]
-            state, reward, term = table.step(state, joint)
+            if complete:
+                entry = state * n_joint + joint
+                state, reward, term = next_v[entry], reward_v[entry], term_v[entry]
+            else:
+                state, reward, term = table.step(state, joint)
             episode_steps += 1
             done = term or episode_steps >= horizon
             next_obs = observations[state]
@@ -265,25 +291,29 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                 lr = rates[i]
                 if lr == 0.0:  # a zero rate creates no row
                     continue
-                q, o, a = tables[i], obs[i], actions[i]
-                row = q.get(o)
+                o, a, best_i, top_i = obs[i], actions[i], best[i], top[i]
+                row = rows[i][o]
                 if row is None:
-                    row = q[o] = [0.0] * action_counts[i]
-                if done:  # an ending step does not bootstrap
-                    target = reward
-                else:
-                    nxt = q.get(next_obs[i])
-                    target = reward + discount * (max(nxt) if nxt is not None else 0.0)
-                row[a] += lr * (target - row[a])
+                    row = rows[i][o] = [0.0] * action_counts[i]
+                # an ending step does not bootstrap
+                target = reward if done else reward + discount * top_i[next_obs[i]]
+                value = row[a] = row[a] + lr * (target - row[a])
+                b, m = best_i[o], top_i[o]
+                if fast and (value > m or value == m and a <= b):
+                    best_i[o], top_i[o] = a, value
+                elif not fast or a == b:  # the first-max itself fell
+                    top_i[o] = m = max(row)
+                    best_i[o] = row.index(m)
             if done:
                 state = table.reset(env_rng.getrandbits(32))
                 episode_steps = 0
         if evaluate:
-            eval_points.append((stop, _evaluate_greedy(table, tables, eval_episodes, eval_rng)))
+            eval_points.append((stop, _evaluate_greedy(table, best, eval_episodes, eval_rng)))
 
     own = [list(ids) for ids in table._obs_ids]  # dense id -> the env's observation
     return (_run_log(seed, eval_points, eval_episodes),
-            [{ids[o]: row for o, row in q.items()} for q, ids in zip(tables, own)])
+            [{ids[o]: q[o] for o in range(len(ids)) if q[o] is not None}
+             for q, ids in zip(rows, own)])
 
 
 def train(env_factory, schedule: Schedule, q_config: QLearnerConfig,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .envs import TransitionTable
-from .learners import QLearnerConfig, RunLog, _run_log, _setup, _walk
+from .learners import QLearnerConfig, RunLog, _run_log, _setup, _stays_finite, _walk
 from .schedule import Schedule
 
 
@@ -66,14 +66,6 @@ def _evaluate_lockstep(table: TransitionTable, obs: np.ndarray, q_rows: np.ndarr
     return (total / episodes).tolist()
 
 
-# With every rate in [0, 1] and a discount of at most 1, an update moves a
-# Q-value to a point between it and its target, so after k updates no value
-# exceeds k times the largest reward seen. While (steps + 1) times that
-# reward stays below this bound, nothing can overflow and every value stays
-# finite without a check.
-_NO_OVERFLOW = 2.0 ** 1000
-
-
 def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
                    q_config: QLearnerConfig, total_steps: int, eval_every: int,
                    eval_episodes: int) -> list[RunLog]:
@@ -104,8 +96,7 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     # Facts of the complete table (an unfilled entry holds reward 0, term False):
     # does some entry end the episode, and do updates need the finite check?
     any_term = bool(table.term.any())
-    reward_bound = float(np.abs(table.reward).max())  # a NaN reward sets the check
-    check = not (float(rates.max()) <= 1.0 and (total_steps + 1) * reward_bound < _NO_OVERFLOW)
+    check = not _stays_finite(rates, table.reward, total_steps)
 
     # The Q-tables of all runs as one array: row (base[r, i] + o) is run r,
     # agent i, dense observation o. Actions past an agent's count are -inf

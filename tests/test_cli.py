@@ -293,9 +293,12 @@ class TestSweepAndReportCommands:
             return train_lockstep(env_factory, schedules, *args)
 
         # Forked workers inherit the patched loop; the sweep is far below the
-        # batch-split break-even, so the split is forced.
+        # batch-split break-even, so the split is forced, and the CPU cap is
+        # lifted so that even one CPU gets a real pool: in process, the dying
+        # batch would end the test run.
         monkeypatch.setattr(lockstep, "train_lockstep", dying_train_lockstep)
         monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
+        monkeypatch.setattr(harness, "CPUS", 2)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
             harness.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         out = tmp_path / "results"

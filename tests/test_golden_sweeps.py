@@ -82,7 +82,7 @@ def test_sweep_outputs_match_golden_bytes(case, workers, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_split_batches_match_golden_bytes(case, tmp_path, monkeypatch):
     """Both golden sweeps are below the batch-split break-even, so the split
-    into two pool tasks is forced."""
+    into two pool tasks is forced, and the CPU cap is lifted to two."""
     pools = []
 
     class RecordingPool(harness.ProcessPoolExecutor):
@@ -91,6 +91,7 @@ def test_split_batches_match_golden_bytes(case, tmp_path, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
+    monkeypatch.setattr(harness, "CPUS", 2)  # a real pool even on one CPU
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     assert_golden(case, sweep_files(case, 2, tmp_path))
     assert pools == [2]

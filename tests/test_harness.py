@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mtlearn import learners, lockstep
+from mtlearn import harness, learners, lockstep
 from mtlearn.harness import (
     DegenerateGapError,
     DegenerateRangeError,
@@ -291,6 +292,38 @@ class TestRunSweep:
         run_sweep(cfg)
         built = {id(s) for s in cfg.schedules.values()}
         assert received and all(id(s) in built for s in received)
+
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
+        # The split is forced, and a stand-in pool records its size and runs
+        # each batch in this process, so no worker count starts a process.
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = load_experiment_config(sweep_raw_config())
+        expected = run_sweep(cfg, workers=1)
+        monkeypatch.setattr(harness, "SPLIT_RUN_STEPS", 1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        assert run_sweep(cfg, workers=10**6) == expected
+        assert all(size <= harness.CPUS for size in pools)
+        for cpus, sizes in ((1, []), (3, [3])):  # one CPU runs the sweep in process
+            pools.clear()
+            monkeypatch.setattr(harness, "CPUS", cpus)
+            assert run_sweep(cfg, workers=10**6) == expected
+            assert pools == sizes
 
     def test_stderr_over_seeds(self):
         cfg = load_experiment_config(sweep_raw_config())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mtlearn as mt
 from mtlearn import learners
-from mtlearn.envs import MatrixGameEnv, SearchBudgetError, TransitionTable
+from mtlearn.envs import MatrixGameEnv, SearchBudgetError
 from mtlearn.estimation import Mode, run_br_iteration, team_mse
 from mtlearn.learners import (
     EpsilonSchedule,
@@ -189,11 +189,17 @@ class TestTrainReductions:
     def test_search_budget_fires_before_the_first_step(self, monkeypatch):
         # The fixture's table is 552 states x 36 joint actions, all expanded
         # before training; an env over the budget fails before any step or
-        # exploration draw.
+        # exploration draw. A complete table is read through flat views, not
+        # TransitionTable.step, so the run's pieces show that it trained.
         work = []
-        table_step, exploration = TransitionTable.step, learners._exploration
-        monkeypatch.setattr(TransitionTable, "step",
-                            lambda *a: work.append("step") or table_step(*a))
+        walk, exploration = learners._walk, learners._exploration
+
+        def recording_walk(*args):
+            for piece in walk(*args):
+                work.append(piece[:2])
+                yield piece
+
+        monkeypatch.setattr(learners, "_walk", recording_walk)
         monkeypatch.setattr(learners, "_exploration",
                             lambda *a: work.append("explore") or exploration(*a))
         sched = mt.make_schedule(2, (0.3, 0.05), s=50)
@@ -202,9 +208,12 @@ class TestTrainReductions:
             train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
         assert work == []
         monkeypatch.setattr(learners, "SEARCH_BUDGET", 552 * 36)
-        train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
-        # two agents' streams, drawn in each of the two eval windows
-        assert work.count("explore") == 2 * 2 and work.count("step") >= 100
+        log = train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
+        # two agents' streams, drawn in each of the two eval windows, and
+        # both windows' steps walked and evaluated
+        assert work.count("explore") == 2 * 2
+        assert [w for w in work if w != "explore"] == [(0, 50), (50, 100)]
+        assert [step for step, _ in log.eval_points] == [50, 100]
 
     def test_runlog_csv_shape(self):
         sched = mt.make_schedule(2, (0.2, 0.1), s=10)

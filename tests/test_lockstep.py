@@ -38,11 +38,11 @@ PAYOFFS = (-1e308, -30.0, -1.0, 0.0, 0.5, 1.0, 7.0, 1e308)
 
 
 @st.composite
-def matrix_game_factories(draw):
-    """2-3 agents with unequal action counts, horizon 1-6."""
+def matrix_game_factories(draw, payoffs=PAYOFFS):
+    """2-3 agents with unequal action counts, horizon 1-6, entries from ``payoffs``."""
     n = draw(st.integers(2, 3))
     counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
-    payoff = np.array(draw(st.lists(st.sampled_from(PAYOFFS), min_size=int(np.prod(counts)),
+    payoff = np.array(draw(st.lists(st.sampled_from(payoffs), min_size=int(np.prod(counts)),
                                     max_size=int(np.prod(counts))))).reshape(counts)
     horizon = draw(st.integers(1, 6))
     return lambda: mt.MatrixGameEnv(mt.make_game(payoff), horizon=horizon)
@@ -58,10 +58,10 @@ def foraging_factories(draw):
 
 
 @st.composite
-def run_specs(draw, n: int):
-    """(schedule, seed) of one run: rate levels from ``RATES`` (two, or one
+def run_specs(draw, n: int, rates=RATES):
+    """(schedule, seed) of one run: rate levels from ``rates`` (two, or one
     for a single agent), and a period of 1, a finite count or infinity."""
-    levels = tuple(draw(st.sampled_from(RATES)) for _ in range(min(n, 2)))
+    levels = tuple(draw(st.sampled_from(rates)) for _ in range(min(n, 2)))
     period = draw(st.sampled_from([1, 2, 7, 50, math.inf]))
     return mt.make_schedule(n, levels, s=period), draw(st.integers(0, 2 ** 16))
 

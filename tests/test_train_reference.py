@@ -8,6 +8,12 @@ live envs on every step. For every schedule the two must return the same
 run log, byte for byte, and the same Q-tables: the same observations as
 keys (a zero rate creates no row) and bit-identical values, NaN included.
 Run logs are compared through ``runlog_to_csv``, because NaN breaks ``==``.
+
+Where every Q-value provably stays finite (``learners._stays_finite``), the
+loop keeps each row's first-max action and maximum up to date update by
+update instead of recomputing them. The drawn payoffs of 1e308 and rates of
+2.5 mostly run the recomputing path, so one case draws only payoffs and
+rates that keep the bound, with exact ties and rewards of -0.0.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn as mt
-from mtlearn.learners import EpsilonSchedule, QLearnerConfig, runlog_to_csv, train_with_tables
+from mtlearn.learners import (
+    EpsilonSchedule,
+    QLearnerConfig,
+    _stays_finite,
+    runlog_to_csv,
+    train_with_tables,
+)
 
 from conftest import fixture_env_factory
 from single_rate_reference import train_reference
@@ -58,6 +70,8 @@ def seeded_foraging_factories(draw):
 
 
 common = dict(q_config=q_configs, data=st.data(), eval_episodes=st.integers(1, 3))
+FINITE_PAYOFFS = (-1.0, -0.0, 0.0, 0.5, 1.0)
+FINITE_RATES = (0.0, 0.05, 0.5, 1.0)
 
 
 class TestTrainMatchesLiveReference:
@@ -67,6 +81,16 @@ class TestTrainMatchesLiveReference:
     def test_matrix_games(self, factory, q_config, data, total_steps, eval_every,
                           eval_episodes):
         schedule, seed = data.draw(run_specs(factory().n))
+        assert_train_matches_reference(factory, schedule, seed, q_config, total_steps,
+                                       eval_every, eval_episodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factory=matrix_game_factories(FINITE_PAYOFFS), total_steps=st.integers(1, 150),
+           eval_every=st.integers(1, 60), **common)
+    def test_matrix_games_within_the_finite_bound(self, factory, q_config, data, total_steps,
+                                                  eval_every, eval_episodes):
+        schedule, seed = data.draw(run_specs(factory().n, FINITE_RATES))
+        assert _stays_finite(schedule.rates_by_rotation, factory().game.payoff, total_steps)
         assert_train_matches_reference(factory, schedule, seed, q_config, total_steps,
                                        eval_every, eval_episodes)
 

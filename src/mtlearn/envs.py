@@ -462,8 +462,8 @@ class ForagingEnv:
 EXPAND_BLOCK = 1 << 15
 
 # The most joint actions TransitionTable.expand_reachable expands (about 170 MB
-# of table at 17 bytes an entry, before its doubling slack), and the largest
-# code space a table indexes densely, at 8 bytes a code (80 MB).
+# of table at 17 bytes an entry, before any doubling slack), and the largest code
+# space a table indexes densely, at 8 bytes a code (80 MB, from its first expand).
 SEARCH_BUDGET = 10_000_000
 
 
@@ -488,13 +488,14 @@ class TransitionTable:
     Flattened, ``s * len(joint_actions) + j`` is the entry's offset; an
     entry not filled holds reward 0 and ``term`` False. States are keyed by
     the env's time-free state row, ``get_state()[1]``, and ``_keys[s]`` is
-    the row of state ``s``. The planner, and both training loops wherever the env has
-    a fixed start, fill the table before use with :meth:`expand_reachable`,
-    one :meth:`expand` (the env's batched ``transitions``, equal to ``step``
-    bit for bit) per depth; :meth:`step` fills an entry on first use through
-    the env's own ``set_state`` and ``step``, for seeded-reset envs. A step
-    taken at counter ``t`` ends the episode when ``term`` is set or ``t + 1
-    >= horizon``, so one table serves any number of runs without coupling.
+    the row of state ``s``. :meth:`step` fills an entry on first use through
+    the env's ``set_state`` and ``step``. The planner, and both training loops
+    where the env has a fixed start, first fill every entry an episode steps
+    through with :meth:`expand_reachable`. A fixed-start table is then complete
+    and frozen: ``next``, ``reward`` and ``term`` keep one row a state and are
+    read-only, ``flat`` (None before) is their flat memoryviews, and the state
+    index is gone. A step taken at counter ``t`` ends the episode when ``term``
+    is set or ``t + 1 >= horizon``, so one table serves any number of runs.
     """
 
     def __init__(self, env):
@@ -508,11 +509,12 @@ class TransitionTable:
         self.strides = np.array([int(np.prod(self.action_counts[i + 1:]))
                                  for i in range(self.n)], dtype=np.intp)
         self._keys: list[tuple[int, ...]] = []  # each state's row
-        # The one state index: code -> id (-1: unseen) or row -> id; see _intern_rows.
+        # The one state index: row -> id, or code -> id (-1: unseen); see _intern_rows.
         radix, space = env.state_radix, math.prod(env.state_radix)
         self._weights = tuple(math.prod(radix[c + 1:]) for c in range(len(radix)))
         self._code_type = np.int64 if space <= 2 ** 63 else object  # object: Python ints
-        self._index = np.full(space, -1, dtype=np.intp) if space <= SEARCH_BUDGET else {}
+        self._index = {}  # None once complete
+        self._dense_space = space if space <= SEARCH_BUDGET else 0  # 0: the dict stays
         self._obs_ids: list[dict[int, int]] = [{} for _ in range(self.n)]
         self._obs: list[tuple[int, ...]] = []  # states 0, 1, ...; the rest are pending
         self._start: int | None = None
@@ -520,6 +522,7 @@ class TransitionTable:
         self.next = np.full(shape, -1, dtype=np.intp)
         self.reward = np.zeros(shape)
         self.term = np.zeros(shape, dtype=bool)
+        self.flat = None
 
     @property
     def obs(self) -> list[tuple[int, ...]]:
@@ -544,10 +547,12 @@ class TransitionTable:
         return state
 
     def step(self, state: int, joint: int) -> tuple[int, float, bool]:
-        """Successor, reward and ``term`` of one entry as Python values,
-        filling the entry first if it is not filled yet."""
+        """Successor, reward and ``term`` of one entry as Python values, filling
+        the entry first if it is not filled yet (a complete table raises LookupError)."""
         succ = self.next.item(state, joint)
         if succ < 0:
+            if self._index is None:
+                raise LookupError(f"entry ({state}, {joint}) is not in the complete table")
             env = self.env
             env.set_state((0, self._keys[state]))
             res = env.step(self.joint_actions[joint])
@@ -559,12 +564,14 @@ class TransitionTable:
         return succ, self.reward.item(state, joint), self.term.item(state, joint)
 
     def expand(self, states: Sequence[int]) -> None:
-        """Fill every joint action of ``states`` with the env's batched
-        ``transitions``, :data:`EXPAND_BLOCK` (state, joint action) pairs at a
-        time at most, so memory follows the block and not the number of
-        states. Successors are interned in the order first seen, as
-        :meth:`step` would intern them called entry by entry in the same
-        order; their observations are encoded on first read."""
+        """Fill every joint action of ``states`` with the env's batched ``transitions``,
+        :data:`EXPAND_BLOCK` (state, joint action) pairs at a time at most, so memory
+        follows the block and not the number of states. Successors are interned in the
+        order first seen, as :meth:`step` would intern them entry by entry in the same
+        order; their observations are encoded on first read. A complete table raises
+        ``LookupError``."""
+        if self._index is None:
+            raise LookupError("the table is complete: it fills no entry")
         states = list(dict.fromkeys(states))
         n_joint = len(self.joint_actions)
         per_block = max(1, EXPAND_BLOCK // n_joint)
@@ -586,16 +593,13 @@ class TransitionTable:
         a transition that ends the episode before the horizon leads to a
         terminal state, which is not. New states get ids in breadth-first
         order. Raises :class:`SearchBudgetError` once more than ``budget``
-        joint actions would be expanded.
+        joint actions would be expanded. A fixed-start table is then complete.
         """
-        n_joint = len(self.joint_actions)
-        frontier = [start]
-        expanded = set(frontier)
-        expansions = 0
+        frontier, expanded, expansions = [start], {start}, 0
         for _ in range(self.horizon):
             if not frontier:
                 break
-            expansions += len(frontier) * n_joint
+            expansions += len(frontier) * len(self.joint_actions)
             if expansions > budget:
                 raise SearchBudgetError(f"reachable-state search exceeded {budget} "
                                         f"expansions; the environment has too many states")
@@ -606,17 +610,28 @@ class TransitionTable:
             seen = np.argsort(first)[:np.count_nonzero(first < len(going))]
             frontier = [s for s in seen.tolist() if s not in expanded]
             expanded.update(frontier)
+        if self.fixed_start:  # no reset reaches another state: freeze
+            arrays = [a[:len(self._keys)].copy() for a in (self.next, self.reward, self.term)]
+            for a in arrays:
+                a.flags.writeable = False
+            self._index, self.flat = None, tuple(memoryview(a.reshape(-1)) for a in arrays)
+            self.next, self.reward, self.term = arrays
 
     def _intern_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ids of the states in ``rows``, interning new ones (observations pending)
         in the order first seen. Rows are told apart by their codes, their
         ``state_radix`` digits weighted by ``_weights``: int64 where every code
-        fits, else Python ints. A dense ``_index`` is read with one gather of the
-        codes, and unseen codes are numbered by their first positions, which
+        fits, else Python ints. A dense ``_index``, built from the dict at the first
+        call where the code space is within the budget, is read with one gather of
+        the codes, and unseen codes are numbered by their first positions, which
         ``np.minimum.at`` leaves in their entries. A dict ``_index`` is read once
         per distinct row, found by ``np.unique`` on the codes."""
         index, size = self._index, len(self._keys)
-        codes = rows @ np.array(self._weights, dtype=self._code_type)
+        weights = np.array(self._weights, dtype=self._code_type)
+        if isinstance(index, dict) and self._dense_space:
+            index = self._index = np.full(self._dense_space, -1, dtype=np.intp)
+            index[np.array(self._keys, dtype=np.int64) @ weights] = np.arange(size)
+        codes = rows @ weights
         if isinstance(index, dict):
             _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
             keys = list(map(tuple, rows[first].tolist()))
@@ -694,11 +709,12 @@ def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     finally:
         env.set_state(saved)
 
-    # By joint action, then state. Terminal and unfilled (-1) entries lead to
-    # the sink value[size], -0.0: ``reward + -0.0`` is ``reward`` bit for bit.
-    size = len(table._keys)
-    reward = table.reward[:size].T.copy()
-    succ = np.where(table.term[:size], size, table.next[:size]).T.copy()
+    # By joint action, then state; a seeded env's table keeps rows past its states,
+    # which no state leads to. Terminal and unfilled (-1) entries lead to the sink
+    # value[size], -0.0: ``reward + -0.0`` is ``reward`` bit for bit.
+    size = len(table.next)
+    reward = table.reward.T.copy()
+    succ = np.where(table.term, size, table.next).T.copy()
     value = np.append(reward.max(axis=0), -0.0)
     step = np.empty_like(reward)  # reward + value, one buffer for every depth
     for _ in range(table.horizon - 1):

@@ -245,21 +245,18 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     """
     table, (seed,), (total_steps, eval_every, eval_episodes) = _setup(
         env_factory, [schedule], [seed], q_config, total_steps, eval_every, eval_episodes)
-    n = table.n
-    env_rng, eval_rng, _ = _spawn_streams(seed, n)
+    env_rng, eval_rng, _ = _spawn_streams(seed, table.n)
     state = table.reset(env_rng.getrandbits(32))
     action_counts, observations, horizon = table.action_counts, table.obs, table.horizon
 
     discount = q_config.discount
-    agent_ids, strides = range(n), table.strides.tolist()
-    # Per agent, by dense observation id: the Q-row (None: no row yet), its
-    # first-max action and its maximum. A complete table's ids are all known:
-    # these are lists, and its entries are read through flat read-only views.
-    # A growing table's are dicts reading a missing id as None, 0 and 0.0.
+    agent_ids, strides = range(table.n), table.strides.tolist()
+    # Per agent, by dense observation id: the Q-row (None: no row yet), its first-max
+    # action and its maximum: lists on a complete table, whose ids are all known and
+    # whose flat views are read; else dicts reading a missing id as None, 0 and 0.0.
     complete, n_joint = table.fixed_start, len(table.joint_actions)
     if complete:
-        next_v, reward_v, term_v = (memoryview(a[:len(table._keys)].reshape(-1)).toreadonly()
-                                    for a in (table.next, table.reward, table.term))
+        next_v, reward_v, term_v = table.flat
         rows, best, top = ([[fill] * len(ids) for ids in table._obs_ids] for fill in (None, 0, 0.0))
     else:
         rows, best, top = ([defaultdict(f) for _ in agent_ids] for f in (type(None), int, float))

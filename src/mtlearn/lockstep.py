@@ -2,10 +2,10 @@
 
 ``train_lockstep`` returns, run for run, the logs that ``learners.train``
 returns, bit for bit, while paying the per-step interpreter cost once for
-every run. Its inputs are ``train``'s: ``learners._setup``'s
-:class:`TransitionTable` of the env, expanded before the first step, and
-``learners._walk``'s pieces, with rates looked up once per piece and
-exploration drawn one eval window at a time.
+every run. Its inputs are ``train``'s: ``learners._setup``'s complete
+:class:`TransitionTable` of the env, read as is (its read-only arrays taken at
+flat offsets), and ``learners._walk``'s pieces, with rates looked up once per
+piece and exploration drawn one eval window at a time.
 Sweeps use it (``harness.run_sweep``); it is a module of its own, imported
 on first use, so importing the package does not load it.
 """
@@ -89,10 +89,9 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
     if not runs:
         return []
     start = table.reset(0)
-    discount = q_config.discount
+    discount, horizon = q_config.discount, table.horizon
     rates = np.array([schedule.rates_by_rotation for schedule in schedules])
     run_ids = np.arange(runs)
-    horizon = table.horizon
     # Facts of the complete table (an unfilled entry holds reward 0, term False):
     # does some entry end the episode, and do updates need the finite check?
     any_term = bool(table.term.any())
@@ -107,10 +106,8 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
         q[:, i, :, k:] = -np.inf
     q_rows, q_flat = q.reshape(-1, width), q.reshape(-1)
     base = (np.arange(runs * n, dtype=np.intp) * observations).reshape(runs, n)
-    n_joint = len(table.joint_actions)
-    strides = table.strides
-    next_flat, obs = table.next.reshape(-1), np.array(table.obs, dtype=np.intp)
-    reward_col, term_flat = table.reward.reshape(-1, 1), table.term.reshape(-1)
+    n_joint, strides = len(table.joint_actions), table.strides
+    obs = np.array(table.obs, dtype=np.intp)
     row_starts = np.arange(runs * n, dtype=np.intp).reshape(runs, n) * width
     start_off = start * n_joint
     start_rows = base + obs[start]
@@ -130,13 +127,13 @@ def train_lockstep(env_factory, schedules: Sequence[Schedule], seeds: Sequence[i
                 actions = np.where(greedy_t, _first_max(q_rows.take(rows, axis=0), finite),
                                    forced_t)
                 entry = state_off + actions @ strides
-                succ = next_flat.take(entry)
+                succ = table.next.take(entry)  # flat offsets into the complete table
                 succ_rows = base + obs.take(succ, axis=0)
                 succ_q = q_rows.take(succ_rows, axis=0)
-                reward = reward_col.take(entry, axis=0)
+                reward = table.reward.take(entry)[:, None]
                 target = reward + discount * succ_q.take(row_starts + _first_max(succ_q, finite))
                 if any_term:
-                    done = term_flat.take(entry) | (ends <= t1)
+                    done = table.term.take(entry) | (ends <= t1)
                     ended = np.count_nonzero(done)
                 else:  # only the horizon ends episodes
                     ended = t1 >= next_cut

@@ -29,9 +29,12 @@ from mtlearn.envs import (
 
 from mtlearn import envs
 from mtlearn.games import make_game
+from mtlearn.learners import QLearnerConfig, _setup
+from mtlearn.schedule import make_schedule
 
 from conftest import CLIMBING_PAYOFF, FIXTURE_ROWS, MATCH_PAYOFF, ascii_layouts, fixture_env_factory
 from planner_reference import reference_optimal_return
+from test_golden_runlogs import seeded_local_view_env
 
 
 class TestMatrixGameEnv:
@@ -377,9 +380,11 @@ class TestOptimalReturn:
 
     @INDEX_FORMS
     def test_index_form_follows_the_code_space(self, dense):
-        # The fixture's 25 ** 3 * 2 codes fit the dense index unless forced out.
+        # The fixture's 25 ** 3 * 2 codes fit the dense index unless forced out;
+        # the form is chosen at construction and the index built at the first expand.
         with index_form(dense):
             table = TransitionTable(fixture_env_factory())
+        table.expand([table.reset(0)])
         assert isinstance(table._index, np.ndarray) == dense
         if dense:
             assert table._index.shape == (31_250,)
@@ -398,6 +403,37 @@ class TestOptimalReturn:
         assert peak_traced_bytes(lambda: optimal_return(env)) < min(space, 2 ** 63)
         # The fixture's dense index, 8 bytes a code, is traced when it is kept.
         assert peak_traced_bytes(lambda: optimal_return(fixture_env_factory())) >= 8 * 31_250
+
+    def test_a_search_refused_by_its_budget_allocates_no_dense_index(self):
+        # 6 x 6, two agents and two foods: 36 ** 4 * 2 ** 2 codes, a 53.8 MB dense
+        # index, within SEARCH_BUDGET; the first depth's 36 expansions exceed 10.
+        env = ForagingEnv(foraging_config_from_ascii(
+            ["1.2...", "..a...", "..b..."] + ["." * 6] * 3, horizon=10))
+        space = math.prod(env.state_radix)
+        assert space == 6_718_464 <= SEARCH_BUDGET
+
+        def plan():
+            with pytest.raises(SearchBudgetError):
+                optimal_return(env, budget=10)
+        assert peak_traced_bytes(plan) < 8 * space / 10
+
+    def test_a_seeded_table_that_never_expands_keeps_the_dict_index(self):
+        env = seeded_local_view_env()
+        space = math.prod(env.state_radix)
+        assert space == 1_562_500 <= SEARCH_BUDGET and not env.fixed_start
+        tables = []
+
+        def walk():  # construction and 1,000 scalar steps, fills included
+            table = TransitionTable(env)
+            tables.append(table)
+            rng, state, steps = random.Random(0), table.reset(0), 0
+            for _ in range(1000):
+                state, _, term = table.step(state, rng.randrange(len(table.joint_actions)))
+                steps += 1
+                if term or steps >= table.horizon:
+                    state, steps = table.reset(rng.getrandbits(32)), 0
+        assert peak_traced_bytes(walk) < space  # under a byte a code; dense is 8
+        assert isinstance(tables[0]._index, dict)
 
 
 @st.composite
@@ -620,6 +656,42 @@ class TestTransitionTable:
         assert_same_tables(*tables)
 
 
+class TestCompleteTable:
+    """A fixed-start table completed by ``expand_reachable`` is a frozen value."""
+
+    @pytest.fixture
+    def table(self):
+        schedule = make_schedule(2, (0.3, 0.05), s=500)
+        return _setup(fixture_env_factory, [schedule], [0], QLearnerConfig(), 10, 10, 1)[0]
+
+    def test_arrays_keep_one_row_a_state_and_are_read_only(self, table):
+        assert table.fixed_start and table._index is None
+        assert len(table.next) == len(table.reward) == len(table.term) == len(table._keys) == 564
+        for name, value in (("next", 0), ("reward", 1.0), ("term", True)):
+            array = getattr(table, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = value
+        for array, view in zip((table.next, table.reward, table.term), table.flat):
+            assert view.readonly and view.tolist() == array.ravel().tolist()
+            with pytest.raises(TypeError):
+                view[0] = view[0]
+
+    def test_an_entry_never_filled_raises_and_fills_nothing(self, table):
+        # States first reached at the last depth, or by the episode's ending.
+        never = [s for s in range(len(table._keys)) if (table.next[s] < 0).all()]
+        assert never and (table.next[table.reset(0)] >= 0).all()
+        keys, arrays = list(table._keys), [a.copy() for a in (table.next, table.reward, table.term)]
+        with pytest.raises(LookupError, match="not in the complete table"):
+            table.step(never[0], 0)
+        with pytest.raises(LookupError, match="complete"):
+            table.expand([never[0]])
+        with pytest.raises(LookupError, match="complete"):
+            table.expand_reachable(table.reset(0), SEARCH_BUDGET)
+        assert table._keys == keys and table._index is None
+        for array, before in zip((table.next, table.reward, table.term), arrays):
+            assert np.array_equal(array, before)
+
+
 def step_reachable(table, start):
     """``expand_reachable``'s search from ``start``, one ``step`` per entry."""
     frontier, seen = [start], {start}
@@ -635,14 +707,15 @@ def step_reachable(table, start):
 
 
 def assert_same_tables(a, b):
-    """``a`` and ``b`` hold the same states, entries and observation ids."""
+    """``a`` and ``b`` hold the same states, entries and observation ids. Only
+    the state rows are compared: a complete table keeps no rows past them."""
     size = len(a._keys)
-    assert a._keys == b._keys
+    assert a._keys == b._keys and len(b._keys) == size
     assert a.obs == b.obs and len(a.obs) == size
     assert a._obs_ids == b._obs_ids
     assert a.obs_count == b.obs_count
     for name in ("next", "reward", "term"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(getattr(a, name)[:size], getattr(b, name)[:size]), name
     for i in range(a.n):  # each agent's ids first appear in state order: 0, 1, 2, ...
         firsts = list(dict.fromkeys(ids[i] for ids in a.obs))
         assert firsts == list(range(len(firsts)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import mtlearn as mt
@@ -72,10 +72,13 @@ def seeded_foraging_factories(draw):
 common = dict(q_config=q_configs, data=st.data(), eval_episodes=st.integers(1, 3))
 FINITE_PAYOFFS = (-1.0, -0.0, 0.0, 0.5, 1.0)
 FINITE_RATES = (0.0, 0.05, 0.5, 1.0)
+# Hypothesis shrinks a failing example for up to five minutes, replaying both
+# loops each time; these tests report the failing example as drawn, at once.
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 class TestTrainMatchesLiveReference:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=UNSHRUNK)
     @given(factory=matrix_game_factories(), total_steps=st.integers(1, 150),
            eval_every=st.integers(1, 60), **common)
     def test_matrix_games(self, factory, q_config, data, total_steps, eval_every,
@@ -84,7 +87,7 @@ class TestTrainMatchesLiveReference:
         assert_train_matches_reference(factory, schedule, seed, q_config, total_steps,
                                        eval_every, eval_episodes)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=UNSHRUNK)
     @given(factory=matrix_game_factories(FINITE_PAYOFFS), total_steps=st.integers(1, 150),
            eval_every=st.integers(1, 60), **common)
     def test_matrix_games_within_the_finite_bound(self, factory, q_config, data, total_steps,
@@ -94,7 +97,7 @@ class TestTrainMatchesLiveReference:
         assert_train_matches_reference(factory, schedule, seed, q_config, total_steps,
                                        eval_every, eval_episodes)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     @given(factory=foraging_factories(), total_steps=st.integers(1, 300),
            eval_every=st.integers(1, 120), **common)
     def test_fixed_foraging_layouts(self, factory, q_config, data, total_steps, eval_every,
@@ -103,7 +106,7 @@ class TestTrainMatchesLiveReference:
         assert_train_matches_reference(factory, schedule, seed, q_config, total_steps,
                                        eval_every, eval_episodes)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=UNSHRUNK)
     @given(factory=seeded_foraging_factories(), total_steps=st.integers(1, 300),
            eval_every=st.integers(1, 120), **common)
     def test_seeded_foraging_layouts(self, factory, q_config, data, total_steps, eval_every,

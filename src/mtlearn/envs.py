@@ -709,12 +709,12 @@ def optimal_return(env, seed: int = 0, budget: int = SEARCH_BUDGET) -> float:
     finally:
         env.set_state(saved)
 
-    # By joint action, then state; a seeded env's table keeps rows past its states,
-    # which no state leads to. Terminal and unfilled (-1) entries lead to the sink
-    # value[size], -0.0: ``reward + -0.0`` is ``reward`` bit for bit.
-    size = len(table.next)
-    reward = table.reward.T.copy()
-    succ = np.where(table.term, size, table.next).T.copy()
+    # By joint action, then state, over the state rows only (a seeded env's table has
+    # spare rows). Terminal and unfilled (-1) entries lead to the sink value[size],
+    # -0.0: ``reward + -0.0`` is ``reward`` bit for bit.
+    size = len(table._keys)
+    reward = table.reward[:size].T.copy()
+    succ = np.where(table.term[:size], size, table.next[:size]).T.copy()
     value = np.append(reward.max(axis=0), -0.0)
     step = np.empty_like(reward)  # reward + value, one buffer for every depth
     for _ in range(table.horizon - 1):

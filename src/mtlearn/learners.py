@@ -5,9 +5,9 @@ it online with whatever learning rate the schedule assigns at that
 update step, so independent, sequential, two-timescale, and rotating
 multi-timescale training are all the same loop. It steps through one
 :class:`envs.TransitionTable` of the env, built by ``_setup`` as for
-``lockstep.train_lockstep``, walked in ``_walk``'s pieces with the per-step
-rules inlined, on Q-rows that cache their first-max (see ``train_with_tables``).
-A stochastic-gradient learner covers the estimation problem.
+``lockstep.train_lockstep``, by a step loop written out for the env's agent count
+that walks ``_walk``'s pieces on Q-rows caching their first-max (see
+``train_with_tables``). A stochastic-gradient learner covers the estimation problem.
 
 Randomness is fanned out from one master seed into separate streams
 (episode seeds, per-agent exploration, evaluation), so evaluation never
@@ -17,8 +17,11 @@ episode stream.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -232,6 +235,67 @@ def _setup(env_factory, schedules: Sequence[Schedule], seeds: Sequence[int],
     return table, seeds, counts
 
 
+# The step loop of ``train_with_tables``, as ``_kernel`` renders it for n agents: each run
+# of lines holding ``@`` is written once per agent, ``@`` its index, and ``x$`` lists every
+# agent's ``x`` (``x0, x1,``). Each agent's Q-rows, first-max cache, rate, stride and
+# action count are then locals, and its greedy pick and update are written out once.
+_STEP_LOOP = """\
+def run(pieces, table, observations, rates_by_rotation, discount, fast, rows, best, top,
+        state, env_rng, eval_rng, eval_episodes):
+    horizon, complete = table.horizon, table.fixed_start
+    next_v, reward_v, term_v = table.flat or (None,) * 3
+    n_joint, k$ = len(table.joint_actions), *table.action_counts
+    (rows$), (best$), (top$), (s$) = rows, best, top, table.strides.tolist()
+    eval_points, episode_steps = [], 0
+    for _, stop, rotations, explore, evaluate in pieces:
+        lr$ = rates_by_rotation[rotations[0]]
+        for a$ in explore[:, 0].tolist():
+            o$ = observations[state]
+            joint = 0
+            if a@ < 0:  # a greedy agent's -1 becomes its first-max action
+                a@ = best@[o@]
+            joint += a@ * s@
+            if complete:
+                entry = state * n_joint + joint
+                state, reward, term = next_v[entry], reward_v[entry], term_v[entry]
+            else:
+                state, reward, term = table.step(state, joint)
+            episode_steps += 1
+            done = term or episode_steps >= horizon
+            n$ = observations[state]
+            if lr@ != 0.0:  # a zero rate creates no row
+                row@ = rows@[o@]
+                if row@ is None:
+                    row@ = rows@[o@] = [0.0] * k@
+                target@ = reward if done else reward + discount * top@[n@]  # ends do not bootstrap
+                value@ = row@[a@] = row@[a@] + lr@ * (target@ - row@[a@])
+                b@, m@ = best@[o@], top@[o@]
+                if fast and (value@ > m@ or value@ == m@ and a@ <= b@):
+                    best@[o@], top@[o@] = a@, value@
+                elif not fast or a@ == b@:  # the first-max itself fell
+                    top@[o@] = m@ = max(row@)
+                    best@[o@] = row@.index(m@)
+            if done:
+                state = table.reset(env_rng.getrandbits(32))
+                episode_steps = 0
+        if evaluate:
+            eval_points.append((stop, _evaluate_greedy(table, best, eval_episodes, eval_rng)))
+    return eval_points
+"""
+
+
+@functools.cache
+def _kernel(n: int):
+    """``_STEP_LOOP`` written out for ``n`` agents, compiled in this module's namespace."""
+    source = ""
+    for each, lines in itertools.groupby(_STEP_LOOP.splitlines(True), lambda line: "@" in line):
+        block = "".join(lines)
+        source += "".join(block.replace("@", str(i)) for i in range(n)) if each else block
+    source = re.sub(r"(\w+)\$", lambda m: ", ".join(f"{m[1]}{i}" for i in range(n)) + ",", source)
+    exec(compile(source, f"<step loop for {n} agents>", "exec"), globals(), namespace := {})
+    return namespace["run"]
+
+
 def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
                       total_steps: int, eval_every: int, eval_episodes: int,
                       seed: int) -> tuple[RunLog, list[QTable]]:
@@ -242,71 +306,27 @@ def train_with_tables(env_factory, schedule: Schedule, q_config: QLearnerConfig,
     evaluation both step through one :class:`TransitionTable` of it, set up
     by ``_setup`` as for ``lockstep.train_lockstep``; only the step kernel
     differs. Training keys the Q-rows by the table's dense observation ids.
+    The run is one call of ``_kernel(table.n)``, the step loop written out for
+    the env's agent count and compiled once per count; it walks ``_walk``'s pieces.
     """
     table, (seed,), (total_steps, eval_every, eval_episodes) = _setup(
         env_factory, [schedule], [seed], q_config, total_steps, eval_every, eval_episodes)
     env_rng, eval_rng, _ = _spawn_streams(seed, table.n)
-    state = table.reset(env_rng.getrandbits(32))
-    action_counts, observations, horizon = table.action_counts, table.obs, table.horizon
-
-    discount = q_config.discount
-    agent_ids, strides = range(table.n), table.strides.tolist()
-    # Per agent, by dense observation id: the Q-row (None: no row yet), its first-max
-    # action and its maximum: lists on a complete table, whose ids are all known and
-    # whose flat views are read; else dicts reading a missing id as None, 0 and 0.0.
-    complete, n_joint = table.fixed_start, len(table.joint_actions)
+    state, observations = table.reset(env_rng.getrandbits(32)), table.obs
+    # Per agent, by dense observation id (``obs`` has encoded them all): the Q-row (None: no
+    # row yet), its first-max action and its maximum: lists on a complete table, whose ids are
+    # all known and whose flat views are read; else dicts reading a missing id as None, 0, 0.0.
+    complete, agent_ids = table.fixed_start, range(table.n)
     if complete:
-        next_v, reward_v, term_v = table.flat
         rows, best, top = ([[fill] * len(ids) for ids in table._obs_ids] for fill in (None, 0, 0.0))
     else:
         rows, best, top = ([defaultdict(f) for _ in agent_ids] for f in (type(None), int, float))
-    # Only where every value is finite does the update rule below keep row.index(max(row)).
+    # Only where every value is finite does the update rule keep row.index(max(row)).
     fast = complete and _stays_finite(schedule.rates_by_rotation, table.reward, total_steps)
-
-    eval_points: list[tuple[int, float]] = []
-    episode_steps = 0
-    for _, stop, rotations, explore, evaluate in _walk(
-            [schedule], total_steps, eval_every, [seed], q_config.epsilon, action_counts):
-        rates = schedule.rates_by_rotation[rotations[0]]
-        for actions in explore[:, 0].tolist():
-            obs = observations[state]
-            joint = 0
-            for i in agent_ids:  # a greedy agent's -1 becomes its first-max action
-                a = actions[i]
-                if a < 0:
-                    actions[i] = a = best[i][obs[i]]
-                joint += a * strides[i]
-            if complete:
-                entry = state * n_joint + joint
-                state, reward, term = next_v[entry], reward_v[entry], term_v[entry]
-            else:
-                state, reward, term = table.step(state, joint)
-            episode_steps += 1
-            done = term or episode_steps >= horizon
-            next_obs = observations[state]
-            for i in agent_ids:
-                lr = rates[i]
-                if lr == 0.0:  # a zero rate creates no row
-                    continue
-                o, a, best_i, top_i = obs[i], actions[i], best[i], top[i]
-                row = rows[i][o]
-                if row is None:
-                    row = rows[i][o] = [0.0] * action_counts[i]
-                # an ending step does not bootstrap
-                target = reward if done else reward + discount * top_i[next_obs[i]]
-                value = row[a] = row[a] + lr * (target - row[a])
-                b, m = best_i[o], top_i[o]
-                if fast and (value > m or value == m and a <= b):
-                    best_i[o], top_i[o] = a, value
-                elif not fast or a == b:  # the first-max itself fell
-                    top_i[o] = m = max(row)
-                    best_i[o] = row.index(m)
-            if done:
-                state = table.reset(env_rng.getrandbits(32))
-                episode_steps = 0
-        if evaluate:
-            eval_points.append((stop, _evaluate_greedy(table, best, eval_episodes, eval_rng)))
-
+    eval_points = _kernel(table.n)(
+        _walk([schedule], total_steps, eval_every, [seed], q_config.epsilon, table.action_counts),
+        table, observations, schedule.rates_by_rotation, q_config.discount, fast, rows, best, top,
+        state, env_rng, eval_rng, eval_episodes)
     own = [list(ids) for ids in table._obs_ids]  # dense id -> the env's observation
     return (_run_log(seed, eval_points, eval_episodes),
             [{ids[o]: q[o] for o in range(len(ids)) if q[o] is not None}

@@ -226,6 +226,19 @@ class TestTrainReductions:
             sum(v for _, v in log.eval_points[-5:]) / min(5, len(log.eval_points)))
 
 
+class TestStepKernel:
+    def test_runs_with_one_agent_count_share_one_compiled_kernel(self):
+        sched = mt.make_schedule(2, (0.3, 0.05), s=50)
+        train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=0)
+        kernel, compiled = learners._kernel(2), learners._kernel.cache_info().misses
+        train(fixture_env_factory, sched, small_q_config(), 100, 50, 1, seed=1)
+        train(match_env_factory, sched, small_q_config(), 100, 50, 1, seed=2)
+        assert learners._kernel.cache_info().misses == compiled
+        assert learners._kernel(2) is kernel and learners._kernel(3) is not kernel
+        # compiled in the module's namespace, so it sees the module's names
+        assert kernel.__globals__ is vars(learners)
+
+
 class TestTrainEstimation:
     def test_zero_rates_leave_gains_unchanged(self, coupled_problem):
         sched = mt.make_schedule(3, (0.0, 0.0), s=5)

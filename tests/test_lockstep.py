@@ -39,8 +39,8 @@ PAYOFFS = (-1e308, -30.0, -1.0, 0.0, 0.5, 1.0, 7.0, 1e308)
 
 @st.composite
 def matrix_game_factories(draw, payoffs=PAYOFFS):
-    """2-3 agents with unequal action counts, horizon 1-6, entries from ``payoffs``."""
-    n = draw(st.integers(2, 3))
+    """1-4 agents with unequal action counts, horizon 1-6, entries from ``payoffs``."""
+    n = draw(st.integers(1, 4))
     counts = tuple(draw(st.integers(1, 3)) for _ in range(n))
     payoff = np.array(draw(st.lists(st.sampled_from(payoffs), min_size=int(np.prod(counts)),
                                     max_size=int(np.prod(counts))))).reshape(counts)

@@ -100,6 +100,16 @@ assert "mtlearn.lockstep" not in sys.modules, sorted(sys.modules)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_renders_no_step_loop():
+    # The scalar step loop is rendered and compiled for an agent count at the
+    # first run with that count, not when the package is imported.
+    script = "import mtlearn\nassert mtlearn.learners._kernel.cache_info().currsize == 0\n"
+    src = str(Path(mtlearn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracle_kernels_call_no_lapack():
     # linalg and estimation do their arithmetic in-repo, bit-identical to
     # tests/oracle_reference.py; a LAPACK routine would be faster but would
